@@ -46,19 +46,14 @@ for q in (1, 3, 10):
 
     # Project every training point to its q-dimensional latent code, map it
     # back to kernel space, then back to the input plane with the smoother.
-    recon = np.empty_like(x)
-    for i in range(ts.n):
-        h = dual_latent_map(model, kc.entries[:, i])
-        k_rec = dual_reconstruct(model, h)
-        recon[:, i] = kernel_smoother(ts, k_rec.kc_vec, cfg)
+    # The centered kernel vectors of the training points are the columns of
+    # kc; every step takes one query per column.
+    h = dual_latent_map(model, kc.entries)
+    recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
 
     # The noiseless limit of the same model is classical kernel PCA.
     limit = kpca_limit(model)
-    classical = np.empty_like(x)
-    for i in range(ts.n):
-        h = dual_latent_map(limit, kc.entries[:, i])
-        k_rec = dual_reconstruct(limit, h)
-        classical[:, i] = kernel_smoother(ts, k_rec.kc_vec, cfg)
+    classical = kernel_smoother(ts, dual_reconstruct(limit, dual_latent_map(limit, kc.entries)), cfg)
 
     path = os.path.join(OUT, f"reconstruction_q{q}.svg")
     scatter_svg(path, [

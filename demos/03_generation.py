@@ -48,10 +48,11 @@ limit_b = build_sampler(kpca_limit(model))
 print("noiseless sampler rank:", np.linalg.matrix_rank(limit_b),
       "(the classical limit collapses onto the retained components)")
 
-# Draw kernel representations and push them back to the input plane.
+# Draw kernel representations (one per column) and push them back to the
+# input plane.
 samples = dual_sample(model, 2024, 400)
 cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
-points = np.stack([kernel_smoother(ts, s.kc_vec, cfg) for s in samples], axis=1)
+points = kernel_smoother(ts, samples, cfg)
 
 path = os.path.join(OUT, "generated.svg")
 scatter_svg(path, [
@@ -61,7 +62,7 @@ scatter_svg(path, [
 print(f"wrote {path}")
 
 # Sanity: the empirical covariance of many draws converges to B B^T.
-mat = np.stack([s.kc_vec for s in dual_sample(model, 7, 100_000)], axis=1)
+mat = dual_sample(model, 7, 100_000)
 emp = mat @ mat.T / mat.shape[1]
 rel = np.linalg.norm(emp - b @ b.T) / np.linalg.norm(b @ b.T)
 print(f"empirical covariance of 100k draws: {rel:.2%} relative error")

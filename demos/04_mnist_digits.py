@@ -65,23 +65,18 @@ cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
 
 # Originals and their reconstructions through the 2-dimensional bottleneck.
 show = 16
-recon = np.empty((x.shape[0], show))
-for i in range(show):
-    h = dual_latent_map(model, kc.entries[:, i])
-    recon[:, i] = kernel_smoother(ts, dual_reconstruct(model, h).kc_vec, cfg)
+h = dual_latent_map(model, kc.entries[:, :show])
+recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
 pgm_grid(os.path.join(OUT, "mnist_original.pgm"), x[:, :show].T.reshape(-1, 28, 28), 8)
 pgm_grid(os.path.join(OUT, "mnist_reconstructed.pgm"), recon.T.reshape(-1, 28, 28), 8)
 
 # Sweep the two leading noise components on a grid and preimage each sample.
+# Column r * side + c of the noise holds (lin[c], lin[r]) on the two
+# leading eigen-directions.
 side = 8
 lin = np.linspace(-1.0, 1.0, side)
-u = np.zeros((model.n, side * side))
-for r in range(side):
-    for c in range(side):
-        u[0, r * side + c] = lin[c]
-        u[1, r * side + c] = lin[r]
-kc_grid = samples_from_noise(model, model.e @ u)
-gen = np.stack([kernel_smoother(ts, kc_grid[:, i], cfg) for i in range(side * side)], axis=1)
+u = model.e[:, :2] @ np.stack([np.tile(lin, side), np.repeat(lin, side)])
+gen = kernel_smoother(ts, samples_from_noise(model, u), cfg)
 pgm_grid(os.path.join(OUT, "mnist_generated.pgm"), gen.T.reshape(-1, 28, 28), side)
 
 print("wrote mnist_original.pgm, mnist_reconstructed.pgm, mnist_generated.pgm in demos/output/")

@@ -3,16 +3,13 @@
 The primal side trains on the explicit feature covariance; the dual side
 trains on the centered kernel matrix, projects and reconstructs in kernel
 space, generates new kernel representations, and maps them back to inputs
-with a kernel smoother.
+with a kernel smoother. Query functions take one query per column; a single
+query is the batch with one column.
 """
 
 from ._version import __version__
 from .dual import (
     DualModel,
-    Generated,
-    KernelSample,
-    Observed,
-    Reconstructed,
     build_sampler,
     dual_conditional_kernel,
     dual_latent_map,
@@ -20,21 +17,15 @@ from .dual import (
     dual_marginal_loglik,
     dual_reconstruct,
     dual_sample,
-    explained_variance,
     fit_dual,
-    kernel_sample,
-    kernel_samples,
     kpca_limit,
     samples_from_noise,
 )
 from .io_datasets import (
-    DatasetHandle,
     RunMetadata,
     load_csv,
-    load_dataset,
     load_mnist_idx,
     load_model,
-    make_rng,
     save_csv,
     save_model,
     write_metadata,
@@ -42,16 +33,14 @@ from .io_datasets import (
 from .kernels import (
     KernelSpec,
     TrainingSet,
-    centered_kernel_vector,
     centered_kernel_vectors,
     gram,
-    kernel_eval,
-    kernel_vector,
 )
 from .preimage import PreimageConfig, kernel_smoother
 from .primal import (
     GaussianSpec,
     PrimalModel,
+    explained_variance,
     feature_reconstruct,
     fit_primal,
     latent_map,
@@ -71,24 +60,18 @@ from .spectral import (
 from .toy import two_arcs
 
 __all__ = [
-    "DatasetHandle",
     "DualModel",
     "EigenDecomposition",
     "GaussianSpec",
-    "Generated",
-    "KernelSample",
     "KernelSpec",
-    "Observed",
     "PreimageConfig",
     "PrimalModel",
-    "Reconstructed",
     "RunMetadata",
     "SymMatrix",
     "TrainingSet",
     "build_sampler",
     "center_columns",
     "center_gram",
-    "centered_kernel_vector",
     "centered_kernel_vectors",
     "dual_conditional_kernel",
     "dual_latent_map",
@@ -101,19 +84,13 @@ __all__ = [
     "fit_dual",
     "fit_primal",
     "gram",
-    "kernel_eval",
-    "kernel_sample",
-    "kernel_samples",
     "kernel_smoother",
-    "kernel_vector",
     "kpca_limit",
     "latent_map",
     "latent_posterior",
     "load_csv",
-    "load_dataset",
     "load_mnist_idx",
     "load_model",
-    "make_rng",
     "marginal_loglik",
     "psd_sqrt_factor",
     "sample_feature",

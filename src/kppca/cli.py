@@ -20,12 +20,11 @@ from .dual import (
     dual_latent_map,
     dual_reconstruct,
     dual_sample,
-    explained_variance,
     fit_dual,
     kpca_limit,
     samples_from_noise,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, ZeroSpectrum
 from .io_datasets import (
     RunMetadata,
     load_csv,
@@ -37,7 +36,7 @@ from .io_datasets import (
 from .kernels import KernelSpec, TrainingSet, centered_kernel_vectors, gram
 from .plots import pgm_grid, scatter_svg
 from .preimage import PreimageConfig, kernel_smoother
-from .primal import PrimalModel, feature_reconstruct, latent_map, sample_feature
+from .primal import PrimalModel, explained_variance, feature_reconstruct, latent_map, sample_feature
 from .spectral import center_gram
 
 
@@ -105,44 +104,26 @@ def _ensure_out(path):
     return path
 
 
+def _explained_variance(model, primal_zero):
+    # an all-zero spectrum is an error for a dual model; a primal model
+    # reports primal_zero instead
+    try:
+        return explained_variance(model)
+    except ZeroSpectrum:
+        if isinstance(model, DualModel):
+            raise
+        return primal_zero
+
+
 def _model_meta(model, seed=None):
-    if isinstance(model, DualModel):
-        return RunMetadata(seed=seed, kernel=model.spec, q=model.q, sigma2=model.sigma2,
-                           explained_variance=explained_variance(model))
-    ev = None
-    total = float(model.eigenvalues.sum())
-    if total > 0:
-        ev = float(model.eigenvalues[: model.q].sum() / total)
-    return RunMetadata(seed=seed, kernel=None, q=model.q, sigma2=model.sigma2,
-                       explained_variance=ev)
+    kernel = model.spec if isinstance(model, DualModel) else None
+    return RunMetadata(seed=seed, kernel=kernel, q=model.q, sigma2=model.sigma2,
+                       explained_variance=_explained_variance(model, None))
 
 
 def _preimage_cfg(args, n):
     eps = args.epsilon if args.epsilon is not None else 1e-3 * n
     return PreimageConfig(epsilon=eps, clip_negative=args.clip_negative)
-
-
-def _preimage_columns(model, kc_cols, cfg):
-    out = np.empty((model.ts.d_in, kc_cols.shape[1]))
-    for i in range(kc_cols.shape[1]):
-        out[:, i] = kernel_smoother(model.ts, kc_cols[:, i], cfg)
-    return out
-
-
-def _dual_project(model, x):
-    kcs = centered_kernel_vectors(model.spec, model.ts, x.T)
-    h = np.empty((model.q, kcs.shape[1]))
-    for i in range(kcs.shape[1]):
-        h[:, i] = dual_latent_map(model, kcs[:, i])
-    return kcs, h
-
-
-def _dual_reconstruct_columns(model, kcs):
-    rec = np.empty_like(kcs)
-    for i in range(kcs.shape[1]):
-        h = dual_latent_map(model, kcs[:, i])
-        rec[:, i] = dual_reconstruct(model, h).kc_vec
-    return rec
 
 
 # --- commands -----------------------------------------------------------
@@ -177,9 +158,9 @@ def cmd_project(args):
     model = load_model(args.model)
     x = load_csv(args.data)
     if isinstance(model, DualModel):
-        _, h = _dual_project(model, x)
+        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, x.T))
     else:
-        h = np.stack([latent_map(model, x[:, i]) for i in range(x.shape[1])], axis=1)
+        h = latent_map(model, x)
     out = _ensure_out(args.out)
     latent_path = os.path.join(out, "latent.csv")
     save_csv(latent_path, h, header=[f"h{p + 1}" for p in range(h.shape[0])])
@@ -194,16 +175,12 @@ def cmd_reconstruct(args):
     x = load_csv(args.data)
     if isinstance(model, DualModel):
         cfg = _preimage_cfg(args, model.n)
-        kcs, _ = _dual_project(model, x)
-        rec_kc = _dual_reconstruct_columns(model, kcs)
-        points = _preimage_columns(model, rec_kc, cfg)
+        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, x.T))
+        points = kernel_smoother(model.ts, dual_reconstruct(model, h), cfg)
         extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
                  "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
     else:
-        points = np.stack(
-            [feature_reconstruct(model, latent_map(model, x[:, i])) for i in range(x.shape[1])],
-            axis=1,
-        )
+        points = feature_reconstruct(model, latent_map(model, x))
         extra = {"command": "reconstruct", "data": args.data}
     out = _ensure_out(args.out)
     rec_path = os.path.join(out, "reconstructed.csv")
@@ -233,17 +210,10 @@ def _parse_grid(args):
 def _grid_noise(model, a, b, lo, hi):
     # Sweep the two leading noise components on the eigen-aligned axes so
     # the grid walks the dominant latent directions; the remaining
-    # components stay zero.
-    u = np.zeros((model.n, a * b))
-    first = np.linspace(lo, hi, a)
-    second = np.linspace(lo, hi, b)
-    for r_i in range(b):
-        for c_i in range(a):
-            idx = r_i * a + c_i
-            u[0, idx] = first[c_i]
-            if model.n > 1:
-                u[1, idx] = second[r_i]
-    return model.e @ u
+    # components stay zero. Column r * a + c holds (first[c], second[r]).
+    sweep = np.stack([np.tile(np.linspace(lo, hi, a), b), np.repeat(np.linspace(lo, hi, b), a)])
+    lead = min(model.n, 2)
+    return model.e[:, :lead] @ sweep[:lead]
 
 
 def cmd_generate(args):
@@ -270,13 +240,11 @@ def cmd_generate(args):
     else:
         if args.count < 0:
             raise _UsageError("--count must be nonnegative")
-        samples = dual_sample(model, args.seed, args.count)
-        kc_cols = (np.stack([s.kc_vec for s in samples], axis=1)
-                   if samples else np.empty((model.n, 0)))
+        kc_cols = dual_sample(model, args.seed, args.count)
 
     ks_path = os.path.join(out, "kernel_samples.csv")
     save_csv(ks_path, kc_cols, header=[f"k{i + 1}" for i in range(model.n)])
-    points = _preimage_columns(model, kc_cols, cfg)
+    points = kernel_smoother(model.ts, kc_cols, cfg)
     gen_path = os.path.join(out, "generated.csv")
     save_csv(gen_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
 
@@ -295,11 +263,13 @@ def cmd_generate(args):
     elif d_in >= 2:
         # higher-dimensional points are plotted on their first two coordinates
         train_cols = model.ts.columns()
-        rec_kc = _dual_reconstruct_columns(model, model.kc.entries.copy())
-        rec_pts = _preimage_columns(model, rec_kc, cfg)
+        # the training points' own centered kernel vectors are the Gram columns
+        kc = model.kc.entries
+        rec_kc = dual_reconstruct(model, dual_latent_map(model, kc))
+        rec_pts = kernel_smoother(model.ts, rec_kc, cfg)
         limit = kpca_limit(model)
-        kpca_kc = _dual_reconstruct_columns(limit, model.kc.entries.copy())
-        kpca_pts = _preimage_columns(model, kpca_kc, cfg)
+        kpca_kc = dual_reconstruct(limit, dual_latent_map(limit, kc))
+        kpca_pts = kernel_smoother(model.ts, kpca_kc, cfg)
         svg_path = os.path.join(out, "scatter.svg")
         scatter_svg(svg_path, [
             ("original", "black", train_cols[:2]),
@@ -324,16 +294,14 @@ def cmd_generate(args):
 def cmd_report(args):
     model = load_model(args.model)
     lam = model.eigenvalues
+    ev = _explained_variance(model, float("nan"))
     if isinstance(model, DualModel):
-        ev = explained_variance(model)
         print("kind: dual")
         print(f"N: {model.n}")
         print(f"d_in: {model.ts.d_in}")
         gamma = "" if model.spec.gamma is None else f" gamma={model.spec.gamma!r}"
         print(f"kernel: {model.spec.family}{gamma}")
     else:
-        total = float(lam.sum())
-        ev = float(lam[: model.q].sum() / total) if total > 0 else float("nan")
         print("kind: primal")
         print(f"N: {model.n}")
         print(f"d: {model.d}")

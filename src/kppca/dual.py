@@ -2,13 +2,18 @@
 projection and reconstruction in kernel space, the marginal sampling operator,
 and probabilistic generation of kernel representations.
 
+The query functions work on batches, one query per column: N x M centered
+kernel columns in, q x M latent codes out, and back. A single query is the
+batch with one column. The loadings are a = E_q diag(s), so the latent
+normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda + sigma2) and K_c a is
+E_q diag(lambda s); projecting or reconstructing M columns costs O(N q M).
+
 A fitted DualModel keeps the full eigendecomposition of the centered Gram
 matrix (generation needs the entire spectrum), the Gram matrix itself, and
 the training inputs, so projecting new points and preimaging need no side
 channel.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,52 +22,24 @@ from .errors import (
     DimensionMismatch,
     LatentExceedsRank,
     NotCentered,
-    QEqualsNWarning,
     RankDeficient,
-    SigmaTooLarge,
     SigmaZero,
     ZeroSpectrum,
 )
-from .kernels import KernelSpec, TrainingSet, centered_kernel_vector, centered_kernel_vectors
-from .primal import GaussianSpec, sigma2_ml
+from .kernels import KernelSpec, TrainingSet
+from .primal import _LOG_2PI, GaussianSpec, _as_columns, _posterior_factor, _resolve_latent
 from .spectral import EigenDecomposition, SymMatrix, psd_sqrt_factor, sym_eig
-
-_LOG_2PI = np.log(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class Observed:
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class Generated:
-    seed: int | None
-    index: int
-
-
-@dataclass(frozen=True)
-class Reconstructed:
-    pass
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """A centered kernel representation together with where it came from."""
-
-    kc_vec: np.ndarray
-    origin: object
 
 
 @dataclass(frozen=True)
 class DualModel:
     """Trained kernel-space model.
 
-    a holds the dual loadings, column p = sqrt(1/N - sigma2 / lambda_p) * e_p
-    for the leading q eigenpairs (lambda_p, e_p) of the centered Gram matrix.
+    The leading q eigenpairs (lambda_p, e_p) of the centered Gram matrix kc
+    carry the latent space; the loadings a and their scales s follow from
+    them and sigma2.
     """
 
-    a: np.ndarray
     sigma2: float
     q: int
     eigenvalues: np.ndarray
@@ -74,6 +51,16 @@ class DualModel:
     @property
     def n(self):
         return self.eigenvalues.shape[0]
+
+    @property
+    def s(self):
+        """Loading scales s_p = sqrt(1/N - sigma2 / lambda_p), clipped at 0."""
+        return np.sqrt(np.maximum(1.0 / self.n - self.sigma2 / self.eigenvalues[: self.q], 0.0))
+
+    @property
+    def a(self):
+        """Dual loadings a = E_q diag(s), one column per latent component."""
+        return self.e[:, : self.q] * self.s
 
     def rank(self):
         return int(np.count_nonzero(self.eigenvalues > 0.0))
@@ -96,79 +83,55 @@ def fit_dual(kc: SymMatrix, spec: KernelSpec, ts: TrainingSet,
     if np.max(np.abs(row_sums)) > 1e-6 * scale:
         raise NotCentered(f"row sums reach {np.max(np.abs(row_sums)):.3e}; center the Gram matrix first")
     eig = sym_eig(kc)
-    lam = eig.eigenvalues
     rank = eig.rank()
     if rank == 0:
         raise ZeroSpectrum("centered Gram matrix has no positive eigenvalues")
-    if (q is None) == (sigma2 is None):
-        raise ValueError("exactly one of q and sigma2 must be given")
-    if q is not None:
-        if not 1 <= q <= rank:
-            raise LatentExceedsRank(f"q={q} outside 1..rank={rank}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QEqualsNWarning)
-            s2 = sigma2_ml(lam, q, n)
-    else:
-        if sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-        if sigma2 > lam[0] / n:
-            raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam[0] / n}")
-        q = int(np.count_nonzero(lam[:rank] / n >= sigma2))
-        s2 = float(sigma2)
-    scales = np.sqrt(np.maximum(1.0 / n - s2 / lam[:q], 0.0))
-    return DualModel(a=eig.eigenvectors[:, :q] * scales, sigma2=s2, q=q,
-                     eigenvalues=lam, e=eig.eigenvectors, kc=kc, spec=spec, ts=ts)
+    if q is not None and not 1 <= q <= rank:
+        raise LatentExceedsRank(f"q={q} outside 1..rank={rank}")
+    q, s2 = _resolve_latent(eig.eigenvalues, q, sigma2, rank, n)
+    return DualModel(sigma2=s2, q=q, eigenvalues=eig.eigenvalues, e=eig.eigenvectors,
+                     kc=kc, spec=spec, ts=ts)
 
 
 def kpca_limit(m: DualModel) -> DualModel:
     """The same model in the noiseless limit: sigma2 = 0 with q unchanged,
     which turns MAP projection/reconstruction into classical kernel PCA."""
-    scales = np.full(m.q, 1.0 / np.sqrt(m.n))
-    return replace(m, a=m.e[:, : m.q] * scales, sigma2=0.0)
+    return replace(m, sigma2=0.0)
 
 
-def kernel_sample(m: DualModel, x) -> KernelSample:
-    """Centered kernel representation of a new input point."""
-    return KernelSample(centered_kernel_vector(m.spec, m.ts, x), Observed(np.asarray(x, dtype=float)))
-
-
-def kernel_samples(m: DualModel, xs) -> list[KernelSample]:
-    """Batch version of kernel_sample; xs has one input per row."""
-    mat = centered_kernel_vectors(m.spec, m.ts, xs)
-    xs = np.asarray(xs, dtype=float)
-    return [KernelSample(mat[:, i].copy(), Observed(xs[i])) for i in range(mat.shape[1])]
-
-
-def _check_kvec(m, k):
-    vec = k.kc_vec if isinstance(k, KernelSample) else np.asarray(k, dtype=float).ravel()
-    if vec.shape[0] != m.n:
-        raise DimensionMismatch(f"kernel vector has length {vec.shape[0]}, model expects {m.n}")
-    return vec
-
-
-def _latent_normal_matrix(m):
-    return m.a.T @ m.kc.entries @ m.a + m.sigma2 * np.eye(m.q)
+def _normal_diagonal(m):
+    # diagonal of the latent normal matrix a^T K_c a + sigma2 I
+    return m.s**2 * m.eigenvalues[: m.q] + m.sigma2
 
 
 def dual_latent_map(m: DualModel, k) -> np.ndarray:
-    """MAP latent code of a kernel representation:
-    (a^T K_c a + sigma2 I)^-1 a^T k_c.
+    """MAP latent codes (q x M) of centered kernel columns k (N x M):
+    (a^T K_c a + sigma2 I)^-1 a^T k = diag(s / (s^2 lambda + sigma2)) E_q^T k.
 
-    For a maximum-likelihood model the normal matrix collapses to
-    diag(lambda_p / N), recovering the N Lambda^-1 a^T k_c shortcut.
+    For a maximum-likelihood model s_p^2 lambda_p + sigma2 = lambda_p / N,
+    recovering the N Lambda^-1 a^T k_c shortcut.
     """
-    vec = _check_kvec(m, k)
+    k = _as_columns(k, m.n, "kernel columns")
     if m.eigenvalues[m.q - 1] <= 0.0:
         raise RankDeficient(f"lambda_{m.q} is at the clamp floor; reduce q")
-    return np.linalg.solve(_latent_normal_matrix(m), m.a.T @ vec)
+    return (m.s / _normal_diagonal(m))[:, None] * (m.e[:, : m.q].T @ k)
 
 
-def dual_reconstruct(m: DualModel, h) -> KernelSample:
-    """MAP kernel representation of a latent code: K_c a h."""
-    h = np.asarray(h, dtype=float).ravel()
-    if h.size != m.q:
-        raise DimensionMismatch(f"latent vector has length {h.size}, model expects {m.q}")
-    return KernelSample(m.kc.entries @ (m.a @ h), Reconstructed())
+def dual_reconstruct(m: DualModel, h) -> np.ndarray:
+    """MAP kernel representations (N x M) of latent codes h (q x M):
+    K_c a h = E_q diag(lambda s) h."""
+    h = _as_columns(h, m.q, "latent codes")
+    return m.e[:, : m.q] @ ((m.eigenvalues[: m.q] * m.s)[:, None] * h)
+
+
+def _marginal_scales(m):
+    # c_p = lambda_p / sqrt(N) over the retained components and
+    # sigma sqrt(lambda_p) over the discarded ones; the marginal covariance
+    # of kernel representations is E diag(c^2) E^T
+    c = np.empty(m.n)
+    c[: m.q] = m.eigenvalues[: m.q] / np.sqrt(m.n)
+    c[m.q:] = np.sqrt(m.sigma2) * np.sqrt(m.eigenvalues[m.q:])
+    return c
 
 
 def build_sampler(m: DualModel) -> np.ndarray:
@@ -181,10 +144,7 @@ def build_sampler(m: DualModel) -> np.ndarray:
     The second block keeps B invertible whenever sigma2 > 0 and the spectrum
     is positive.
     """
-    c = np.empty(m.n)
-    c[: m.q] = m.eigenvalues[: m.q] / np.sqrt(m.n)
-    c[m.q:] = np.sqrt(m.sigma2) * np.sqrt(m.eigenvalues[m.q:])
-    return (m.e * c) @ m.e.T
+    return (m.e * _marginal_scales(m)) @ m.e.T
 
 
 def samples_from_noise(m: DualModel, u) -> np.ndarray:
@@ -197,38 +157,25 @@ def samples_from_noise(m: DualModel, u) -> np.ndarray:
     return build_sampler(m) @ u
 
 
-def dual_sample(m: DualModel, rng, count: int) -> list[KernelSample]:
-    """Draw `count` kernel representations from the trained marginal.
+def dual_sample(m: DualModel, rng, count: int) -> np.ndarray:
+    """Draw `count` kernel representations from the trained marginal, as
+    the columns of an N x count matrix.
 
-    rng may be a seed or a numpy Generator. Fixed seed means bit-identical
-    output; when a plain seed is given it is recorded in each sample origin.
+    rng may be a seed or a numpy Generator; a fixed seed gives bit-identical
+    output.
     """
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    gen = np.random.default_rng(rng)
-    u = gen.standard_normal((m.n, count))
-    mat = samples_from_noise(m, u)
-    return [KernelSample(mat[:, i].copy(), Generated(seed, i)) for i in range(count)]
-
-
-def explained_variance(m: DualModel) -> float:
-    """Fraction of the total spectrum captured by the q retained components."""
-    total = float(m.eigenvalues.sum())
-    if total <= 0.0:
-        raise ZeroSpectrum("all eigenvalues are zero")
-    return float(m.eigenvalues[: m.q].sum() / total)
+    u = np.random.default_rng(rng).standard_normal((m.n, count))
+    return samples_from_noise(m, u)
 
 
 def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
-    """Posterior of the latent code given a kernel representation; the mean
-    coincides with dual_latent_map and the covariance is
-    (a^T K_c a + sigma2 I)^-1."""
+    """Posterior of the latent code given one centered kernel vector; the
+    mean coincides with dual_latent_map and the covariance is
+    sigma2 (a^T K_c a + sigma2 I)^-1, as on the primal side."""
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use dual_latent_map")
-    vec = _check_kvec(m, k)
-    g = _latent_normal_matrix(m)
-    mean = np.linalg.solve(g, m.a.T @ vec)
-    vals, vecs = np.linalg.eigh(g)
-    factor = (vecs / np.sqrt(vals)) @ vecs.T
+    mean = dual_latent_map(m, np.reshape(k, (-1, 1)))[:, 0]
+    factor = _posterior_factor(np.diag(_normal_diagonal(m)), m.sigma2)
     return GaussianSpec(mean=mean, cov_factor=factor, dim=m.q)
 
 
@@ -240,15 +187,15 @@ def _gram_eig(m):
 
 
 def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
-    """Distribution of kernel representations given a latent code:
+    """Distribution of kernel representations given one latent code:
     mean K_c a h, covariance sigma2 K_c."""
-    mean = dual_reconstruct(m, h).kc_vec
+    mean = dual_reconstruct(m, np.reshape(h, (-1, 1)))[:, 0]
     factor = np.sqrt(m.sigma2) * psd_sqrt_factor(_gram_eig(m))
     return GaussianSpec(mean=mean, cov_factor=factor, dim=m.n)
 
 
 def dual_marginal_loglik(m: DualModel, k) -> float:
-    """Log-density of a kernel representation under the trained marginal.
+    """Log-density of one kernel representation under the trained marginal.
 
     Only the log form is exposed: the normalizer multiplies N eigenvalues
     and underflows quickly as a raw density. Requires sigma2 > 0 and a
@@ -258,11 +205,7 @@ def dual_marginal_loglik(m: DualModel, k) -> float:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
     if m.rank() < m.n:
         raise RankDeficient("marginal covariance is singular: spectrum contains zeros")
-    vec = _check_kvec(m, k)
-    variances = np.empty(m.n)
-    variances[: m.q] = m.eigenvalues[: m.q] ** 2 / m.n
-    variances[m.q:] = m.sigma2 * m.eigenvalues[m.q:]
-    coords = m.e.T @ vec
-    quad = float(np.sum(coords**2 / variances))
-    logdet = float(np.sum(np.log(variances)))
-    return -0.5 * (m.n * _LOG_2PI + logdet + quad)
+    k = _as_columns(np.reshape(k, (-1, 1)), m.n, "kernel vector")
+    c = _marginal_scales(m)
+    coords = (m.e.T @ k)[:, 0] / c
+    return -0.5 * (m.n * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + float(coords @ coords))

@@ -1,5 +1,5 @@
-"""Data ingestion (CSV tables, MNIST IDX files), model serialization, seeded
-RNG provisioning, and run metadata.
+"""Data ingestion (CSV tables, MNIST IDX files), model serialization, and run
+metadata.
 
 Model container layout (version 1, all integers and floats little-endian):
 
@@ -22,6 +22,11 @@ Model container layout (version 1, all integers and floats little-endian):
                      eigenvalues), EVEC (matrix e), AMAT (matrix a),
                      KCMT (matrix centered Gram), TSET (matrix training
                      points, one per row)
+
+Loading checks that the sections agree with each other: shapes against N,
+d_in and q, 1 <= q <= N, a finite sigma2 >= 0 and a finite, nonnegative,
+descending spectrum. AMAT is checked for shape only; the loadings are
+derived from the spectrum and sigma2.
 """
 
 import csv
@@ -52,33 +57,6 @@ MODEL_MAGIC = b"KPPCA\x00"
 MODEL_VERSION = 1
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
-
-
-def make_rng(seed) -> np.random.Generator:
-    """The single entry point for randomness: one seed, one generator."""
-    return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class DatasetHandle:
-    """Where a dataset comes from and how to slice it before use."""
-
-    csv_path: str | None = None
-    idx_images: str | None = None
-    idx_labels: str | None = None
-    label_filter: frozenset | None = None
-    limit: int | None = None
-    normalize: str = "none"
-
-    def __post_init__(self):
-        have_csv = self.csv_path is not None
-        have_idx = self.idx_images is not None and self.idx_labels is not None
-        if have_csv == have_idx:
-            raise ValueError("give either csv_path or both idx paths")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be at least 1")
-        if self.normalize not in ("none", "unit_range"):
-            raise ValueError(f"unknown normalize mode {self.normalize!r}")
 
 
 @dataclass
@@ -212,23 +190,6 @@ def load_mnist_idx(images_path, labels_path, label_filter=None, limit=None):
     return images.astype(float).T / 255.0, labels.copy()
 
 
-def load_dataset(handle: DatasetHandle):
-    """Materialize a DatasetHandle as (d x N matrix, labels or None)."""
-    if handle.csv_path is not None:
-        x = load_csv(handle.csv_path)
-        labels = None
-        if handle.limit is not None:
-            x = x[:, : handle.limit]
-    else:
-        x, labels = load_mnist_idx(handle.idx_images, handle.idx_labels,
-                                   handle.label_filter, handle.limit)
-    if handle.normalize == "unit_range":
-        lo, hi = float(x.min()), float(x.max())
-        if hi > lo:
-            x = (x - lo) / (hi - lo)
-    return x, labels
-
-
 # --- model container ----------------------------------------------------
 
 
@@ -333,8 +294,63 @@ def _need(sections, name, path):
     return _Cursor(sections[name], path)
 
 
+def _check(ok, path, what):
+    if not ok:
+        raise CorruptFile(f"{path}: {what}")
+
+
+def _check_shape(path, name, arr, shape):
+    _check(arr.shape == shape, path, f"section {name} has shape {arr.shape}, expected {shape}")
+    _check(bool(np.all(np.isfinite(arr))), path, f"section {name} holds NaN or Inf entries")
+
+
+def _check_hyper(path, q, sigma2, lam):
+    n = lam.size
+    _check(1 <= q <= n, path, f"q={q} outside 1..N={n}")
+    _check(np.isfinite(sigma2) and sigma2 >= 0.0, path, f"sigma2={sigma2} is not a finite value >= 0")
+    _check(bool(np.all(np.isfinite(lam)) and np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)),
+           path, "EVAL is not a finite, nonnegative, descending spectrum")
+
+
+def _load_primal(sections, path):
+    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
+    lam = _unpack_vec(_need(sections, "EVAL", path))
+    mu = _unpack_vec(_need(sections, "MEAN", path))
+    w = _unpack_mat(_need(sections, "WMAT", path))
+    v = _unpack_mat(_need(sections, "VMAT", path))
+    _check_hyper(path, q, sigma2, lam)
+    _check_shape(path, "MEAN", mu, (mu.size,))
+    _check_shape(path, "WMAT", w, (mu.size, q))
+    _check_shape(path, "VMAT", v, (mu.size, q))
+    return PrimalModel(mu=mu, w=w, sigma2=sigma2, q=q, eigenvalues=lam, v=v)
+
+
+def _load_dual(sections, path):
+    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
+    family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
+    lam = _unpack_vec(_need(sections, "EVAL", path))
+    e = _unpack_mat(_need(sections, "EVEC", path))
+    a = _unpack_mat(_need(sections, "AMAT", path))
+    kc = _unpack_mat(_need(sections, "KCMT", path))
+    points = _unpack_mat(_need(sections, "TSET", path))
+    _check_hyper(path, q, sigma2, lam)
+    n = lam.size
+    _check_shape(path, "EVEC", e, (n, n))
+    _check_shape(path, "AMAT", a, (n, q))
+    _check_shape(path, "KCMT", kc, (n, n))
+    _check_shape(path, "TSET", points, (n, points.shape[1]))
+    _check(family in (0, 1), path, f"unknown kernel family code {family}")
+    _check(family == 0 or (np.isfinite(gamma) and gamma > 0.0), path, f"rbf bandwidth {gamma} is not > 0")
+    spec = KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
+    return DualModel(sigma2=sigma2, q=q, eigenvalues=lam, e=e, kc=SymMatrix(kc), spec=spec,
+                     ts=TrainingSet(points))
+
+
 def load_model(path):
-    """Read back a model written by save_model; the round trip is lossless."""
+    """Read back a model written by save_model; the round trip is lossless.
+
+    Raises CorruptFile when the file is damaged or its sections disagree.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MODEL_MAGIC) + 5 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -344,31 +360,10 @@ def load_model(path):
         raise VersionMismatch(f"{path}: version {version}, this build reads {MODEL_VERSION}")
     kind = blob[10:11]
     sections = _read_sections(blob[11:], path)
+    loaders = {b"P": _load_primal, b"D": _load_dual}
+    if kind not in loaders:
+        raise CorruptFile(f"{path}: unknown model kind {kind!r}")
     try:
-        if kind == b"P":
-            q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
-            return PrimalModel(
-                mu=_unpack_vec(_need(sections, "MEAN", path)),
-                w=_unpack_mat(_need(sections, "WMAT", path)),
-                sigma2=sigma2,
-                q=q,
-                eigenvalues=_unpack_vec(_need(sections, "EVAL", path)),
-                v=_unpack_mat(_need(sections, "VMAT", path)),
-            )
-        if kind == b"D":
-            q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
-            family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
-            spec = KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
-            return DualModel(
-                a=_unpack_mat(_need(sections, "AMAT", path)),
-                sigma2=sigma2,
-                q=q,
-                eigenvalues=_unpack_vec(_need(sections, "EVAL", path)),
-                e=_unpack_mat(_need(sections, "EVEC", path)),
-                kc=SymMatrix(_unpack_mat(_need(sections, "KCMT", path))),
-                spec=spec,
-                ts=TrainingSet(_unpack_mat(_need(sections, "TSET", path))),
-            )
+        return loaders[kind](sections, path)
     except struct.error as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    raise CorruptFile(f"{path}: unknown model kind {kind!r}")

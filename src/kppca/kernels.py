@@ -61,63 +61,36 @@ class TrainingSet:
         return self.points.T
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"kernel arguments have lengths {x.size} and {y.size}")
+def _kernel_block(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
+    """Uncentered N x M block K[i, j] = k(x_i, xs[j]) against the rows of xs."""
     if spec.family == "linear":
-        return float(x @ y)
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.gamma**2)))
-
-
-def _cross_sqdist(a, b):
-    # ||a_i - b_j||^2 via the expansion trick; exact zeros are restored by
-    # the caller where i and j index the same point.
-    aa = np.sum(a * a, axis=1)
-    bb = np.sum(b * b, axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+        return ts.points @ xs.T
+    # Distances do not change under translation; measured from the training
+    # mean, the expansion ||a||^2 + ||b||^2 - 2 a.b does not cancel away the
+    # precision of data that sit far from the origin.
+    mu = ts.points.mean(axis=0)
+    a = ts.points - mu
+    b = xs - mu
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
 
 
 def gram(spec: KernelSpec, ts: TrainingSet) -> SymMatrix:
     """Uncentered N x N kernel matrix K[i, j] = k(x_i, x_j)."""
-    p = ts.points
-    if spec.family == "linear":
-        return SymMatrix(p @ p.T)
-    d2 = _cross_sqdist(p, p)
-    np.fill_diagonal(d2, 0.0)
-    return SymMatrix(np.exp(-d2 / (2.0 * spec.gamma**2)))
-
-
-def kernel_vector(spec: KernelSpec, ts: TrainingSet, x) -> np.ndarray:
-    """Uncentered kernel evaluations (k(x, x_1), ..., k(x, x_N))."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != ts.d_in:
-        raise DimensionMismatch(f"input has length {x.size}, training points have {ts.d_in}")
-    if spec.family == "linear":
-        return ts.points @ x
-    d2 = np.sum((ts.points - x[None, :]) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * spec.gamma**2))
-
-
-def centered_kernel_vector(spec: KernelSpec, ts: TrainingSet, x) -> np.ndarray:
-    """Out-of-sample centered kernel vector, entry i = k_c(x, x_i).
-
-    Double centering in kernel evaluations only:
-    k_c(x, x_i) = k(x, x_i) - mean_j k(x, x_j) - mean_j k(x_j, x_i)
-                  + mean_{j,l} k(x_j, x_l).
-    """
-    return centered_kernel_vectors(spec, ts, np.asarray(x, dtype=float).reshape(1, -1))[:, 0]
+    k = _kernel_block(spec, ts, ts.points)
+    if spec.family == "rbf":
+        np.fill_diagonal(k, 1.0)  # exact zero distance of each point to itself
+    return SymMatrix(k)
 
 
 def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
-    """Centered kernel vectors for many inputs at once, as an N x M matrix.
+    """Out-of-sample centered kernel vectors, as an N x M matrix.
 
     xs is (M, d_in), one input per row; column m of the result is the
-    centered kernel vector of xs[m]. Assembles the training Gram once,
-    which is what makes batch projection affordable.
+    centered kernel vector of xs[m], entry i
+    k_c(x, x_i) = k(x, x_i) - mean_j k(x, x_j) - mean_j k(x_j, x_i)
+                  + mean_{j,l} k(x_j, x_l).
+    A single input is the (1, d_in) batch.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != ts.d_in:
@@ -125,9 +98,5 @@ def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray
     k_train = gram(spec, ts).entries
     col_means = k_train.mean(axis=0)
     grand_mean = k_train.mean()
-    if spec.family == "linear":
-        kv = ts.points @ xs.T
-    else:
-        d2 = _cross_sqdist(ts.points, xs)
-        kv = np.exp(-d2 / (2.0 * spec.gamma**2))
+    kv = _kernel_block(spec, ts, xs)
     return kv - kv.mean(axis=0, keepdims=True) - col_means[:, None] + grand_mean

@@ -1,5 +1,5 @@
-"""Kernel-smoother preimaging: map a vector of kernel weights back to input
-space as a normalized weighted average of the training points.
+"""Kernel-smoother preimaging: map columns of kernel weights back to input
+space as normalized weighted averages of the training points.
 
 The default configuration is the bare smoother x_hat = sum_i k_i x_i / sum_i k_i.
 Centered kernel vectors sum to (near) zero, which makes that normalizer
@@ -28,21 +28,24 @@ class PreimageConfig:
 
 
 def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) -> np.ndarray:
-    """Weighted average of the training points under the weights k.
+    """Weighted averages of the training points, one per column of the
+    weights k (N x M); returns the d_in x M preimages.
 
-    Raises DegenerateNormalizer when the stabilized weight sum is within
-    1e-12 of zero, which is the typical fate of centered weights with
-    epsilon = 0.
+    Raises DegenerateNormalizer when the stabilized weight sum of any column
+    is within 1e-12 of zero, which is the typical fate of centered weights
+    with epsilon = 0.
     """
-    w = np.asarray(k, dtype=float).ravel()
-    if w.shape[0] != ts.n:
-        raise DimensionMismatch(f"weights have length {w.shape[0]}, training set has {ts.n} points")
+    w = np.asarray(k, dtype=float)
+    if w.ndim != 2 or w.shape[0] != ts.n:
+        raise DimensionMismatch(f"weights must be a {ts.n} x M matrix, got shape {w.shape}")
     if cfg.clip_negative:
         w = np.maximum(w, 0.0)
-    denom = float(w.sum()) + cfg.epsilon
-    if abs(denom) < _NORMALIZER_FLOOR:
+    denom = w.sum(axis=0) + cfg.epsilon
+    degenerate = np.flatnonzero(np.abs(denom) < _NORMALIZER_FLOOR)
+    if degenerate.size:
+        j = degenerate[0]
         raise DegenerateNormalizer(
-            f"weight sum {denom:.3e} is numerically zero; "
+            f"weight sum {denom[j]:.3e} of column {j} is numerically zero; "
             "set epsilon > 0 or clip_negative to stabilize"
         )
     return (ts.points.T @ w) / denom

@@ -20,6 +20,7 @@ from .errors import (
     QEqualsNWarning,
     SigmaTooLarge,
     SigmaZero,
+    ZeroSpectrum,
 )
 from .spectral import SymMatrix, center_columns, sym_eig
 
@@ -84,8 +85,12 @@ def sigma2_ml(eigenvalues, q: int, n: int) -> float:
     return float(tail.sum() / (n * (n - q)))
 
 
-def _resolve_latent(lam_over_n, q, sigma2, q_cap, n):
-    """Turn the (q | sigma2) choice into a concrete (q, sigma2) pair."""
+def _resolve_latent(lam, q, sigma2, q_cap, n):
+    """Turn the (q | sigma2) choice into a concrete (q, sigma2) pair.
+
+    lam is the length-N spectrum. The caller checks q against its own cap
+    when it needs a different error than LatentTooLarge.
+    """
     if (q is None) == (sigma2 is None):
         raise ValueError("exactly one of q and sigma2 must be given")
     if q is not None:
@@ -93,14 +98,21 @@ def _resolve_latent(lam_over_n, q, sigma2, q_cap, n):
             raise LatentTooLarge(f"q={q} outside 1..{q_cap}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QEqualsNWarning)
-            s2 = sigma2_ml(lam_over_n * n, q, n)
-        return q, s2
+            return q, sigma2_ml(lam, q, n)
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-    if sigma2 > lam_over_n[0]:
-        raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam_over_n[0]}")
-    q = int(np.count_nonzero(lam_over_n[:q_cap] >= sigma2))
-    return q, float(sigma2)
+    if sigma2 > lam[0] / n:
+        raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam[0] / n}")
+    return int(np.count_nonzero(lam[:q_cap] / n >= sigma2)), float(sigma2)
+
+
+def explained_variance(m) -> float:
+    """Fraction of the total spectrum captured by the q retained components
+    of a primal or dual model."""
+    total = float(m.eigenvalues.sum())
+    if total <= 0.0:
+        raise ZeroSpectrum("all eigenvalues are zero")
+    return float(m.eigenvalues[: m.q].sum() / total)
 
 
 def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalModel:
@@ -123,21 +135,34 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     lam = np.zeros(n)
     m = min(d, n)
     lam[:m] = eig.eigenvalues[:m]
-    q, s2 = _resolve_latent(lam / n, q, sigma2, m, n)
+    q, s2 = _resolve_latent(lam, q, sigma2, m, n)
     v = eig.eigenvectors[:, :q]
     scales = np.sqrt(np.maximum(lam[:q] / n - s2, 0.0))
     return PrimalModel(mu=mu, w=v * scales, sigma2=s2, q=q, eigenvalues=lam, v=v)
 
 
-def _check_phi(m, phi):
-    phi = np.asarray(phi, dtype=float).ravel()
-    if phi.size != m.d:
-        raise DimensionMismatch(f"feature vector has length {phi.size}, model expects {m.d}")
-    return phi
+def _as_columns(x, rows, what):
+    """x as a float matrix with `rows` rows, one sample per column; a single
+    sample is the matrix with one column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != rows:
+        raise DimensionMismatch(f"{what} must be a {rows} x M matrix, got shape {x.shape}")
+    return x
+
+
+def _normal_matrix(m):
+    return m.w.T @ m.w + m.sigma2 * np.eye(m.q)
+
+
+def _posterior_factor(g, sigma2):
+    """Symmetric factor of the latent posterior covariance sigma2 g^-1,
+    where g is the q x q normal matrix of the latent map."""
+    vals, vecs = np.linalg.eigh(g)
+    return np.sqrt(sigma2) * (vecs / np.sqrt(vals)) @ vecs.T
 
 
 def latent_posterior(m: PrimalModel, phi) -> GaussianSpec:
-    """Posterior of the latent code given a feature vector.
+    """Posterior of the latent code given one feature vector.
 
     Mean (w^T w + sigma2 I)^-1 w^T (phi - mu), covariance sigma2 times that
     same inverse. Needs sigma2 > 0; at sigma2 == 0 the posterior collapses
@@ -145,37 +170,30 @@ def latent_posterior(m: PrimalModel, phi) -> GaussianSpec:
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use latent_map")
-    phi = _check_phi(m, phi)
-    g = m.w.T @ m.w + m.sigma2 * np.eye(m.q)
-    mean = np.linalg.solve(g, m.w.T @ (phi - m.mu))
-    vals, vecs = np.linalg.eigh(g)
-    factor = np.sqrt(m.sigma2) * (vecs / np.sqrt(vals)) @ vecs.T
+    mean = latent_map(m, np.reshape(phi, (-1, 1)))[:, 0]
+    factor = _posterior_factor(_normal_matrix(m), m.sigma2)
     return GaussianSpec(mean=mean, cov_factor=factor, dim=m.q)
 
 
 def latent_map(m: PrimalModel, phi) -> np.ndarray:
-    """MAP latent code for a feature vector; the posterior mean when
-    sigma2 > 0 and the pseudo-inverse projection in the noiseless limit."""
-    phi = _check_phi(m, phi)
-    resid = phi - m.mu
+    """MAP latent codes (q x M) of the feature vectors in the columns of phi
+    (d x M); the posterior mean when sigma2 > 0 and the pseudo-inverse
+    projection in the noiseless limit."""
+    resid = _as_columns(phi, m.d, "feature vectors") - m.mu[:, None]
     if m.sigma2 > 0.0:
-        g = m.w.T @ m.w + m.sigma2 * np.eye(m.q)
-        return np.linalg.solve(g, m.w.T @ resid)
+        return np.linalg.solve(_normal_matrix(m), m.w.T @ resid)
     s = m.singular_values()
     cutoff = 1e-10 * (s[0] if s.size else 0.0)
     coords = m.v.T @ resid
-    out = np.zeros(m.q)
+    out = np.zeros_like(coords)
     keep = s > cutoff
-    out[keep] = coords[keep] / s[keep]
+    out[keep] = coords[keep] / s[keep, None]
     return out
 
 
 def feature_reconstruct(m: PrimalModel, h) -> np.ndarray:
-    """Map a latent code back to feature space: w h + mu."""
-    h = np.asarray(h, dtype=float).ravel()
-    if h.size != m.q:
-        raise DimensionMismatch(f"latent vector has length {h.size}, model expects {m.q}")
-    return m.w @ h + m.mu
+    """Map latent codes (q x M) back to feature space (d x M): w h + mu."""
+    return m.w @ _as_columns(h, m.q, "latent codes") + m.mu[:, None]
 
 
 def marginal_loglik(m: PrimalModel, x) -> float:
@@ -188,10 +206,7 @@ def marginal_loglik(m: PrimalModel, x) -> float:
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != m.d:
-        raise DimensionMismatch(f"expected a {m.d} x M matrix, got shape {x.shape}")
-    resid = x - m.mu[:, None]
+    resid = _as_columns(x, m.d, "data") - m.mu[:, None]
     coords = m.v.T @ resid
     s2 = np.sum(m.w**2, axis=0)
     denom = s2 + m.sigma2

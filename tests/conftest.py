@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,8 @@ def toy_dual_model(n=8, q=3, sigma2=0.05, seed=0, spectrum=None):
     qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     kc = SymMatrix((qmat * spectrum) @ qmat.T)
     eig = sym_eig(kc)
-    lam, e = eig.eigenvalues, eig.eigenvectors
-    a = e[:, :q] * np.sqrt(np.maximum(1.0 / n - sigma2 / lam[:q], 0.0))
     ts = TrainingSet(rng.standard_normal((n, 2)))
-    return DualModel(a=a, sigma2=sigma2, q=q, eigenvalues=lam, e=e, kc=kc,
+    return DualModel(sigma2=sigma2, q=q, eigenvalues=eig.eigenvalues, e=eig.eigenvectors, kc=kc,
                      spec=KernelSpec("linear"), ts=ts)
 
 
@@ -49,6 +49,30 @@ def kpca_oracle_reconstruct(kc_entries, q, kvec):
     order = np.argsort(w)[::-1]
     lead = v[:, order[:q]]
     return lead @ (lead.T @ kvec)
+
+
+def rewrite_section(path, tag, payload):
+    """Replace the payload of one section of a saved model file, keeping the
+    container framing intact."""
+    blob = path.read_bytes()
+    out, pos = bytearray(blob[:11]), 11
+    while pos < len(blob):
+        name = blob[pos : pos + 4]
+        (length,) = struct.unpack("<Q", blob[pos + 4 : pos + 12])
+        body = payload if name == tag.encode("ascii") else blob[pos + 12 : pos + 12 + length]
+        out += name + struct.pack("<Q", len(body)) + body
+        pos += 12 + length
+    path.write_bytes(bytes(out))
+
+
+def pack_matrix(m):
+    m = np.asarray(m, dtype=float)
+    return struct.pack("<II", *m.shape) + m.astype("<f8").tobytes()
+
+
+def pack_vector(v):
+    v = np.asarray(v, dtype=float)
+    return struct.pack("<I", v.size) + v.astype("<f8").tobytes()
 
 
 @pytest.fixture

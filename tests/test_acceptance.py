@@ -17,6 +17,7 @@ from kppca import (
     build_sampler,
     center_columns,
     center_gram,
+    centered_kernel_vectors,
     dual_latent_map,
     dual_reconstruct,
     dual_sample,
@@ -24,7 +25,6 @@ from kppca import (
     fit_dual,
     fit_primal,
     gram,
-    kernel_sample,
     kpca_limit,
     latent_map,
     load_mnist_idx,
@@ -83,11 +83,10 @@ def test_criterion_2_map_equivalence():
         pm, dm = fitted_pair(x, q)
         xc, _ = center_columns(x)
         _, signs = align_columns(pm.w, xc @ dm.a)
-        probes = [x[:, i] for i in range(n)] + [rng.standard_normal(d) for _ in range(10)]
-        for p in probes:
-            h_primal = latent_map(pm, p)
-            h_dual = signs * dual_latent_map(dm, kernel_sample(dm, p))
-            worst = max(worst, float(np.abs(h_primal - h_dual).max()))
+        probes = np.concatenate([x, rng.standard_normal((d, 10))], axis=1)
+        h_primal = latent_map(pm, probes)
+        h_dual = signs[:, None] * dual_latent_map(dm, centered_kernel_vectors(dm.spec, dm.ts, probes.T))
+        worst = max(worst, float(np.abs(h_primal - h_dual).max()))
     elapsed = time.perf_counter() - start
     report(2, "primal-dual MAP equivalence", worst <= 1e-8 and elapsed < 5.0,
            f"max component diff = {worst:.2e}, {elapsed:.2f}s")
@@ -147,12 +146,11 @@ def test_criterion_5_kpca_limit():
         rank = sym_eig(kc).rank()
         q = int(rng.integers(1, rank + 1))
         model = kpca_limit(fit_dual(kc, spec, ts, q=q))
-        probes = [kc.entries[:, j] for j in range(n)]
-        probes += [kernel_sample(model, rng.standard_normal(d_in)).kc_vec for _ in range(5)]
-        for kvec in probes:
-            ours = dual_reconstruct(model, dual_latent_map(model, kvec)).kc_vec
-            oracle = kpca_oracle_reconstruct(kc.entries, q, kvec)
-            worst = max(worst, float(np.abs(ours - oracle).max()))
+        new = centered_kernel_vectors(spec, ts, rng.standard_normal((5, d_in)))
+        probes = np.concatenate([kc.entries, new], axis=1)
+        ours = dual_reconstruct(model, dual_latent_map(model, probes))
+        oracle = kpca_oracle_reconstruct(kc.entries, q, probes)
+        worst = max(worst, float(np.abs(ours - oracle).max()))
     elapsed = time.perf_counter() - start
     report(5, "noiseless pipeline equals classical KPCA", worst <= 1e-10 and elapsed < 5.0,
            f"max diff = {worst:.2e}, {elapsed:.2f}s")
@@ -168,11 +166,10 @@ def test_criterion_6_identity_limit():
         ts = TrainingSet(rng.standard_normal((n, 2)))
         kc = center_gram(gram(spec, ts))
         model = fit_dual(kc, spec, ts, sigma2=0.0)  # q resolves to the full rank
-        probes = [kc.entries[:, j] for j in range(n)]
-        probes += [kernel_sample(model, rng.standard_normal(2)).kc_vec for _ in range(3)]
-        for kvec in probes:
-            rec = dual_reconstruct(model, dual_latent_map(model, kvec)).kc_vec
-            worst = max(worst, float(np.abs(rec - kvec).max()))
+        new = centered_kernel_vectors(spec, ts, rng.standard_normal((3, 2)))
+        probes = np.concatenate([kc.entries, new], axis=1)
+        rec = dual_reconstruct(model, dual_latent_map(model, probes))
+        worst = max(worst, float(np.abs(rec - probes).max()))
     elapsed = time.perf_counter() - start
     report(6, "noiseless full-rank reduction is the identity", worst <= 1e-8 and elapsed < 2.0,
            f"max |k_map - k| = {worst:.2e}, {elapsed:.2f}s")
@@ -184,7 +181,7 @@ def test_criterion_7_sampler_law():
     b = build_sampler(model)
     symmetric = float(np.abs(b - b.T).max()) <= 1e-10
     full_rank = np.linalg.matrix_rank(b) == 8
-    mat = np.stack([s.kc_vec for s in dual_sample(model, 2718, 200_000)], axis=1)
+    mat = dual_sample(model, 2718, 200_000)
     emp = mat @ mat.T / mat.shape[1]
     target = b @ b.T
     rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -9,14 +10,20 @@ from kppca import (
     dual_latent_map,
     dual_reconstruct,
     explained_variance,
+    feature_reconstruct,
+    fit_primal,
     kernel_smoother,
+    latent_map,
     load_csv,
     load_model,
     save_csv,
+    save_model,
     two_arcs,
 )
 from kppca.cli import main
 from kppca.preimage import PreimageConfig
+
+from conftest import rewrite_section
 
 
 @pytest.fixture
@@ -97,12 +104,9 @@ def test_reconstruct_matches_library_pipeline(tmp_path, toy_csv):
     model = load_model(model_path)
     x = load_csv(toy_csv)
     cfg = PreimageConfig(epsilon=1e-3 * model.n, clip_negative=True)
-    expected = np.empty_like(x)
-    for i in range(x.shape[1]):
-        kvec = model.kc.entries[:, i]  # training data: in-sample columns
-        rec = dual_reconstruct(model, dual_latent_map(model, kvec))
-        expected[:, i] = kernel_smoother(model.ts, rec.kc_vec, cfg)
-    npt.assert_allclose(got, expected, atol=1e-12)
+    assert x.shape[1] == model.n  # training data: the in-sample columns are the Gram's
+    rec = dual_reconstruct(model, dual_latent_map(model, model.kc.entries))
+    npt.assert_allclose(got, kernel_smoother(model.ts, rec, cfg), atol=1e-12)
 
 
 def test_lossless_limit_pipeline_recovers_inputs(tmp_path):
@@ -213,6 +217,39 @@ def test_rerun_byte_identical(tmp_path, toy_csv):
         ]
     for a, b in zip(files["one"], files["two"]):
         assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
+
+
+def test_primal_model_commands(tmp_path, toy_csv, capsys):
+    # fit writes dual models only; primal ones come from the library
+    x = load_csv(toy_csv)
+    pm = fit_primal(x, q=1)
+    model_path = tmp_path / "primal.kppca"
+    save_model(model_path, pm)
+    model = str(model_path)
+    assert main(["project", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "p")]) == 0
+    npt.assert_array_equal(load_csv(tmp_path / "p" / "latent.csv"), latent_map(pm, x))
+    assert main(["reconstruct", "--model", model, "--data", str(toy_csv),
+                 "--out", str(tmp_path / "r")]) == 0
+    npt.assert_array_equal(load_csv(tmp_path / "r" / "reconstructed.csv"),
+                           feature_reconstruct(pm, latent_map(pm, x)))
+    assert main(["generate", "--model", model, "--count", "6", "--seed", "5",
+                 "--out", str(tmp_path / "g")]) == 0
+    assert load_csv(tmp_path / "g" / "generated.csv").shape == (2, 6)
+    capsys.readouterr()
+    assert main(["report", "--model", model, "--out", str(tmp_path / "rep")]) == 0
+    text = capsys.readouterr().out
+    assert "kind: primal" in text
+    line = next(l for l in text.splitlines() if l.startswith("explained_variance:"))
+    assert float(line.split(":", 1)[1]) == explained_variance(pm)
+
+
+def test_inconsistent_model_file_is_data_error(tmp_path, toy_csv):
+    # a q that disagrees with the 20 x 3 AMAT used to load and then crash
+    model_path = run_fit(tmp_path, toy_csv, "--q", "3")
+    sigma2 = load_model(model_path).sigma2
+    rewrite_section(model_path, "HYPR", struct.pack("<Id", 10, sigma2))
+    assert main(["project", "--model", str(model_path), "--data", str(toy_csv),
+                 "--out", str(tmp_path / "proj")]) == 3
 
 
 def test_console_entry_point(tmp_path, toy_csv):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from kppca import (
     build_sampler,
     center_columns,
     center_gram,
+    centered_kernel_vectors,
     dual_conditional_kernel,
     dual_latent_map,
     dual_latent_posterior,
@@ -19,15 +22,12 @@ from kppca import (
     fit_dual,
     fit_primal,
     gram,
-    kernel_sample,
-    kernel_samples,
     kpca_limit,
     latent_map,
     latent_posterior,
     samples_from_noise,
     sigma2_ml,
 )
-from kppca.dual import Generated, Observed, Reconstructed
 from kppca.errors import (
     DimensionMismatch,
     LatentExceedsRank,
@@ -136,54 +136,62 @@ def test_dual_loadings_are_gram_orthogonal(rng):
 
 def test_latent_map_zero_vector(rng):
     m = fitted_rbf_model(rng)
-    npt.assert_allclose(dual_latent_map(m, np.zeros(m.n)), 0.0)
+    out = dual_latent_map(m, np.zeros((m.n, 1)))
+    assert out.shape == (m.q, 1)
+    npt.assert_allclose(out, 0.0)
 
 
 def test_latent_map_general_path_matches_ml_shortcut(rng):
+    # the closed form against the general (a^T K_c a + sigma2 I)^-1 a^T k,
+    # solved column by column, and the maximum-likelihood shortcut
     m = fitted_rbf_model(rng, n=10, q=4)
-    kvec = m.kc.entries[:, 2]
-    general = dual_latent_map(m, kvec)
-    shortcut = m.n * (m.a.T @ kvec) / m.eigenvalues[:4]
-    assert np.abs(general - shortcut).max() <= 1e-8
+    k = np.concatenate([m.kc.entries[:, :3], rng.standard_normal((10, 2))], axis=1)
+    batch = dual_latent_map(m, k)
+    g = m.a.T @ m.kc.entries @ m.a + m.sigma2 * np.eye(4)
+    for j in range(k.shape[1]):
+        general = np.linalg.solve(g, m.a.T @ k[:, j])
+        assert np.abs(batch[:, j] - general).max() <= 1e-8
+    shortcut = m.n * (m.a.T @ k) / m.eigenvalues[:4, None]
+    assert np.abs(batch - shortcut).max() <= 1e-8
 
 
 def test_latent_map_matches_primal_in_sample(rng):
     x, pm, dm = fitted_linear_pair(rng)
     xc, _ = center_columns(x)
     _, signs = align_columns(pm.w, xc @ dm.a)
-    for i in range(x.shape[1]):
-        h_p = latent_map(pm, x[:, i])
-        h_d = dual_latent_map(dm, dm.kc.entries[:, i])
-        assert np.abs(h_p - signs * h_d).max() <= 1e-8
+    h_p = latent_map(pm, x)
+    h_d = dual_latent_map(dm, dm.kc.entries)
+    assert np.abs(h_p - signs[:, None] * h_d).max() <= 1e-8
 
 
 def test_latent_map_noiseless_is_scaled_kpca_projection(rng):
     m = fitted_rbf_model(rng, n=8, q=3)
     lim = kpca_limit(m)
-    kvec = m.kc.entries[:, 1]
+    kvec = m.kc.entries[:, 1:2]
     h = dual_latent_map(lim, kvec)
     # classical projection is lambda^{-1/2} e^T k; the latent code carries
     # an extra sqrt(N / lambda_p) from the 1/sqrt(N) loading scale
-    lam = m.eigenvalues[:3]
+    lam = m.eigenvalues[:3, None]
     classical = (m.e[:, :3].T @ kvec) / np.sqrt(lam)
     npt.assert_allclose(h, np.sqrt(m.n / lam) * classical, atol=1e-10)
 
 
 def test_reconstruct_zero_latent(rng):
     m = fitted_rbf_model(rng)
-    out = dual_reconstruct(m, np.zeros(m.q))
-    npt.assert_allclose(out.kc_vec, 0.0)
-    assert isinstance(out.origin, Reconstructed)
+    out = dual_reconstruct(m, np.zeros((m.q, 1)))
+    assert out.shape == (m.n, 1)
+    npt.assert_allclose(out, 0.0)
 
 
 def test_reconstruct_dense_product_oracle(rng):
+    # the closed form E_q diag(lambda s) h against K_c a h, entry by entry
     m = toy_dual_model(n=5, q=2, sigma2=0.02, seed=3)
-    h = rng.standard_normal(2)
-    oracle = np.array([
-        sum(m.kc.entries[i, j] * sum(m.a[j, p] * h[p] for p in range(2)) for j in range(5))
-        for i in range(5)
+    h = rng.standard_normal((2, 3))
+    oracle = np.array([[
+        sum(m.kc.entries[i, j] * sum(m.a[j, p] * h[p, c] for p in range(2)) for j in range(5))
+        for c in range(3)] for i in range(5)
     ])
-    npt.assert_allclose(dual_reconstruct(m, h).kc_vec, oracle, atol=1e-10)
+    npt.assert_allclose(dual_reconstruct(m, h), oracle, atol=1e-10)
 
 
 def test_noiseless_full_rank_roundtrip_identity(rng):
@@ -191,26 +199,10 @@ def test_noiseless_full_rank_roundtrip_identity(rng):
     spec = KernelSpec("rbf", 1.2)
     kc = center_gram(gram(spec, ts))
     m = fit_dual(kc, spec, ts, sigma2=0.0)
-    for i in range(7):
-        kvec = kc.entries[:, i]
-        rec = dual_reconstruct(m, dual_latent_map(m, kvec))
-        assert np.abs(rec.kc_vec - kvec).max() <= 1e-8
-    probe = kernel_sample(m, rng.standard_normal(2))
-    rec = dual_reconstruct(m, dual_latent_map(m, probe))
-    assert np.abs(rec.kc_vec - probe.kc_vec).max() <= 1e-8
-
-
-# --- kernel samples of new inputs ----------------------------------------
-
-
-def test_kernel_sample_origin_and_value(rng):
-    m = fitted_rbf_model(rng)
-    x = rng.standard_normal(2)
-    ks = kernel_sample(m, x)
-    assert isinstance(ks.origin, Observed)
-    npt.assert_array_equal(ks.origin.x, x)
-    batch = kernel_samples(m, x[None, :])
-    npt.assert_allclose(batch[0].kc_vec, ks.kc_vec, atol=1e-14)
+    probes = centered_kernel_vectors(spec, ts, rng.standard_normal((1, 2)))
+    for k in (kc.entries, probes):
+        rec = dual_reconstruct(m, dual_latent_map(m, k))
+        assert np.abs(rec - k).max() <= 1e-8
 
 
 # --- sampler -------------------------------------------------------------
@@ -263,18 +255,17 @@ def test_sampler_zero_noise_hook():
     npt.assert_array_equal(out, np.zeros((6, 3)))
 
 
-def test_sample_deterministic_and_tagged():
+def test_sample_deterministic_columns():
     m = toy_dual_model(n=6, q=2, sigma2=0.05, seed=8)
     a = dual_sample(m, 99, 4)
-    b = dual_sample(m, 99, 4)
-    for s1, s2 in zip(a, b):
-        npt.assert_array_equal(s1.kc_vec, s2.kc_vec)
-    assert a[2].origin == Generated(seed=99, index=2)
+    assert a.shape == (6, 4)
+    npt.assert_array_equal(a, dual_sample(m, 99, 4))
+    assert dual_sample(m, 99, 0).shape == (6, 0)
 
 
 def test_sample_monte_carlo_covariance():
     m = toy_dual_model(n=8, q=3, sigma2=0.05, seed=9)
-    mat = np.stack([s.kc_vec for s in dual_sample(m, 1234, 100_000)], axis=1)
+    mat = dual_sample(m, 1234, 100_000)
     emp = mat @ mat.T / mat.shape[1]
     b = build_sampler(m)
     target = b @ b.T
@@ -305,8 +296,7 @@ def test_explained_variance_known_spectrum():
 
 def test_explained_variance_zero_spectrum(rng):
     m = toy_dual_model(n=3, q=1, sigma2=0.0, seed=12)
-    broken = type(m)(a=m.a, sigma2=m.sigma2, q=m.q, eigenvalues=np.zeros(3), e=m.e,
-                     kc=m.kc, spec=m.spec, ts=m.ts)
+    broken = replace(m, eigenvalues=np.zeros(3))
     with pytest.raises(ZeroSpectrum):
         explained_variance(broken)
 
@@ -335,14 +325,15 @@ def test_posterior_mean_is_map(rng):
     m = fitted_rbf_model(rng, n=8, q=3)
     kvec = m.kc.entries[:, 4]
     post = dual_latent_posterior(m, kvec)
-    assert np.abs(post.mean - dual_latent_map(m, kvec)).max() <= 1e-10
+    assert np.abs(post.mean - dual_latent_map(m, kvec[:, None])[:, 0]).max() <= 1e-10
 
 
 def test_posterior_covariance_convention(rng):
+    # sigma2 G^-1 with G = a^T K_c a + sigma2 I, the primal convention
     m = fitted_rbf_model(rng, n=8, q=2)
     post = dual_latent_posterior(m, m.kc.entries[:, 0])
     g = m.a.T @ m.kc.entries @ m.a + m.sigma2 * np.eye(2)
-    npt.assert_allclose(post.covariance(), np.linalg.inv(g), atol=1e-10)
+    npt.assert_allclose(post.covariance(), m.sigma2 * np.linalg.inv(g), atol=1e-10)
 
 
 def test_posterior_mean_matches_primal(rng):
@@ -350,9 +341,12 @@ def test_posterior_mean_matches_primal(rng):
     xc, _ = center_columns(x)
     _, signs = align_columns(pm.w, xc @ dm.a)
     probe = rng.standard_normal(3)
-    mean_p = latent_posterior(pm, probe).mean
-    mean_d = dual_latent_posterior(dm, kernel_sample(dm, probe)).mean
-    assert np.abs(mean_p - signs * mean_d).max() <= 1e-8
+    post_p = latent_posterior(pm, probe)
+    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, probe[None, :])[:, 0])
+    assert np.abs(post_p.mean - signs * post_d.mean).max() <= 1e-8
+    flip = np.outer(signs, signs)
+    cov_p, cov_d = post_p.covariance(), flip * post_d.covariance()
+    assert np.abs(cov_p - cov_d).max() <= 1e-8 * np.abs(cov_p).max()
 
 
 def test_posterior_requires_noise():
@@ -372,7 +366,7 @@ def test_conditional_kernel_mean_and_covariance(rng):
     m = fitted_rbf_model(rng, n=7, q=3)
     h = rng.standard_normal(3)
     cond = dual_conditional_kernel(m, h)
-    npt.assert_array_equal(cond.mean, dual_reconstruct(m, h).kc_vec)
+    npt.assert_array_equal(cond.mean, dual_reconstruct(m, h[:, None])[:, 0])
     assert np.abs(cond.covariance() - m.sigma2 * m.kc.entries).max() <= 1e-10
 
 
@@ -383,9 +377,9 @@ def test_marginal_loglik_matches_dense_oracle(rng):
     m = toy_dual_model(n=6, q=2, sigma2=0.03, seed=15)
     b = build_sampler(m)
     cov = b @ b.T
-    for s in dual_sample(m, 5, 3):
-        oracle = multivariate_normal(mean=np.zeros(6), cov=cov).logpdf(s.kc_vec)
-        assert abs(dual_marginal_loglik(m, s.kc_vec) - oracle) <= 1e-8
+    for k in dual_sample(m, 5, 3).T:
+        oracle = multivariate_normal(mean=np.zeros(6), cov=cov).logpdf(k)
+        assert abs(dual_marginal_loglik(m, k) - oracle) <= 1e-8
 
 
 def test_marginal_loglik_guards(rng):
@@ -400,8 +394,10 @@ def test_marginal_loglik_guards(rng):
 def test_dimension_checks(rng):
     m = fitted_rbf_model(rng)
     with pytest.raises(DimensionMismatch):
-        dual_latent_map(m, np.zeros(m.n + 1))
+        dual_latent_map(m, np.zeros((m.n + 1, 1)))
     with pytest.raises(DimensionMismatch):
-        dual_reconstruct(m, np.zeros(m.q + 1))
+        dual_latent_map(m, np.zeros(m.n))  # a single query is an N x 1 column
+    with pytest.raises(DimensionMismatch):
+        dual_reconstruct(m, np.zeros((m.q + 1, 1)))
     with pytest.raises(DimensionMismatch):
         samples_from_noise(m, np.zeros((m.n + 2, 1)))

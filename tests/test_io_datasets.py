@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from kppca import (
-    DatasetHandle,
     KernelSpec,
     RunMetadata,
     TrainingSet,
@@ -15,10 +15,8 @@ from kppca import (
     fit_primal,
     gram,
     load_csv,
-    load_dataset,
     load_mnist_idx,
     load_model,
-    make_rng,
     save_csv,
     save_model,
     two_arcs,
@@ -34,6 +32,8 @@ from kppca.errors import (
     VersionMismatch,
 )
 from kppca.io_datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+
+from conftest import pack_matrix, pack_vector, rewrite_section
 
 # --- CSV -----------------------------------------------------------------
 
@@ -141,28 +141,6 @@ def test_idx_truncated(tmp_path, rng):
         load_mnist_idx(img, lab)
 
 
-# --- dataset handle -------------------------------------------------------
-
-
-def test_dataset_handle_validation():
-    with pytest.raises(ValueError):
-        DatasetHandle()
-    with pytest.raises(ValueError):
-        DatasetHandle(csv_path="a.csv", idx_images="i", idx_labels="l")
-    with pytest.raises(ValueError):
-        DatasetHandle(csv_path="a.csv", limit=0)
-    with pytest.raises(ValueError):
-        DatasetHandle(csv_path="a.csv", normalize="weird")
-
-
-def test_load_dataset_csv_unit_range(tmp_path):
-    p = tmp_path / "t.csv"
-    save_csv(p, np.array([[0.0, 5.0], [10.0, 5.0]]))
-    x, labels = load_dataset(DatasetHandle(csv_path=str(p), normalize="unit_range"))
-    assert labels is None
-    assert x.min() == 0.0 and x.max() == 1.0
-
-
 # --- model container -------------------------------------------------------
 
 
@@ -232,18 +210,50 @@ def test_model_corrupt_file(tmp_path, rng):
         load_model(path)
 
 
+def _dual_sections(dm):
+    # fitted_models' dual model: N = 7 two-arcs points in 2-D, q = 3
+    lam = dm.eigenvalues
+    return [
+        ("HYPR", struct.pack("<Id", 40, dm.sigma2), "q=40 outside 1..N=7"),
+        ("HYPR", struct.pack("<Id", 0, dm.sigma2), "q=0 outside"),
+        ("HYPR", struct.pack("<Id", 5, dm.sigma2), "AMAT has shape (7, 3), expected (7, 5)"),
+        ("HYPR", struct.pack("<Id", 3, -1.0), "sigma2=-1.0"),
+        ("HYPR", struct.pack("<Id", 3, float("nan")), "sigma2=nan"),
+        ("EVAL", pack_vector(lam[[1, 0, 2, 3, 4, 5, 6]]), "descending"),
+        ("EVAL", pack_vector(np.append(lam, 0.0)), "EVEC has shape (7, 7), expected (8, 8)"),
+        ("EVAL", pack_vector(np.where(lam == lam[0], np.inf, lam)), "finite"),
+        ("EVEC", pack_matrix(dm.e[:, :6]), "EVEC has shape (7, 6)"),
+        ("AMAT", pack_matrix(np.ones((60, 3))), "AMAT has shape (60, 3)"),
+        ("KCMT", pack_matrix(np.full((7, 7), np.nan)), "KCMT holds NaN"),
+        ("TSET", pack_matrix(dm.ts.points[:5]), "TSET has shape (5, 2)"),
+        ("KSPC", struct.pack("<Bd", 7, 2.0), "kernel family code 7"),
+        ("KSPC", struct.pack("<Bd", 1, 0.0), "rbf bandwidth 0.0"),
+    ]
+
+
+def test_model_sections_must_agree(tmp_path, rng):
+    pm, dm = fitted_models(rng)
+    cases = [("d", dm, tag, payload, msg) for tag, payload, msg in _dual_sections(dm)]
+    cases += [
+        ("p", pm, "WMAT", pack_matrix(pm.w[:1]), "WMAT has shape (1, 2), expected (2, 2)"),
+        ("p", pm, "VMAT", pack_matrix(np.ones((2, 3))), "VMAT has shape (2, 3)"),
+        ("p", pm, "HYPR", struct.pack("<Id", 8, pm.sigma2), "q=8 outside 1..N=7"),
+    ]
+    for i, (kind, model, tag, payload, msg) in enumerate(cases):
+        path = tmp_path / f"{kind}{i}.kppca"
+        save_model(path, model)
+        load_model(path)
+        rewrite_section(path, tag, payload)
+        with pytest.raises(CorruptFile, match=re.escape(msg)):
+            load_model(path)
+
+
 def test_save_model_rejects_other_types(tmp_path):
     with pytest.raises(TypeError):
         save_model(tmp_path / "x", object())
 
 
-# --- rng and metadata -------------------------------------------------------
-
-
-def test_make_rng_deterministic():
-    a = make_rng(5).standard_normal(4)
-    b = make_rng(5).standard_normal(4)
-    npt.assert_array_equal(a, b)
+# --- metadata -------------------------------------------------------------
 
 
 def test_metadata_sidecar(tmp_path):

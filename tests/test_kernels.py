@@ -9,13 +9,19 @@ from kppca import (
     TrainingSet,
     center_columns,
     center_gram,
-    centered_kernel_vector,
     centered_kernel_vectors,
     gram,
-    kernel_eval,
-    kernel_vector,
 )
 from kppca.errors import DimensionMismatch
+
+
+def kernel_eval(spec, x, y):
+    """Pointwise oracle: k(x, y) straight from the definition."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if spec.family == "linear":
+        return float(x @ y)
+    return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * spec.gamma**2)))
 
 
 def test_kernel_spec_validation():
@@ -38,24 +44,32 @@ def test_training_set_shapes(rng):
         TrainingSet(np.empty((0, 2)))
 
 
+def pair(x, y):
+    return TrainingSet(np.array([x, y], dtype=float))
+
+
 def test_kernel_eval_rbf_zero_distance():
-    x = np.array([0.3, -1.2])
+    x = [0.3, -1.2]
     assert kernel_eval(KernelSpec("rbf", 0.7), x, x) == 1.0
+    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), pair(x, x)).entries, np.ones((2, 2)))
 
 
 def test_kernel_eval_rbf_known_value():
     # gamma=2 and distance 2: exp(-4 / (2 * 4)) = exp(-1/2)
-    v = kernel_eval(KernelSpec("rbf", 2.0), np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-    assert abs(v - np.exp(-0.5)) <= 1e-15
+    spec = KernelSpec("rbf", 2.0)
+    assert abs(kernel_eval(spec, [0.0, 0.0], [2.0, 0.0]) - np.exp(-0.5)) <= 1e-15
+    assert abs(gram(spec, pair([0.0, 0.0], [2.0, 0.0])).entries[0, 1] - np.exp(-0.5)) <= 1e-15
 
 
 def test_kernel_eval_linear_dot():
-    assert kernel_eval(KernelSpec("linear"), np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
+    assert kernel_eval(KernelSpec("linear"), [1.0, 2.0], [3.0, -1.0]) == 1.0
+    assert gram(KernelSpec("linear"), pair([1.0, 2.0], [3.0, -1.0])).entries[0, 1] == 1.0
 
 
 def test_kernel_eval_dimension_mismatch():
+    # a 2-wide input against 1-wide training points
     with pytest.raises(DimensionMismatch):
-        kernel_eval(KernelSpec("linear"), np.array([1.0]), np.array([1.0, 2.0]))
+        centered_kernel_vectors(KernelSpec("linear"), TrainingSet(np.ones((2, 1))), np.ones((1, 2)))
 
 
 @given(
@@ -67,11 +81,27 @@ def test_kernel_eval_dimension_mismatch():
 def test_rbf_symmetric_and_bounded(xs, ys, g):
     # ranges keep the exponent above the double-precision underflow cliff,
     # where the mathematical bound 0 < k would be unobservable anyway
-    spec = KernelSpec("rbf", g)
-    x, y = np.array(xs), np.array(ys)
-    v = kernel_eval(spec, x, y)
-    assert 0.0 < v <= 1.0
-    assert v == kernel_eval(spec, y, x)
+    k = gram(KernelSpec("rbf", g), pair(xs, ys)).entries
+    assert 0.0 < k[0, 1] <= 1.0
+    assert k[0, 1] == k[1, 0]
+
+
+@given(st.floats(-1e12, 1e12), st.floats(0.0, 2.0 * np.pi), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rbf_precision_independent_of_offset(offset, angle, seed):
+    # distances do not change under translation, so neither may the kernel
+    # values: compare against direct differences of the stored points
+    rng = np.random.default_rng(seed)
+    shift = offset * np.array([np.cos(angle), np.sin(angle)])
+    points = rng.standard_normal((30, 2)) + shift
+    queries = rng.standard_normal((5, 2)) + shift
+    spec = KernelSpec("rbf", 1.0)
+    ts = TrainingSet(points)
+    direct = np.exp(-np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2) / 2.0)
+    assert np.abs(gram(spec, ts).entries - direct).max() <= 1e-12
+    cross = np.exp(-np.sum((points[:, None, :] - queries[None, :, :]) ** 2, axis=2) / 2.0)
+    centered = cross - cross.mean(axis=0) - direct.mean(axis=0)[:, None] + direct.mean()
+    assert np.abs(centered_kernel_vectors(spec, ts, queries) - centered).max() <= 1e-12
 
 
 def test_gram_single_point_rbf():
@@ -102,38 +132,36 @@ def test_gram_rbf_diagonal_ones_and_psd(rng):
 def test_kernel_vector_matches_pointwise_eval(rng):
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.8)):
         ts = TrainingSet(rng.standard_normal((6, 3)))
-        probe = rng.standard_normal(3)
-        vec = kernel_vector(spec, ts, probe)
-        oracle = [kernel_eval(spec, probe, ts.points[i]) for i in range(6)]
-        npt.assert_allclose(vec, oracle, atol=1e-14)
-    with pytest.raises(DimensionMismatch):
-        kernel_vector(KernelSpec("linear"), TrainingSet(np.ones((2, 2))), np.ones(3))
+        probes = rng.standard_normal((2, 3))
+        k = np.array([[kernel_eval(spec, p, x) for p in probes] for x in ts.points])
+        k_train = np.array([[kernel_eval(spec, x, y) for y in ts.points] for x in ts.points])
+        npt.assert_allclose(gram(spec, ts).entries, k_train, atol=1e-14)
+        oracle = k - k.mean(axis=0) - k_train.mean(axis=0)[:, None] + k_train.mean()
+        npt.assert_allclose(centered_kernel_vectors(spec, ts, probes), oracle, atol=1e-14)
 
 
 def test_centered_vector_matches_gram_columns(rng):
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 1.3)):
         ts = TrainingSet(rng.standard_normal((7, 3)))
         kc = center_gram(gram(spec, ts))
-        for m in range(ts.n):
-            vec = centered_kernel_vector(spec, ts, ts.points[m])
-            assert np.abs(vec - kc.entries[:, m]).max() <= 1e-12
+        vecs = centered_kernel_vectors(spec, ts, ts.points)
+        assert np.abs(vecs - kc.entries).max() <= 1e-12
 
 
 def test_centered_vector_single_point_linear():
     ts = TrainingSet(np.array([[2.0, -1.0]]))
-    vec = centered_kernel_vector(KernelSpec("linear"), ts, np.array([5.0, 5.0]))
-    npt.assert_allclose(vec, [0.0], atol=1e-14)
+    vec = centered_kernel_vectors(KernelSpec("linear"), ts, np.array([[5.0, 5.0]]))
+    npt.assert_allclose(vec, [[0.0]], atol=1e-14)
 
 
 def test_centered_vector_linear_feature_oracle(rng):
     x = rng.standard_normal((4, 6))
     ts = TrainingSet.from_columns(x)
     xc, mean = center_columns(x)
-    for _ in range(5):
-        probe = rng.standard_normal(4)
-        vec = centered_kernel_vector(KernelSpec("linear"), ts, probe)
-        oracle = xc.T @ (probe - mean)
-        assert np.abs(vec - oracle).max() <= 1e-10
+    probes = rng.standard_normal((4, 5))
+    vecs = centered_kernel_vectors(KernelSpec("linear"), ts, probes.T)
+    oracle = xc.T @ (probes - mean[:, None])
+    assert np.abs(vecs - oracle).max() <= 1e-10
 
 
 def test_centered_vectors_batch_matches_single(rng):
@@ -142,11 +170,13 @@ def test_centered_vectors_batch_matches_single(rng):
     probes = rng.standard_normal((4, 2))
     batch = centered_kernel_vectors(spec, ts, probes)
     for i in range(4):
-        single = centered_kernel_vector(spec, ts, probes[i])
-        npt.assert_allclose(batch[:, i], single, atol=1e-14)
+        single = centered_kernel_vectors(spec, ts, probes[i : i + 1])
+        npt.assert_allclose(batch[:, i : i + 1], single, atol=1e-14)
 
 
 def test_centered_vector_dimension_mismatch(rng):
     ts = TrainingSet(rng.standard_normal((5, 3)))
     with pytest.raises(DimensionMismatch):
-        centered_kernel_vector(KernelSpec("linear"), ts, np.zeros(2))
+        centered_kernel_vectors(KernelSpec("linear"), ts, np.zeros((1, 2)))
+    with pytest.raises(DimensionMismatch):
+        centered_kernel_vectors(KernelSpec("linear"), ts, np.zeros(3))  # one input is a 1 x d_in row

@@ -22,61 +22,69 @@ def arcs():
 
 
 def test_one_hot_recovers_training_point(arcs):
-    k = np.zeros(12)
-    k[5] = 1.0
-    npt.assert_array_equal(kernel_smoother(arcs, k), arcs.points[5])
+    npt.assert_array_equal(kernel_smoother(arcs, np.eye(12)), arcs.points.T)
 
 
 def test_uniform_weights_give_mean(arcs):
-    k = np.ones(12)
-    npt.assert_allclose(kernel_smoother(arcs, k), arcs.points.mean(axis=0), atol=1e-14)
+    out = kernel_smoother(arcs, np.ones((12, 1)))
+    npt.assert_allclose(out[:, 0], arcs.points.mean(axis=0), atol=1e-14)
 
 
 def test_centered_weights_degenerate_without_stabilizer(arcs):
-    # centered Gram columns sum to ~0 by construction
+    # centered Gram columns sum to ~0 by construction; one such column
+    # among good ones is enough to reject the batch
     kc = center_gram(gram(KernelSpec("rbf", 1.0), arcs))
-    col = kc.entries[:, 0]
-    with pytest.raises(DegenerateNormalizer):
-        kernel_smoother(arcs, col)
-    out = kernel_smoother(arcs, col, PreimageConfig(epsilon=1e-3))
+    batch = np.concatenate([np.ones((12, 2)), kc.entries[:, :1]], axis=1)
+    with pytest.raises(DegenerateNormalizer, match="column 2"):
+        kernel_smoother(arcs, batch)
+    out = kernel_smoother(arcs, batch, PreimageConfig(epsilon=1e-3))
     assert np.all(np.isfinite(out))
 
 
 def test_output_in_bounding_box_for_nonnegative_weights(arcs, rng):
-    for _ in range(10):
-        k = rng.uniform(0.0, 1.0, 12)
-        if k.sum() < 1e-6:
-            continue
-        out = kernel_smoother(arcs, k)
-        lo = arcs.points.min(axis=0)
-        hi = arcs.points.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+    k = rng.uniform(0.0, 1.0, (12, 10))
+    out = kernel_smoother(arcs, k)
+    lo = arcs.points.min(axis=0)[:, None]
+    hi = arcs.points.max(axis=0)[:, None]
+    assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+
+def test_batch_matches_column_by_column(arcs, rng):
+    # the weighted average of one column at a time, written out as a loop
+    k = rng.standard_normal((12, 7))
+    for cfg in (PreimageConfig(epsilon=0.5), PreimageConfig(epsilon=1e-3, clip_negative=True)):
+        out = kernel_smoother(arcs, k, cfg)
+        for j in range(7):
+            w = np.maximum(k[:, j], 0.0) if cfg.clip_negative else k[:, j]
+            expected = sum(w[i] * arcs.points[i] for i in range(12)) / (w.sum() + cfg.epsilon)
+            npt.assert_allclose(out[:, j], expected, rtol=1e-12, atol=1e-12)
 
 
 @given(st.floats(1e-3, 1e3))
 @settings(max_examples=40, deadline=None)
 def test_scale_invariance(c):
     ts = TrainingSet.from_columns(two_arcs(8, seed=4))
-    k = np.linspace(0.1, 1.0, 8)
+    k = np.linspace(0.1, 1.0, 8)[:, None]
     base = kernel_smoother(ts, k)
     scaled = kernel_smoother(ts, c * k)
     npt.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
 
 
 def test_clip_negative_stabilizes(arcs, rng):
-    for _ in range(10):
-        k = rng.standard_normal(12)
-        k[int(rng.integers(0, 12))] = 0.5  # ensure one clearly positive weight
-        out = kernel_smoother(arcs, k, PreimageConfig(clip_negative=True))
-        assert np.all(np.isfinite(out))
-        lo = arcs.points.min(axis=0)
-        hi = arcs.points.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+    k = rng.standard_normal((12, 10))
+    k[rng.integers(0, 12, 10), np.arange(10)] = 0.5  # one clearly positive weight per column
+    out = kernel_smoother(arcs, k, PreimageConfig(clip_negative=True))
+    assert np.all(np.isfinite(out))
+    lo = arcs.points.min(axis=0)[:, None]
+    hi = arcs.points.max(axis=0)[:, None]
+    assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def test_dimension_mismatch(arcs):
     with pytest.raises(DimensionMismatch):
-        kernel_smoother(arcs, np.ones(5))
+        kernel_smoother(arcs, np.ones((5, 1)))
+    with pytest.raises(DimensionMismatch):
+        kernel_smoother(arcs, np.ones(12))  # one weight vector is a 12 x 1 column
 
 
 def test_config_validation():

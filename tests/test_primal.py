@@ -215,15 +215,15 @@ def test_posterior_needs_noise(rng):
 
 def test_latent_map_at_mean_is_zero(rng):
     m = fit_primal(rng.standard_normal((3, 6)), q=2)
-    npt.assert_allclose(latent_map(m, m.mu), 0.0, atol=1e-14)
+    npt.assert_allclose(latent_map(m, m.mu[:, None]), 0.0, atol=1e-14)
 
 
 def test_latent_map_matches_ridge_oracle(rng):
     m = fit_primal(rng.standard_normal((4, 8)), q=2)
-    phi = rng.standard_normal(4)
+    phi = rng.standard_normal((4, 3))
     # independent path: ridge least squares on the stacked system
     aug = np.vstack([m.w, np.sqrt(m.sigma2) * np.eye(2)])
-    target = np.concatenate([phi - m.mu, np.zeros(2)])
+    target = np.concatenate([phi - m.mu[:, None], np.zeros((2, 3))])
     oracle, *_ = np.linalg.lstsq(aug, target, rcond=None)
     npt.assert_allclose(latent_map(m, phi), oracle, atol=1e-10)
 
@@ -232,8 +232,8 @@ def test_latent_map_noiseless_uses_pseudo_inverse(rng):
     x = rng.standard_normal((3, 9))
     m = fit_primal(x, q=3)
     assert m.sigma2 == 0.0
-    phi = rng.standard_normal(3)
-    oracle = np.linalg.pinv(m.w, rcond=1e-10) @ (phi - m.mu)
+    phi = rng.standard_normal((3, 4))
+    oracle = np.linalg.pinv(m.w, rcond=1e-10) @ (phi - m.mu[:, None])
     npt.assert_allclose(latent_map(m, phi), oracle, atol=1e-10)
 
 
@@ -244,27 +244,30 @@ def test_noiseless_full_rank_roundtrip_is_projection(rng):
     u, s, _ = np.linalg.svd(xc, full_matrices=False)
     basis = u[:, s > 1e-10 * s[0]]
     proj = basis @ basis.T
-    phi = rng.standard_normal(3)
+    phi = rng.standard_normal((3, 4))
     rec = feature_reconstruct(m, latent_map(m, phi))
-    npt.assert_allclose(rec - m.mu, proj @ (phi - m.mu), atol=1e-10)
+    npt.assert_allclose(rec - m.mu[:, None], proj @ (phi - m.mu[:, None]), atol=1e-10)
 
 
 def test_latent_roundtrip_identity_noiseless(rng):
     x = rng.standard_normal((4, 10))
     m = fit_primal(x, q=3)
     m = PrimalModel(mu=m.mu, w=m.w, sigma2=0.0, q=m.q, eigenvalues=m.eigenvalues, v=m.v)
-    h = rng.standard_normal(3)
+    h = rng.standard_normal((3, 4))
     npt.assert_allclose(latent_map(m, feature_reconstruct(m, h)), h, atol=1e-10)
 
 
 def test_feature_reconstruct_basics(rng):
     m = fit_primal(rng.standard_normal((3, 6)), q=2)
-    npt.assert_allclose(feature_reconstruct(m, np.zeros(2)), m.mu)
-    h = rng.standard_normal(2)
-    oracle = np.array([sum(m.w[i, p] * h[p] for p in range(2)) + m.mu[i] for i in range(3)])
+    npt.assert_allclose(feature_reconstruct(m, np.zeros((2, 1))), m.mu[:, None])
+    h = rng.standard_normal((2, 4))
+    oracle = np.array([[sum(m.w[i, p] * h[p, c] for p in range(2)) + m.mu[i] for c in range(4)]
+                       for i in range(3)])
     npt.assert_allclose(feature_reconstruct(m, h), oracle, atol=1e-12)
     with pytest.raises(DimensionMismatch):
-        feature_reconstruct(m, np.zeros(3))
+        feature_reconstruct(m, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch):
+        feature_reconstruct(m, np.zeros(2))  # a single code is a q x 1 column
 
 
 def test_reconstruction_rotation_invariant(rng):
@@ -274,7 +277,7 @@ def test_reconstruction_rotation_invariant(rng):
     r[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     rotated = PrimalModel(mu=m.mu, w=m.w @ r, sigma2=m.sigma2, q=m.q,
                           eigenvalues=m.eigenvalues, v=m.v)
-    h = rng.standard_normal(3)
+    h = rng.standard_normal((3, 1))
     a = feature_reconstruct(m, h)
     b = feature_reconstruct(rotated, r.T @ h)
     assert np.abs(a - b).max() <= 1e-12
