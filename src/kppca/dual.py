@@ -197,15 +197,27 @@ def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
 def dual_marginal_loglik(m: DualModel, k) -> float:
     """Log-density of one kernel representation under the trained marginal.
 
-    Only the log form is exposed: the normalizer multiplies N eigenvalues
-    and underflows quickly as a raw density. Requires sigma2 > 0 and a
-    fully positive spectrum, otherwise the marginal is degenerate.
+    The marginal covariance E diag(c^2) E^T is singular along the null
+    directions of the spectrum, and a centered Gram matrix always has one:
+    the constant vector. The density is that of the degenerate Gaussian on
+    the rank directions (the pseudo-determinant replaces the determinant),
+    so k must have no component along the null direction; a centered kernel
+    vector has none. Only the log form is exposed: the normalizer multiplies
+    up to N eigenvalues and underflows quickly as a raw density. Requires
+    sigma2 > 0 and at most one null direction.
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
-    if m.rank() < m.n:
-        raise RankDeficient("marginal covariance is singular: spectrum contains zeros")
-    k = _as_columns(np.reshape(k, (-1, 1)), m.n, "kernel vector")
-    c = _marginal_scales(m)
-    coords = (m.e.T @ k)[:, 0] / c
-    return -0.5 * (m.n * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + float(coords @ coords))
+    rank = m.rank()
+    if rank < m.n - 1:
+        raise RankDeficient(f"marginal covariance has {m.n - rank} null directions; "
+                            "at most one (the centering direction) is allowed")
+    k = _as_columns(np.reshape(k, (-1, 1)), m.n, "kernel vector")[:, 0]
+    coords = m.e.T @ k
+    scale = max(float(np.linalg.norm(k)), float(np.sqrt(m.eigenvalues[0])))
+    if np.any(np.abs(coords[rank:]) > 1e-8 * scale):
+        raise NotCentered("kernel vector has a component along the null direction of the "
+                          "marginal covariance (the constant vector for a centered Gram matrix)")
+    c = _marginal_scales(m)[:rank]
+    z = coords[:rank] / c
+    return -0.5 * (rank * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + float(z @ z))

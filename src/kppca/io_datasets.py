@@ -24,8 +24,9 @@ Model container layout (version 1, all integers and floats little-endian):
                      points, one per row)
 
 Loading checks that the sections agree with each other: shapes against N,
-d_in and q, 1 <= q <= N, a finite sigma2 >= 0 and a finite, nonnegative,
-descending spectrum. AMAT is checked for shape only; the loadings are
+d_in and q, 1 <= q <= N, a finite sigma2 >= 0, a finite, nonnegative,
+descending spectrum that sums to the trace of a symmetric KCMT, and EVEC
+entries within [-1, 1]. AMAT is checked for shape only; the loadings are
 derived from the spectrum and sigma2.
 """
 
@@ -98,51 +99,86 @@ def write_metadata(path, meta: RunMetadata, extra: dict | None = None):
 # --- CSV ----------------------------------------------------------------
 
 
-def load_csv(path) -> np.ndarray:
-    """Read a numeric table with one sample per row; returns samples as the
-    columns of a d x N matrix. A single non-numeric first row is treated as
-    a header and skipped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+# loadtxt strips the ASCII information separators U+001C..U+001F around a
+# number as whitespace, float() refuses them; tables holding one take the
+# cell-by-cell path so that both paths accept exactly the same cells
+_LOADTXT_ONLY_WHITESPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_row(fields, path, rownum):
+    out = []
+    for j, tok in enumerate(fields):
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise ParseError(f"{path}: not a number: {tok!r}", row=rownum, col=j + 1) from None
+    return out
+
+
+def _parse_cells(lines, path, first_row):
+    # cell-by-cell reference parser; the only source of the located errors
+    rows = [row for row in csv.reader(lines) if row]
     if not rows:
-        raise ParseError(f"{path}: empty file")
-
-    def parse_row(fields, rownum):
-        out = []
-        for j, tok in enumerate(fields):
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise ParseError(f"{path}: not a number: {tok!r}", row=rownum, col=j + 1) from None
-        return out
-
-    start = 0
-    try:
-        first = parse_row(rows[0], 1)
-    except ParseError:
-        start = 1
-        first = None
-    data = [] if first is None else [first]
-    for i in range(start + len(data), len(rows)):
-        data.append(parse_row(rows[i], i + 1))
-    if not data:
         raise ParseError(f"{path}: no data rows")
+    data = [_parse_row(row, path, first_row + i) for i, row in enumerate(rows)]
     width = len(data[0])
     for i, row in enumerate(data):
         if len(row) != width:
-            raise RaggedRows(f"{path}: row {start + i + 1} has {len(row)} fields, expected {width}")
+            raise RaggedRows(f"{path}: row {first_row + i} has {len(row)} fields, expected {width}")
     return np.asarray(data, dtype=float).T
 
 
+def load_csv(path) -> np.ndarray:
+    """Read a numeric table with one sample per row; returns samples as the
+    columns of a d x N matrix.
+
+    Blank lines are skipped. The first non-blank row is a header, and is
+    skipped, when any of its cells is not a number. A cell is a number when
+    Python's float() accepts it, also inside csv quotes ("1.5"). Raises
+    ParseError with the row (counting non-blank rows from 1) and column of
+    the first cell that is not a number, RaggedRows when the rows differ in
+    width, and ParseError for a file that is not UTF-8 or has no data row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        rows = csv.reader(lines)
+        first = next(filter(None, rows), None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        try:
+            _parse_row(first, path, 1)
+            header = False
+        except ParseError:
+            header = True
+        body = lines[rows.line_num:] if header else lines
+        has_data = not header or next(filter(None, rows), None) is not None
+        if has_data and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE):
+            # a well-formed table parses in numpy's C tokenizer; anything it
+            # refuses gets the reference parser, which accepts or locates it
+            try:
+                return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float).T
+            except ValueError:
+                pass
+        return _parse_cells(body, path, first_row=2 if header else 1)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def save_csv(path, matrix, header=None):
-    """Write a d x N matrix as N rows of d full-precision decimal floats."""
+    """Write a d x N matrix as N rows of d floats, each as Python's repr:
+    the shortest decimal that reads back to the same float."""
     matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            writer.writerow(header)
+            csv.writer(fh, lineterminator="\n").writerow(header)
+        # one row per write: a single string for the whole table would hold
+        # every cell as a str object at once
         for col in matrix.T:
-            writer.writerow([repr(float(v)) for v in col])
+            fh.write(",".join(map(repr, col.tolist())) + "\n")
 
 
 # --- MNIST IDX ----------------------------------------------------------
@@ -258,6 +294,7 @@ class _Cursor:
 
 
 def _unpack_vec(cur):
+    # astype makes the array's one copy; a frombuffer view would pin the file
     (size,) = cur.unpack("<I")
     return np.frombuffer(cur.take(8 * size), dtype="<f8").astype(float)
 
@@ -268,14 +305,14 @@ def _unpack_mat(cur):
     return flat.reshape(rows, cols)
 
 
-def _read_sections(blob, path):
+def _read_sections(blob, pos, path):
+    # payloads are slices of the caller's memoryview, not copies
     sections = {}
-    pos = 0
     while pos < len(blob):
         if pos + 12 > len(blob):
             raise CorruptFile(f"{path}: dangling bytes after last section")
-        tag = blob[pos : pos + 4]
-        (length,) = struct.unpack("<Q", blob[pos + 4 : pos + 12])
+        tag = bytes(blob[pos : pos + 4])
+        (length,) = struct.unpack_from("<Q", blob, pos + 4)
         pos += 12
         if pos + length > len(blob):
             raise CorruptFile(f"{path}: section {tag!r} longer than file")
@@ -339,6 +376,13 @@ def _load_dual(sections, path):
     _check_shape(path, "AMAT", a, (n, q))
     _check_shape(path, "KCMT", kc, (n, n))
     _check_shape(path, "TSET", points, (n, points.shape[1]))
+    # EVAL and EVEC are the eigenpairs of KCMT: unit eigenvectors have no
+    # entry beyond 1, and the eigenvalues sum to the trace
+    _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
+    scale = max(1.0, float(np.max(np.abs(kc), initial=0.0)))
+    _check(float(np.max(np.abs(kc - kc.T), initial=0.0)) <= 1e-9 * scale, path, "KCMT is not symmetric")
+    _check(abs(float(np.trace(kc)) - float(np.sum(lam))) <= 1e-6 * max(1.0, float(np.trace(kc))),
+           path, "EVAL does not sum to the trace of KCMT")
     _check(family in (0, 1), path, f"unknown kernel family code {family}")
     _check(family == 0 or (np.isfinite(gamma) and gamma > 0.0), path, f"rbf bandwidth {gamma} is not > 0")
     spec = KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
@@ -352,14 +396,14 @@ def load_model(path):
     Raises CorruptFile when the file is damaged or its sections disagree.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(MODEL_MAGIC) + 5 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise CorruptFile(f"{path}: not a model file")
-    (version,) = struct.unpack("<I", blob[6:10])
+    (version,) = struct.unpack_from("<I", blob, 6)
     if version != MODEL_VERSION:
         raise VersionMismatch(f"{path}: version {version}, this build reads {MODEL_VERSION}")
-    kind = blob[10:11]
-    sections = _read_sections(blob[11:], path)
+    kind = bytes(blob[10:11])
+    sections = _read_sections(blob, 11, path)
     loaders = {b"P": _load_primal, b"D": _load_dual}
     if kind not in loaders:
         raise CorruptFile(f"{path}: unknown model kind {kind!r}")

@@ -62,17 +62,27 @@ class TrainingSet:
 
 
 def _kernel_block(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
-    """Uncentered N x M block K[i, j] = k(x_i, xs[j]) against the rows of xs."""
-    if spec.family == "linear":
-        return ts.points @ xs.T
-    # Distances do not change under translation; measured from the training
-    # mean, the expansion ||a||^2 + ||b||^2 - 2 a.b does not cancel away the
-    # precision of data that sit far from the origin.
-    mu = ts.points.mean(axis=0)
-    a = ts.points - mu
-    b = xs - mu
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
+    """Uncentered N x M block K[i, j] = k(x_i, xs[j]) against the rows of xs.
+
+    Raises NonFinite when a kernel value is NaN or Inf: xs holds NaN or Inf,
+    or the inputs are too large for float64 products. An RBF distance that
+    overflows to +Inf is still a kernel value of 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "linear":
+            k = ts.points @ xs.T
+        else:
+            # Distances do not change under translation; measured from the
+            # training mean, the expansion ||a||^2 + ||b||^2 - 2 a.b does not
+            # cancel away the precision of data that sit far from the origin.
+            mu = ts.points.mean(axis=0)
+            a = ts.points - mu
+            b = xs - mu
+            d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+            k = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
+    if not np.all(np.isfinite(k)):
+        raise NonFinite("kernel values are not finite: the inputs hold NaN or Inf, or overflow float64")
+    return k
 
 
 def gram(spec: KernelSpec, ts: TrainingSet) -> SymMatrix:

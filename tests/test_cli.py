@@ -1,6 +1,7 @@
 import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -265,3 +266,56 @@ def test_console_entry_point(tmp_path, toy_csv):
                            str(out / "model.kppca")], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "kind: dual" in proc.stdout
+
+
+CLEAN_EXITS = {0, 2, 3, 4}
+
+
+def test_damaged_model_file_exits_cleanly(tmp_path, toy_csv, capsys):
+    # seeded byte flips and truncations of a fitted model: every run ends
+    # with one of the CLI's own exit codes, never a traceback
+    model_path = run_fit(tmp_path, toy_csv, "--q", "3")
+    blob = model_path.read_bytes()
+    rng = np.random.default_rng(20261018)
+    damaged = []
+    for _ in range(300):
+        b = bytearray(blob)
+        for pos in rng.integers(0, len(b), rng.integers(1, 4)):
+            b[pos] ^= int(rng.integers(1, 256))
+        damaged.append(bytes(b))
+    damaged += [blob[:cut] for cut in rng.integers(0, len(blob), 30)]
+    bad = tmp_path / "damaged.kppca"
+    out = str(tmp_path / "out")
+    codes = Counter()
+    for i, b in enumerate(damaged):
+        bad.write_bytes(b)
+        args = (["project", "--data", str(toy_csv)] if i % 2 else ["generate", "--count", "3"])
+        codes[main([*args, "--model", str(bad), "--out", out])] += 1
+    capsys.readouterr()
+    assert set(codes) <= CLEAN_EXITS, codes
+    assert codes[0] and codes[3], codes  # both intact-looking and rejected files occur
+
+
+@pytest.mark.parametrize("data, code", [
+    (b'"x1","x2"\n"0.5","1"\n', 0),  # quoted cells
+    (b"1_0,2\n", 0),
+    ("\uff11,\uff12\n".encode("utf-8"), 0),  # full-width digits
+    (b"-0.0,5e-324\n1e16,2\n", 0),
+    (b"1e200,-1e200\n", 0),  # far away: RBF kernel values of 0
+    (b"1,2,\n3,4,\n", 3),  # trailing comma
+    (b"1,2\n3\n", 3),  # ragged
+    (b"1,2\n#,4\n", 3),
+    (b"x1,x2\n", 3),  # header only
+    (b"", 3),
+    (b"0.5,\xff\n", 3),  # not UTF-8
+    (b"1,2,3\n", 4),  # width differs from the model's
+    (b"inf,1\n", 4),
+    (b"0,nan\n", 4),
+    (b"1e308,1e308\n", 4),  # squared distance overflows float64
+])
+def test_malformed_csv_exits_cleanly(tmp_path, toy_csv, capsys, data, code):
+    model_path = run_fit(tmp_path, toy_csv, "--q", "3")
+    queries = tmp_path / "queries.csv"
+    queries.write_bytes(data)
+    assert main(["project", "--model", str(model_path), "--data", str(queries),
+                 "--out", str(tmp_path / "proj")]) == code

@@ -28,6 +28,7 @@ from kppca import (
     samples_from_noise,
     sigma2_ml,
 )
+from kppca.dual import _marginal_scales
 from kppca.errors import (
     DimensionMismatch,
     LatentExceedsRank,
@@ -382,13 +383,34 @@ def test_marginal_loglik_matches_dense_oracle(rng):
         assert abs(dual_marginal_loglik(m, k) - oracle) <= 1e-8
 
 
+def test_marginal_loglik_on_fitted_model_matches_singular_oracle(rng):
+    # a centered Gram matrix has the constant vector as its one null
+    # direction; the density lives on its complement
+    m = fitted_rbf_model(rng, n=10, q=2, gamma=0.3)
+    assert m.rank() == m.n - 1
+    c = _marginal_scales(m)
+    oracle = multivariate_normal(mean=np.zeros(m.n), cov=(m.e * c**2) @ m.e.T, allow_singular=True)
+    queries = centered_kernel_vectors(m.spec, m.ts, rng.standard_normal((3, 2)))
+    for k in np.hstack([dual_sample(m, 5, 3), queries]).T:
+        assert abs(sum(k)) <= 1e-12
+        assert abs(dual_marginal_loglik(m, k) - oracle.logpdf(k)) <= 1e-8
+
+
 def test_marginal_loglik_guards(rng):
     m0 = toy_dual_model(n=5, q=2, sigma2=0.0, seed=16)
     with pytest.raises(SigmaZero):
         dual_marginal_loglik(m0, np.zeros(5))
-    m1 = fitted_rbf_model(rng, n=6, q=2)  # centered Gram: rank-deficient
+    m1 = fitted_rbf_model(rng, n=6, q=2)  # centered Gram: null space is the constant vector
+    assert np.isfinite(dual_marginal_loglik(m1, np.zeros(6)))
+    with pytest.raises(NotCentered):
+        dual_marginal_loglik(m1, np.ones(6))
+    # three distinct points, each twice: singular beyond the centering direction
+    ts = TrainingSet(np.repeat(rng.standard_normal((3, 2)), 2, axis=0))
+    spec = KernelSpec("rbf", 1.5)
+    m2 = fit_dual(center_gram(gram(spec, ts)), spec, ts, q=1)
+    assert m2.rank() == 2
     with pytest.raises(RankDeficient):
-        dual_marginal_loglik(m1, np.zeros(6))
+        dual_marginal_loglik(m2, np.zeros(6))
 
 
 def test_dimension_checks(rng):

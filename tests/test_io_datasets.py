@@ -1,10 +1,15 @@
+import csv
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kppca import (
     KernelSpec,
@@ -22,6 +27,7 @@ from kppca import (
     two_arcs,
     write_metadata,
 )
+from kppca import io_datasets
 from kppca.errors import (
     BadMagic,
     CorruptFile,
@@ -55,12 +61,12 @@ def test_load_csv_skips_header(tmp_path):
 
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("")
-    with pytest.raises(ParseError):
-        load_csv(p)
-    p.write_text("x,y\n")
-    with pytest.raises(ParseError):
-        load_csv(p)
+    for text in ["", "\n\r\n", "x,y\n", "x,y\n\n\r\n"]:
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a table without data
+            with pytest.raises(ParseError):
+                load_csv(p)
 
 
 def test_load_csv_reports_bad_cell_location(tmp_path):
@@ -84,6 +90,144 @@ def test_csv_roundtrip_exact(tmp_path, rng):
     save_csv(p, x, header=["a", "b", "c"])
     back = load_csv(p)
     npt.assert_array_equal(back, x)
+
+
+def reference_load_csv(path):
+    """The cell-by-cell parser load_csv must agree with: csv.reader, then
+    float() on every cell, the first non-blank row skipped as a header when
+    one of its cells is not a number."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+
+    def parse_row(fields, rownum):
+        out = []
+        for j, tok in enumerate(fields):
+            try:
+                out.append(float(tok))
+            except ValueError:
+                raise ParseError(f"{path}: not a number: {tok!r}", row=rownum, col=j + 1) from None
+        return out
+
+    start = 0
+    try:
+        first = parse_row(rows[0], 1)
+    except ParseError:
+        start = 1
+        first = None
+    data = [] if first is None else [first]
+    for i in range(start + len(data), len(rows)):
+        data.append(parse_row(rows[i], i + 1))
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    width = len(data[0])
+    for i, row in enumerate(data):
+        if len(row) != width:
+            raise RaggedRows(f"{path}: row {start + i + 1} has {len(row)} fields, expected {width}")
+    return np.asarray(data, dtype=float).T
+
+
+def reference_save_csv(path, matrix, header=None):
+    matrix = np.asarray(matrix, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for col in matrix.T:
+            writer.writerow([repr(float(v)) for v in col])
+
+
+def csv_outcome(load, path):
+    """Everything a caller can observe: the array bit for bit, with its
+    layout, or the exception with its location and message."""
+    try:
+        x = load(path)
+    except (ParseError, RaggedRows) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    return x.shape, x.strides, np.ascontiguousarray(x).view(np.uint64).tobytes()
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(width=64).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "-0.0", "5e-324", "1e16", "1E3", "+.5",
+                     " 2.5 ", "\t7", "-Infinity", "1.7976931348623157e308"]),
+)
+# cells float() takes and numpy's tokenizer refuses, or the reverse
+FALLBACK_CELLS = st.sampled_from(['"1.5"', '" 2 "', "1_0", "\uff11\uff12", "\u0663", "1\x1c", "\x1f2"])
+BAD_CELLS = st.sampled_from(["", " ", "#", "#1", "x", "--1", "0x10", '"', "1 2", "nan0", "1e"])
+CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, FALLBACK_CELLS, BAD_CELLS)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    cells = NUMBER_CELLS if draw(st.booleans()) else CELLS
+    rows = [[draw(cells) for _ in range(width)] for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.integers(0, 3)) == 0:
+        # a trailing comma (one more, empty cell) or a short row
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i] + [""] if draw(st.booleans()) else rows[i][:-1]
+    header = draw(st.sampled_from([None, "names", "quoted", "half"]))
+    if header == "names":
+        rows.insert(0, [f"x{j + 1}" for j in range(width)])
+    elif header == "quoted":
+        rows.insert(0, [f'"x{j + 1}"' for j in range(width)])
+    elif header == "half":
+        rows.insert(0, ["1"] * (width - 1) + ["y"])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@given(csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_cell_by_cell_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\r\n1,inf\r\n\r\n-0.0,nan\r\n5e-324,1e16",
+    "\n\n1\r2\r3\r",
+    '"a","b"\n1.5,2\n',
+    "-1,2,3\n",
+])
+def test_load_csv_well_formed_table_skips_cell_parser(tmp_path, monkeypatch, text):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    expected = reference_load_csv(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed table reached the cell-by-cell parser")
+
+    monkeypatch.setattr(io_datasets, "_parse_cells", refuse)
+    npt.assert_array_equal(load_csv(p), expected)
+
+
+def test_load_csv_rejects_undecodable_bytes(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(p)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 5)),
+              elements=st.floats(width=64)),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_save_csv_matches_csv_writer_of_reprs(tmp_path_factory, matrix, with_header):
+    base = tmp_path_factory.getbasetemp()
+    header = [f"c{i}" for i in range(matrix.shape[0])] if with_header else None
+    save_csv(base / "saved.csv", matrix, header=header)
+    reference_save_csv(base / "reference.csv", matrix, header=header)
+    assert (base / "saved.csv").read_bytes() == (base / "reference.csv").read_bytes()
 
 
 # --- MNIST IDX -----------------------------------------------------------
@@ -225,6 +369,9 @@ def _dual_sections(dm):
         ("EVEC", pack_matrix(dm.e[:, :6]), "EVEC has shape (7, 6)"),
         ("AMAT", pack_matrix(np.ones((60, 3))), "AMAT has shape (60, 3)"),
         ("KCMT", pack_matrix(np.full((7, 7), np.nan)), "KCMT holds NaN"),
+        ("KCMT", pack_matrix(dm.kc.entries + np.triu(np.ones((7, 7)), 1)), "KCMT is not symmetric"),
+        ("EVAL", pack_vector(2.0 * lam), "EVAL does not sum to the trace of KCMT"),
+        ("EVEC", pack_matrix(np.where(np.eye(7, dtype=bool), 1e30, dm.e)), "EVEC has an entry beyond 1"),
         ("TSET", pack_matrix(dm.ts.points[:5]), "TSET has shape (5, 2)"),
         ("KSPC", struct.pack("<Bd", 7, 2.0), "kernel family code 7"),
         ("KSPC", struct.pack("<Bd", 1, 0.0), "rbf bandwidth 0.0"),
