@@ -16,6 +16,7 @@ from kppca import (
     center_gram,
     dual_latent_map,
     dual_reconstruct,
+    dual_training_codes,
     explained_variance,
     fit_dual,
     gram,
@@ -40,7 +41,7 @@ print("   q   sigma2      explained variance")
 
 cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
 for q in (1, 3, 10):
-    model = fit_dual(kc, spec, ts, q=q)
+    model = fit_dual(spec, ts, q=q)
     ev = explained_variance(model)
     print(f"  {q:2d}   {model.sigma2:.6f}   {ev:6.2%}")
 
@@ -50,10 +51,12 @@ for q in (1, 3, 10):
     # kc; every step takes one query per column.
     h = dual_latent_map(model, kc.entries)
     recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
+    # The model needs no Gram matrix for this: E_q^T K_c = Lambda_q E_q^T.
+    print(f"       training codes from the identity: max diff {np.abs(dual_training_codes(model) - h).max():.1e}")
 
     # The noiseless limit of the same model is classical kernel PCA.
     limit = kpca_limit(model)
-    classical = kernel_smoother(ts, dual_reconstruct(limit, dual_latent_map(limit, kc.entries)), cfg)
+    classical = kernel_smoother(ts, dual_reconstruct(limit, dual_training_codes(limit)), cfg)
 
     path = os.path.join(OUT, f"reconstruction_q{q}.svg")
     scatter_svg(path, [

@@ -11,12 +11,10 @@ from kppca import (
     SymMatrix,
     TrainingSet,
     center_columns,
-    center_gram,
     centered_kernel_vectors,
     dual_latent_map,
     fit_dual,
     fit_primal,
-    gram,
     latent_map,
     sym_eig,
 )
@@ -28,18 +26,18 @@ x = rng.standard_normal((d, n))
 # Primal route: eigendecompose the d x d centered covariance.
 primal = fit_primal(x, q=q)
 
-# Dual route: eigendecompose the N x N centered Gram matrix instead.
+# Dual route: the leading eigenpairs of the N x N centered Gram matrix instead.
 spec = KernelSpec("linear")
 ts = TrainingSet.from_columns(x)
-kc = center_gram(gram(spec, ts))
-dual = fit_dual(kc, spec, ts, q=q)
+dual = fit_dual(spec, ts, q=q)
 
 print(f"noise variance: primal {primal.sigma2:.8f}, dual {dual.sigma2:.8f}")
 
-# Both decompositions share their nonzero spectrum.
+# Both decompositions share their nonzero spectrum; the dual model keeps
+# its q leading eigenvalues.
 xc, _ = center_columns(x)
-cov_lam = sym_eig(SymMatrix(xc @ xc.T)).eigenvalues[: min(d, n)]
-gram_lam = dual.eigenvalues[: min(d, n)]
+cov_lam = sym_eig(SymMatrix(xc @ xc.T)).eigenvalues[:q]
+gram_lam = dual.eigenvalues
 print("spectrum difference:", np.abs(cov_lam - gram_lam).max())
 
 # The primal loadings are the dual loadings pushed through the data:
@@ -53,5 +51,5 @@ print("loading identity |W - X_c A|:", np.abs(primal.w - w_from_dual * signs).ma
 # columns on the dual side.
 probes = rng.standard_normal((d, 25))
 h_primal = latent_map(primal, probes)
-h_dual = signs[:, None] * dual_latent_map(dual, centered_kernel_vectors(spec, ts, probes.T))
+h_dual = signs[:, None] * dual_latent_map(dual, centered_kernel_vectors(spec, ts, dual.means, probes.T))
 print("largest latent-code difference over 25 new points:", np.abs(h_primal - h_dual).max())

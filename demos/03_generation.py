@@ -1,10 +1,16 @@
 """Walkthrough: generation in kernel space.
 
 The marginal distribution of centered kernel representations has covariance
-B B^T for an explicit symmetric factor B built from the full spectrum, so
-sampling is just B times standard normal noise. The second spectral block of
-B (scaled by sigma) is what keeps the map invertible: even with few latent
-components, samples cover the whole kernel space instead of a q-dimensional
+E diag(c^2) E^T over the whole spectrum: c_p = lambda_p / sqrt(N) on the q
+retained components and sigma sqrt(lambda_p) on the discarded ones. The
+model keeps only the q leading eigenpairs, so a sample is drawn as
+
+    k = E_q diag(lambda_q / sqrt(N)) z + sigma P J L v
+
+with z and v standard normal, P = I - E_q E_q^T, J the centering matrix and
+K = L L^T a Cholesky factor of the Gram matrix. The second term (scaled by
+sigma) is what covers the discarded directions: even with few latent
+components, samples fill the whole kernel space instead of a q-dimensional
 slice.
 
 Run:  python3 demos/03_generation.py
@@ -19,13 +25,15 @@ from kppca import (
     KernelSpec,
     PreimageConfig,
     TrainingSet,
-    build_sampler,
     center_gram,
     dual_sample,
     fit_dual,
     gram,
     kernel_smoother,
     kpca_limit,
+    samples_from_noise,
+    sym_eig,
+    tail_factor,
     two_arcs,
 )
 from kppca.plots import scatter_svg
@@ -36,17 +44,29 @@ os.makedirs(OUT, exist_ok=True)
 x = two_arcs(20, seed=0)
 ts = TrainingSet.from_columns(x)
 spec = KernelSpec("rbf", 2.0)
-kc = center_gram(gram(spec, ts))
-model = fit_dual(kc, spec, ts, q=3)
+model = fit_dual(spec, ts, q=3)
 
-b = build_sampler(model)
-print("sampler is symmetric:", np.abs(b - b.T).max() < 1e-12)
+
+def noise_map(m):
+    # the sampler's noise-to-sample matrix [E_q diag(lambda_q / sqrt(N)), tail]
+    tail = tail_factor(m)
+    return samples_from_noise(m, np.eye(m.q + tail.shape[1]), tail)
+
+
+b = noise_map(model)
 print("sampler rank:", np.linalg.matrix_rank(b), "of", model.n,
-      f"(sigma2 = {model.sigma2:.2e} keeps the discarded directions alive)")
-
-limit_b = build_sampler(kpca_limit(model))
-print("noiseless sampler rank:", np.linalg.matrix_rank(limit_b),
+      f"(sigma2 = {model.sigma2:.2e} keeps the discarded directions alive;",
+      "the constant direction is centered away)")
+print("noiseless sampler rank:", np.linalg.matrix_rank(noise_map(kpca_limit(model))),
       "(the classical limit collapses onto the retained components)")
+
+# The covariance of the map is the marginal of the full spectrum, which the
+# model never computed: check it against a full eigendecomposition.
+eig = sym_eig(center_gram(gram(spec, ts)))
+lam, e = eig.eigenvalues, eig.eigenvectors
+c2 = np.concatenate([lam[:3] ** 2 / model.n, model.sigma2 * lam[3:]])
+target = (e * c2) @ e.T
+print(f"sampler covariance against the full spectrum: {np.abs(b @ b.T - target).max():.1e} max difference")
 
 # Draw kernel representations (one per column) and push them back to the
 # input plane.
@@ -61,8 +81,8 @@ scatter_svg(path, [
 ])
 print(f"wrote {path}")
 
-# Sanity: the empirical covariance of many draws converges to B B^T.
+# Sanity: the empirical covariance of many draws converges to the marginal.
 mat = dual_sample(model, 7, 100_000)
 emp = mat @ mat.T / mat.shape[1]
-rel = np.linalg.norm(emp - b @ b.T) / np.linalg.norm(b @ b.T)
+rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
 print(f"empirical covariance of 100k draws: {rel:.2%} relative error")

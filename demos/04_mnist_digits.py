@@ -18,12 +18,10 @@ from kppca import (
     KernelSpec,
     PreimageConfig,
     TrainingSet,
-    center_gram,
-    dual_latent_map,
     dual_reconstruct,
+    dual_training_codes,
     explained_variance,
     fit_dual,
-    gram,
     kernel_smoother,
     load_mnist_idx,
     samples_from_noise,
@@ -57,25 +55,24 @@ print(f"loaded {x.shape[1]} digits of dimension {x.shape[0]}")
 
 spec = KernelSpec("rbf", 4.0)
 ts = TrainingSet.from_columns(x)
-kc = center_gram(gram(spec, ts))
-model = fit_dual(kc, spec, ts, q=2)
+model = fit_dual(spec, ts, q=2)
 print(f"q=2: sigma2 = {model.sigma2:.6f}, explained variance = {explained_variance(model):.2%}")
 
 cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
 
 # Originals and their reconstructions through the 2-dimensional bottleneck.
 show = 16
-h = dual_latent_map(model, kc.entries[:, :show])
+h = dual_training_codes(model)[:, :show]
 recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
 pgm_grid(os.path.join(OUT, "mnist_original.pgm"), x[:, :show].T.reshape(-1, 28, 28), 8)
 pgm_grid(os.path.join(OUT, "mnist_reconstructed.pgm"), recon.T.reshape(-1, 28, 28), 8)
 
-# Sweep the two leading noise components on a grid and preimage each sample.
-# Column r * side + c of the noise holds (lin[c], lin[r]) on the two
-# leading eigen-directions.
+# Sweep the latent noise of the two retained components on a grid and
+# preimage each sample. Column r * side + c of the noise holds
+# (lin[c], lin[r]).
 side = 8
 lin = np.linspace(-1.0, 1.0, side)
-u = model.e[:, :2] @ np.stack([np.tile(lin, side), np.repeat(lin, side)])
+u = np.stack([np.tile(lin, side), np.repeat(lin, side)])
 gen = kernel_smoother(ts, samples_from_noise(model, u), cfg)
 pgm_grid(os.path.join(OUT, "mnist_generated.pgm"), gen.T.reshape(-1, 28, 28), side)
 

@@ -10,16 +10,17 @@ query is the batch with one column.
 from ._version import __version__
 from .dual import (
     DualModel,
-    build_sampler,
     dual_conditional_kernel,
     dual_latent_map,
     dual_latent_posterior,
     dual_marginal_loglik,
     dual_reconstruct,
     dual_sample,
+    dual_training_codes,
     fit_dual,
     kpca_limit,
     samples_from_noise,
+    tail_factor,
 )
 from .io_datasets import (
     RunMetadata,
@@ -54,8 +55,10 @@ from .spectral import (
     SymMatrix,
     center_columns,
     center_gram,
+    gram_means,
     psd_sqrt_factor,
     sym_eig,
+    top_eig,
 )
 from .toy import two_arcs
 
@@ -69,7 +72,6 @@ __all__ = [
     "RunMetadata",
     "SymMatrix",
     "TrainingSet",
-    "build_sampler",
     "center_columns",
     "center_gram",
     "centered_kernel_vectors",
@@ -79,11 +81,13 @@ __all__ = [
     "dual_marginal_loglik",
     "dual_reconstruct",
     "dual_sample",
+    "dual_training_codes",
     "explained_variance",
     "feature_reconstruct",
     "fit_dual",
     "fit_primal",
     "gram",
+    "gram_means",
     "kernel_smoother",
     "kpca_limit",
     "latent_map",
@@ -99,6 +103,8 @@ __all__ = [
     "save_model",
     "sigma2_ml",
     "sym_eig",
+    "tail_factor",
+    "top_eig",
     "two_arcs",
     "write_metadata",
 ]

@@ -20,6 +20,7 @@ from .dual import (
     dual_latent_map,
     dual_reconstruct,
     dual_sample,
+    dual_training_codes,
     fit_dual,
     kpca_limit,
     samples_from_noise,
@@ -33,11 +34,10 @@ from .io_datasets import (
     save_model,
     write_metadata,
 )
-from .kernels import KernelSpec, TrainingSet, centered_kernel_vectors, gram
+from .kernels import KernelSpec, TrainingSet, centered_kernel_vectors
 from .plots import pgm_grid, scatter_svg
 from .preimage import PreimageConfig, kernel_smoother
 from .primal import PrimalModel, explained_variance, feature_reconstruct, latent_map, sample_feature
-from .spectral import center_gram
 
 
 class _UsageError(Exception):
@@ -121,8 +121,15 @@ def _model_meta(model, seed=None):
                        explained_variance=_explained_variance(model, None))
 
 
+def _finite(value, flag, low, strict=False):
+    # a flag value that is finite and >= low (> low when strict)
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise _UsageError(f"{flag} must be a finite value {'>' if strict else '>='} {low}, got {value!r}")
+    return value
+
+
 def _preimage_cfg(args, n):
-    eps = args.epsilon if args.epsilon is not None else 1e-3 * n
+    eps = _finite(args.epsilon, "--epsilon", 0.0) if args.epsilon is not None else 1e-3 * n
     return PreimageConfig(epsilon=eps, clip_negative=args.clip_negative)
 
 
@@ -132,16 +139,17 @@ def _preimage_cfg(args, n):
 def cmd_fit(args):
     if (args.q is None) == (args.sigma2 is None):
         raise _UsageError("fit needs exactly one of --q and --sigma2")
+    if args.sigma2 is not None:
+        _finite(args.sigma2, "--sigma2", 0.0)
     if args.kernel == "rbf":
-        if args.gamma is None or args.gamma <= 0:
+        if args.gamma is None:
             raise _UsageError("--kernel rbf needs --gamma > 0")
-        spec = KernelSpec("rbf", args.gamma)
+        spec = KernelSpec("rbf", _finite(args.gamma, "--gamma", 0.0, strict=True))
     else:
         spec = KernelSpec("linear")
     x = load_csv(args.data)
     ts = TrainingSet.from_columns(x)
-    kc = center_gram(gram(spec, ts))
-    model = fit_dual(kc, spec, ts, q=args.q, sigma2=args.sigma2)
+    model = fit_dual(spec, ts, q=args.q, sigma2=args.sigma2)
     out = _ensure_out(args.out)
     model_path = os.path.join(out, "model.kppca")
     save_model(model_path, model)
@@ -158,7 +166,7 @@ def cmd_project(args):
     model = load_model(args.model)
     x = load_csv(args.data)
     if isinstance(model, DualModel):
-        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, x.T))
+        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, model.means, x.T))
     else:
         h = latent_map(model, x)
     out = _ensure_out(args.out)
@@ -175,7 +183,7 @@ def cmd_reconstruct(args):
     x = load_csv(args.data)
     if isinstance(model, DualModel):
         cfg = _preimage_cfg(args, model.n)
-        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, x.T))
+        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, model.means, x.T))
         points = kernel_smoother(model.ts, dual_reconstruct(model, h), cfg)
         extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
                  "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
@@ -204,24 +212,33 @@ def _parse_grid(args):
         r = None
     if r is None:
         raise _UsageError(f"--latent-range expects LO:HI, got {args.latent_range!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError(f"--latent-range bounds must be finite, got {args.latent_range!r}")
     return a, b, lo, hi
 
 
 def _grid_noise(model, a, b, lo, hi):
-    # Sweep the two leading noise components on the eigen-aligned axes so
-    # the grid walks the dominant latent directions; the remaining
-    # components stay zero. Column r * a + c holds (first[c], second[r]).
+    # Sweep the latent noise of the two leading retained components, so the
+    # grid walks the dominant latent directions; the remaining components
+    # and the tail stay zero. Column r * a + c holds (first[c], second[r]).
+    # A q = 1 model has no second direction: every row of the grid repeats
+    # the first.
     sweep = np.stack([np.tile(np.linspace(lo, hi, a), b), np.repeat(np.linspace(lo, hi, b), a)])
-    lead = min(model.n, 2)
-    return model.e[:, :lead] @ sweep[:lead]
+    noise = np.zeros((model.q, a * b))
+    lead = min(model.q, 2)
+    noise[:lead] = sweep[:lead]
+    return noise
 
 
 def cmd_generate(args):
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
+    if args.count < 0:
+        raise _UsageError("--count must be nonnegative")
+    grid = _parse_grid(args) if args.grid is not None else None
     model = load_model(args.model)
-    out = _ensure_out(args.out)
     if isinstance(model, PrimalModel):
-        if args.count < 0:
-            raise _UsageError("--count must be nonnegative")
+        out = _ensure_out(args.out)
         points = sample_feature(model, args.seed, args.count)
         gen_path = os.path.join(out, "generated.csv")
         save_csv(gen_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
@@ -231,15 +248,10 @@ def cmd_generate(args):
         return 0
 
     cfg = _preimage_cfg(args, model.n)
-    grid = None
-    if args.grid is not None:
-        grid = _parse_grid(args)
-        a, b, lo, hi = grid
-        noise = _grid_noise(model, a, b, lo, hi)
-        kc_cols = samples_from_noise(model, noise)
+    out = _ensure_out(args.out)
+    if grid is not None:
+        kc_cols = samples_from_noise(model, _grid_noise(model, *grid))
     else:
-        if args.count < 0:
-            raise _UsageError("--count must be nonnegative")
         kc_cols = dual_sample(model, args.seed, args.count)
 
     ks_path = os.path.join(out, "kernel_samples.csv")
@@ -263,12 +275,10 @@ def cmd_generate(args):
     elif d_in >= 2:
         # higher-dimensional points are plotted on their first two coordinates
         train_cols = model.ts.columns()
-        # the training points' own centered kernel vectors are the Gram columns
-        kc = model.kc.entries
-        rec_kc = dual_reconstruct(model, dual_latent_map(model, kc))
+        rec_kc = dual_reconstruct(model, dual_training_codes(model))
         rec_pts = kernel_smoother(model.ts, rec_kc, cfg)
         limit = kpca_limit(model)
-        kpca_kc = dual_reconstruct(limit, dual_latent_map(limit, kc))
+        kpca_kc = dual_reconstruct(limit, dual_training_codes(limit))
         kpca_pts = kernel_smoother(model.ts, kpca_kc, cfg)
         svg_path = os.path.join(out, "scatter.svg")
         scatter_svg(svg_path, [
@@ -301,6 +311,7 @@ def cmd_report(args):
         print(f"d_in: {model.ts.d_in}")
         gamma = "" if model.spec.gamma is None else f" gamma={model.spec.gamma!r}"
         print(f"kernel: {model.spec.family}{gamma}")
+        print(f"discarded_spectrum: {model.tail!r}")
     else:
         print("kind: primal")
         print(f"N: {model.n}")

@@ -1,6 +1,6 @@
 """The kernel-side model: dual training on the centered Gram matrix, MAP
-projection and reconstruction in kernel space, the marginal sampling operator,
-and probabilistic generation of kernel representations.
+projection and reconstruction in kernel space, and probabilistic generation
+of kernel representations.
 
 The query functions work on batches, one query per column: N x M centered
 kernel columns in, q x M latent codes out, and back. A single query is the
@@ -8,10 +8,12 @@ batch with one column. The loadings are a = E_q diag(s), so the latent
 normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda + sigma2) and K_c a is
 E_q diag(lambda s); projecting or reconstructing M columns costs O(N q M).
 
-A fitted DualModel keeps the full eigendecomposition of the centered Gram
-matrix (generation needs the entire spectrum), the Gram matrix itself, and
-the training inputs, so projecting new points and preimaging need no side
-channel.
+A fitted DualModel is the dual solution itself: the leading q eigenpairs
+(lambda_q, E_q) of the centered Gram matrix, sigma2, the sum of the
+discarded eigenvalues, the training Gram matrix's column means and grand
+mean (which center new kernel columns), and the training inputs. It holds
+O(N (d_in + q)) numbers and nothing N x N; only sampling rebuilds the Gram
+matrix, to factor the discarded part of the marginal.
 """
 
 from dataclasses import dataclass, replace
@@ -26,71 +28,100 @@ from .errors import (
     SigmaZero,
     ZeroSpectrum,
 )
-from .kernels import KernelSpec, TrainingSet
-from .primal import _LOG_2PI, GaussianSpec, _as_columns, _posterior_factor, _resolve_latent
-from .spectral import EigenDecomposition, SymMatrix, psd_sqrt_factor, sym_eig
-
+from .kernels import KernelSpec, TrainingSet, gram
+from .primal import (
+    _LOG_2PI,
+    GaussianSpec,
+    _as_columns,
+    _check_choice,
+    _latent_for_sigma2,
+    _posterior_factor,
+)
+from .spectral import center_gram, center_in_place, cholesky_factor, gram_means, sym_eig, top_eig
 
 @dataclass(frozen=True)
 class DualModel:
     """Trained kernel-space model.
 
-    The leading q eigenpairs (lambda_p, e_p) of the centered Gram matrix kc
-    carry the latent space; the loadings a and their scales s follow from
-    them and sigma2.
+    The leading q eigenpairs (eigenvalues[p], e[:, p]) of the centered Gram
+    matrix carry the latent space; the loadings a and their scales s follow
+    from them and sigma2. tail is the sum of the discarded eigenvalues
+    lambda_{q+1..N} (0 when lambda_{q+1} is at the clamp floor), and means
+    the training Gram matrix's gram_means.
     """
 
     sigma2: float
-    q: int
     eigenvalues: np.ndarray
     e: np.ndarray
-    kc: SymMatrix
+    tail: float
+    means: np.ndarray
     spec: KernelSpec
     ts: TrainingSet
 
     @property
-    def n(self):
+    def q(self):
         return self.eigenvalues.shape[0]
+
+    @property
+    def n(self):
+        return self.e.shape[0]
 
     @property
     def s(self):
         """Loading scales s_p = sqrt(1/N - sigma2 / lambda_p), clipped at 0."""
-        return np.sqrt(np.maximum(1.0 / self.n - self.sigma2 / self.eigenvalues[: self.q], 0.0))
+        return np.sqrt(np.maximum(1.0 / self.n - self.sigma2 / self.eigenvalues, 0.0))
 
     @property
     def a(self):
         """Dual loadings a = E_q diag(s), one column per latent component."""
-        return self.e[:, : self.q] * self.s
-
-    def rank(self):
-        return int(np.count_nonzero(self.eigenvalues > 0.0))
+        return self.e * self.s
 
 
-def fit_dual(kc: SymMatrix, spec: KernelSpec, ts: TrainingSet,
+def fit_dual(spec: KernelSpec, ts: TrainingSet,
              q: int | None = None, sigma2: float | None = None) -> DualModel:
-    """Closed-form fit from an already centered Gram matrix.
+    """Closed-form fit on a training set.
 
     Exactly one of q and sigma2 must be given, mirroring fit_primal. The
-    latent dimension may not exceed the numerical rank of the Gram matrix
-    (for a centered kernel this is at most N - 1, the constant direction is
-    always in the null space).
+    Gram matrix is built once and centered in place; only its leading
+    eigenpairs are computed (top_eig): one beyond q, or with sigma2 enough
+    that the last has lambda_k / N < sigma2. With q given, sigma2 is the
+    mean discarded eigenvalue (tr K_c - sum lambda_q) / (N (N - q)). The
+    latent dimension may not exceed the numerical rank of the centered Gram
+    matrix, which is at most N - 1: the constant direction is always in its
+    null space.
     """
-    n = kc.n
-    if ts.n != n:
-        raise DimensionMismatch(f"Gram matrix is {n} x {n} but training set has {ts.n} points")
-    scale = max(1.0, float(np.max(np.abs(kc.entries))))
-    row_sums = kc.entries.sum(axis=1)
-    if np.max(np.abs(row_sums)) > 1e-6 * scale:
-        raise NotCentered(f"row sums reach {np.max(np.abs(row_sums)):.3e}; center the Gram matrix first")
-    eig = sym_eig(kc)
-    rank = eig.rank()
+    _check_choice(q, sigma2)
+    n = ts.n
+    if q is not None and not 1 <= q <= n:
+        raise LatentExceedsRank(f"q={q} outside 1..N={n}")
+    kc = gram(spec, ts).entries
+    means = gram_means(kc)
+    center_in_place(kc, means)
+    trace = float(np.trace(kc))
+    if q is not None:
+        count = min(q + 1, n)
+    elif trace >= (n - 2) * n * sigma2:
+        count = n
+    else:
+        # k eigenvalues with lambda / N >= sigma2 sum to at most the trace,
+        # so the (trace / (N sigma2) + 1)-th already falls below; one more
+        # keeps a tie at the threshold on the computed side
+        count = int(trace / (n * sigma2)) + 2
+    eig = top_eig(kc, count)
+    lam = eig.eigenvalues
+    rank = eig.rank()  # exact when lam ends at the clamp floor, else a lower bound
     if rank == 0:
         raise ZeroSpectrum("centered Gram matrix has no positive eigenvalues")
-    if q is not None and not 1 <= q <= rank:
+    if q is None:
+        q = _latent_for_sigma2(lam, sigma2, rank, n)
+    elif q > rank:
         raise LatentExceedsRank(f"q={q} outside 1..rank={rank}")
-    q, s2 = _resolve_latent(eig.eigenvalues, q, sigma2, rank, n)
-    return DualModel(sigma2=s2, q=q, eigenvalues=eig.eigenvalues, e=eig.eigenvectors,
-                     kc=kc, spec=spec, ts=ts)
+    tail = 0.0
+    if q < lam.size and lam[q] > 0.0:
+        tail = max(trace - float(lam[:q].sum()), 0.0)
+    s2 = tail / (n * (n - q)) if sigma2 is None else float(sigma2)
+    return DualModel(sigma2=s2, eigenvalues=lam[:q].copy(), e=eig.eigenvectors[:, :q].copy(),
+                     tail=tail, means=means, spec=spec, ts=ts)
 
 
 def kpca_limit(m: DualModel) -> DualModel:
@@ -101,7 +132,14 @@ def kpca_limit(m: DualModel) -> DualModel:
 
 def _normal_diagonal(m):
     # diagonal of the latent normal matrix a^T K_c a + sigma2 I
-    return m.s**2 * m.eigenvalues[: m.q] + m.sigma2
+    return m.s**2 * m.eigenvalues + m.sigma2
+
+
+def _map_scales(m):
+    # the latent map's diagonal s / (s^2 lambda + sigma2) on E_q^T k
+    if m.eigenvalues[-1] <= 0.0:
+        raise RankDeficient(f"lambda_{m.q} is at the clamp floor; reduce q")
+    return m.s / _normal_diagonal(m)
 
 
 def dual_latent_map(m: DualModel, k) -> np.ndarray:
@@ -112,49 +150,63 @@ def dual_latent_map(m: DualModel, k) -> np.ndarray:
     recovering the N Lambda^-1 a^T k_c shortcut.
     """
     k = _as_columns(k, m.n, "kernel columns")
-    if m.eigenvalues[m.q - 1] <= 0.0:
-        raise RankDeficient(f"lambda_{m.q} is at the clamp floor; reduce q")
-    return (m.s / _normal_diagonal(m))[:, None] * (m.e[:, : m.q].T @ k)
+    return _map_scales(m)[:, None] * (m.e.T @ k)
+
+
+def dual_training_codes(m: DualModel) -> np.ndarray:
+    """MAP latent codes (q x N) of the training points themselves: the
+    dual_latent_map of the centered Gram matrix's columns, which by
+    E_q^T K_c = Lambda_q E_q^T is diag(s lambda / (s^2 lambda + sigma2)) E_q^T
+    and needs no N x N matrix."""
+    return (_map_scales(m) * m.eigenvalues)[:, None] * m.e.T
 
 
 def dual_reconstruct(m: DualModel, h) -> np.ndarray:
     """MAP kernel representations (N x M) of latent codes h (q x M):
     K_c a h = E_q diag(lambda s) h."""
     h = _as_columns(h, m.q, "latent codes")
-    return m.e[:, : m.q] @ ((m.eigenvalues[: m.q] * m.s)[:, None] * h)
+    return m.e @ ((m.eigenvalues * m.s)[:, None] * h)
 
 
-def _marginal_scales(m):
-    # c_p = lambda_p / sqrt(N) over the retained components and
-    # sigma sqrt(lambda_p) over the discarded ones; the marginal covariance
-    # of kernel representations is E diag(c^2) E^T
-    c = np.empty(m.n)
-    c[: m.q] = m.eigenvalues[: m.q] / np.sqrt(m.n)
-    c[m.q:] = np.sqrt(m.sigma2) * np.sqrt(m.eigenvalues[m.q:])
-    return c
+def _centered_gram_factor(m):
+    # J L with K = L L^T from the training set, so (J L)(J L)^T = J K J = K_c
+    f = cholesky_factor(gram(m.spec, m.ts).entries)
+    return f - f.mean(axis=0)
 
 
-def build_sampler(m: DualModel) -> np.ndarray:
-    """The symmetric square-root factor of the marginal kernel covariance.
+def tail_factor(m: DualModel) -> np.ndarray:
+    """The N x r factor sigma P J L of the discarded part of the marginal.
 
-    B = E diag(c) E^T with c_p = lambda_p / sqrt(N) over the retained
-    components and c_p = sigma sqrt(lambda_p) over the discarded ones, so
-    that B B^T matches the trained marginal covariance of kernel
-    representations and k_c = B u with standard normal u samples from it.
-    The second block keeps B invertible whenever sigma2 > 0 and the spectrum
-    is positive.
+    P = I - E_q E_q^T projects off the retained directions, J = I - 11^T/N
+    centers, and K = L L^T factors the training Gram matrix (rebuilt here,
+    r is its numerical rank), so that the factor's outer product is
+    sigma2 P K_c P = sigma2 sum_{p>q} lambda_p e_p e_p^T.
     """
-    return (m.e * _marginal_scales(m)) @ m.e.T
+    jl = _centered_gram_factor(m)
+    return np.sqrt(m.sigma2) * (jl - m.e @ (m.e.T @ jl))
 
 
-def samples_from_noise(m: DualModel, u) -> np.ndarray:
-    """Deterministic sampling map: columns of u (N x M standard-normal draws)
-    to columns of kernel representations. Exposed so callers can pin the
-    noise, e.g. for grid sweeps or tests."""
+def samples_from_noise(m: DualModel, u, tail=None) -> np.ndarray:
+    """Deterministic sampling map from noise columns to kernel
+    representations (N x M):
+
+        k = E_q diag(lambda_q / sqrt(N)) u[:q] + tail u[q:],
+
+    where tail is tail_factor(m), with r columns, and u is (q + r) x M.
+    Without a tail u has q rows and drives the retained directions alone.
+    With standard-normal u the covariance of k is the trained marginal
+    E diag(c^2) E^T, c_p = lambda_p / sqrt(N) over the retained components
+    and sigma sqrt(lambda_p) over the discarded ones. Exposed so callers can
+    pin the noise, e.g. for grid sweeps or tests.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != m.n:
-        raise DimensionMismatch(f"noise has {u.shape[0]} rows, model expects {m.n}")
-    return build_sampler(m) @ u
+    rows = m.q + (0 if tail is None else tail.shape[1])
+    if u.ndim != 2 or u.shape[0] != rows:
+        raise DimensionMismatch(f"noise must be a {rows} x M matrix, got shape {u.shape}")
+    k = m.e @ ((m.eigenvalues / np.sqrt(m.n))[:, None] * u[: m.q])
+    if tail is not None:
+        k += tail @ u[m.q :]
+    return k
 
 
 def dual_sample(m: DualModel, rng, count: int) -> np.ndarray:
@@ -164,8 +216,9 @@ def dual_sample(m: DualModel, rng, count: int) -> np.ndarray:
     rng may be a seed or a numpy Generator; a fixed seed gives bit-identical
     output.
     """
-    u = np.random.default_rng(rng).standard_normal((m.n, count))
-    return samples_from_noise(m, u)
+    tail = tail_factor(m)
+    u = np.random.default_rng(rng).standard_normal((m.q + tail.shape[1], count))
+    return samples_from_noise(m, u, tail)
 
 
 def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
@@ -179,45 +232,41 @@ def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
     return GaussianSpec(mean=mean, cov_factor=factor, dim=m.q)
 
 
-def _gram_eig(m):
-    # the model already stores the eigendecomposition of kc; rewrap it
-    floor = 1e-12 * max(1.0, float(m.eigenvalues[0]))
-    return EigenDecomposition(eigenvalues=m.eigenvalues, eigenvectors=m.e,
-                              clamp_floor=floor, raw_eigenvalues=m.eigenvalues)
-
-
 def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
     """Distribution of kernel representations given one latent code:
-    mean K_c a h, covariance sigma2 K_c."""
+    mean K_c a h, covariance sigma2 K_c, factored as sigma J L."""
     mean = dual_reconstruct(m, np.reshape(h, (-1, 1)))[:, 0]
-    factor = np.sqrt(m.sigma2) * psd_sqrt_factor(_gram_eig(m))
+    factor = np.sqrt(m.sigma2) * _centered_gram_factor(m)
     return GaussianSpec(mean=mean, cov_factor=factor, dim=m.n)
 
 
 def dual_marginal_loglik(m: DualModel, k) -> float:
     """Log-density of one kernel representation under the trained marginal.
 
-    The marginal covariance E diag(c^2) E^T is singular along the null
-    directions of the spectrum, and a centered Gram matrix always has one:
-    the constant vector. The density is that of the degenerate Gaussian on
-    the rank directions (the pseudo-determinant replaces the determinant),
-    so k must have no component along the null direction; a centered kernel
-    vector has none. Only the log form is exposed: the normalizer multiplies
-    up to N eigenvalues and underflows quickly as a raw density. Requires
-    sigma2 > 0 and at most one null direction.
+    The marginal covariance E diag(c^2) E^T needs the whole spectrum, which
+    this rebuilds with the full eigensolve (sym_eig). It is singular along
+    the null directions of the spectrum, and a centered Gram matrix always
+    has one: the constant vector. The density is that of the degenerate
+    Gaussian on the rank directions (the pseudo-determinant replaces the
+    determinant), so k must have no component along the null direction; a
+    centered kernel vector has none. Only the log form is exposed: the
+    normalizer multiplies up to N eigenvalues and underflows quickly as a
+    raw density. Requires sigma2 > 0 and at most one null direction.
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
-    rank = m.rank()
+    eig = sym_eig(center_gram(gram(m.spec, m.ts)))
+    lam, e = eig.eigenvalues, eig.eigenvectors
+    rank = eig.rank()
     if rank < m.n - 1:
         raise RankDeficient(f"marginal covariance has {m.n - rank} null directions; "
                             "at most one (the centering direction) is allowed")
     k = _as_columns(np.reshape(k, (-1, 1)), m.n, "kernel vector")[:, 0]
-    coords = m.e.T @ k
-    scale = max(float(np.linalg.norm(k)), float(np.sqrt(m.eigenvalues[0])))
+    coords = e.T @ k
+    scale = max(float(np.linalg.norm(k)), float(np.sqrt(lam[0])))
     if np.any(np.abs(coords[rank:]) > 1e-8 * scale):
         raise NotCentered("kernel vector has a component along the null direction of the "
                           "marginal covariance (the constant vector for a centered Gram matrix)")
-    c = _marginal_scales(m)[:rank]
+    c = np.concatenate([lam[: m.q] / np.sqrt(m.n), np.sqrt(m.sigma2 * lam[m.q : rank])])
     z = coords[:rank] / c
     return -0.5 * (rank * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + float(z @ z))

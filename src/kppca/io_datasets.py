@@ -1,15 +1,16 @@
 """Data ingestion (CSV tables, MNIST IDX files), model serialization, and run
 metadata.
 
-Model container layout (version 1, all integers and floats little-endian):
+Model container layout (version 2, all integers and floats little-endian):
 
     magic   6 bytes   b"KPPCA\\0"
-    version u32       1
+    version u32       2
     kind    1 byte    b"P" (primal) or b"D" (dual)
     then a sequence of sections, each
         tag     4 ascii bytes
         length  u64, payload byte count
         payload
+        crc32   u32, zlib.crc32 of tag, length and payload
 
     vector payload:  u32 length, then that many f64
     matrix payload:  u32 rows, u32 cols, then rows*cols f64 row-major
@@ -17,23 +18,29 @@ Model container layout (version 1, all integers and floats little-endian):
     primal sections: HYPR (u32 q, f64 sigma2), MEAN (vector mu),
                      WMAT (matrix w), EVAL (vector eigenvalues),
                      VMAT (matrix v)
-    dual sections:   HYPR (u32 q, f64 sigma2), KSPC (u8 family: 0 linear
-                     1 rbf, f64 gamma, 0.0 when unused), EVAL (vector
-                     eigenvalues), EVEC (matrix e), AMAT (matrix a),
-                     KCMT (matrix centered Gram), TSET (matrix training
-                     points, one per row)
+    dual sections:   HYPR (u32 q, f64 sigma2, f64 tail: the discarded
+                     spectrum's sum), KSPC (u8 family: 0 linear 1 rbf,
+                     f64 gamma, 0.0 when unused), EVAL (vector, the q
+                     leading eigenvalues), EVEC (matrix, their N x q
+                     eigenvectors), GMNS (vector, the training Gram
+                     matrix's N column means then its grand mean), TSET
+                     (matrix training points, one per row)
 
-Loading checks that the sections agree with each other: shapes against N,
-d_in and q, 1 <= q <= N, a finite sigma2 >= 0, a finite, nonnegative,
-descending spectrum that sums to the trace of a symmetric KCMT, and EVEC
-entries within [-1, 1]. AMAT is checked for shape only; the loadings are
-derived from the spectrum and sigma2.
+A dual file holds O(N (d_in + q)) numbers. Version 1 files (no CRC32; a
+dual model kept the full spectrum EVAL, its N x N eigenvectors EVEC, the
+loadings AMAT and the centered Gram matrix KCMT) still load, as the same
+model in the version 2 form.
+
+Loading checks every CRC32 and that the sections agree with each other:
+shapes against N, d_in and q, 1 <= q <= N, finite sigma2 and tail >= 0, a
+finite, nonnegative, descending EVAL, and EVEC entries within [-1, 1].
 """
 
 import csv
 import gzip
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -50,12 +57,12 @@ from .errors import (
     Truncated,
     VersionMismatch,
 )
-from .kernels import KernelSpec, TrainingSet
+from .kernels import KernelSpec, TrainingSet, gram
 from .primal import PrimalModel
-from .spectral import SymMatrix
+from .spectral import gram_means
 
 MODEL_MAGIC = b"KPPCA\x00"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 
@@ -105,6 +112,14 @@ def write_metadata(path, meta: RunMetadata, extra: dict | None = None):
 _LOADTXT_ONLY_WHITESPACE = "\x1c\x1d\x1e\x1f"
 
 
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_row(fields, path, rownum):
     out = []
     for j, tok in enumerate(fields):
@@ -133,7 +148,8 @@ def load_csv(path) -> np.ndarray:
     columns of a d x N matrix.
 
     Blank lines are skipped. The first non-blank row is a header, and is
-    skipped, when any of its cells is not a number. A cell is a number when
+    skipped, when none of its cells is a number; a row that holds a number
+    is data, so a bad cell in it is reported. A cell is a number when
     Python's float() accepts it, also inside csv quotes ("1.5"). Raises
     ParseError with the row (counting non-blank rows from 1) and column of
     the first cell that is not a number, RaggedRows when the rows differ in
@@ -149,11 +165,7 @@ def load_csv(path) -> np.ndarray:
         first = next(filter(None, rows), None)
         if first is None:
             raise ParseError(f"{path}: empty file")
-        try:
-            _parse_row(first, path, 1)
-            header = False
-        except ParseError:
-            header = True
+        header = not any(map(_is_number, first))
         body = lines[rows.line_num:] if header else lines
         has_data = not header or next(filter(None, rows), None) is not None
         if has_data and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE):
@@ -240,7 +252,8 @@ def _pack_mat(m):
 
 
 def _section(tag, payload):
-    return tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload
+    head = tag.encode("ascii") + struct.pack("<Q", len(payload))
+    return head + payload + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
 
 
 def save_model(path, model):
@@ -258,12 +271,11 @@ def save_model(path, model):
         family = 0 if model.spec.family == "linear" else 1
         gamma = model.spec.gamma if model.spec.gamma is not None else 0.0
         sections = [
-            _section("HYPR", struct.pack("<Id", model.q, model.sigma2)),
+            _section("HYPR", struct.pack("<Idd", model.q, model.sigma2, model.tail)),
             _section("KSPC", struct.pack("<Bd", family, gamma)),
             _section("EVAL", _pack_vec(model.eigenvalues)),
             _section("EVEC", _pack_mat(model.e)),
-            _section("AMAT", _pack_mat(model.a)),
-            _section("KCMT", _pack_mat(model.kc.entries)),
+            _section("GMNS", _pack_vec(model.means)),
             _section("TSET", _pack_mat(model.ts.points)),
         ]
     else:
@@ -305,23 +317,29 @@ def _unpack_mat(cur):
     return flat.reshape(rows, cols)
 
 
-def _read_sections(blob, pos, path):
-    # payloads are slices of the caller's memoryview, not copies
+def _read_sections(blob, pos, path, checksummed):
+    # payloads are slices of the caller's memoryview, not copies; a version 2
+    # section ends in the CRC32 of its tag, length and payload
+    trailer = 4 if checksummed else 0
     sections = {}
     while pos < len(blob):
         if pos + 12 > len(blob):
             raise CorruptFile(f"{path}: dangling bytes after last section")
         tag = bytes(blob[pos : pos + 4])
         (length,) = struct.unpack_from("<Q", blob, pos + 4)
-        pos += 12
-        if pos + length > len(blob):
+        end = pos + 12 + length
+        if end + trailer > len(blob):
             raise CorruptFile(f"{path}: section {tag!r} longer than file")
+        if checksummed:
+            (crc,) = struct.unpack_from("<I", blob, end)
+            if zlib.crc32(blob[pos:end]) != crc:
+                raise CorruptFile(f"{path}: section {tag!r} fails its CRC32 check")
         try:
             name = tag.decode("ascii")
         except UnicodeDecodeError:
             raise CorruptFile(f"{path}: bad section tag {tag!r}") from None
-        sections[name] = blob[pos : pos + length]
-        pos += length
+        sections[name] = blob[pos + 12 : end]
+        pos = end + trailer
     return sections
 
 
@@ -341,8 +359,7 @@ def _check_shape(path, name, arr, shape):
     _check(bool(np.all(np.isfinite(arr))), path, f"section {name} holds NaN or Inf entries")
 
 
-def _check_hyper(path, q, sigma2, lam):
-    n = lam.size
+def _check_hyper(path, q, sigma2, lam, n):
     _check(1 <= q <= n, path, f"q={q} outside 1..N={n}")
     _check(np.isfinite(sigma2) and sigma2 >= 0.0, path, f"sigma2={sigma2} is not a finite value >= 0")
     _check(bool(np.all(np.isfinite(lam)) and np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)),
@@ -355,56 +372,91 @@ def _load_primal(sections, path):
     mu = _unpack_vec(_need(sections, "MEAN", path))
     w = _unpack_mat(_need(sections, "WMAT", path))
     v = _unpack_mat(_need(sections, "VMAT", path))
-    _check_hyper(path, q, sigma2, lam)
+    _check_hyper(path, q, sigma2, lam, lam.size)
     _check_shape(path, "MEAN", mu, (mu.size,))
     _check_shape(path, "WMAT", w, (mu.size, q))
     _check_shape(path, "VMAT", v, (mu.size, q))
     return PrimalModel(mu=mu, w=w, sigma2=sigma2, q=q, eigenvalues=lam, v=v)
 
 
-def _load_dual(sections, path):
-    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
+def _kernel_spec(sections, path):
     family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
+    _check(family in (0, 1), path, f"unknown kernel family code {family}")
+    _check(family == 0 or (np.isfinite(gamma) and gamma > 0.0), path, f"rbf bandwidth {gamma} is not > 0")
+    return KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
+
+
+def _check_evec(path, e):
+    # unit eigenvectors have no entry beyond 1
+    _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
+
+
+def _load_dual(sections, path):
+    q, sigma2, tail = _need(sections, "HYPR", path).unpack("<Idd")
+    spec = _kernel_spec(sections, path)
+    lam = _unpack_vec(_need(sections, "EVAL", path))
+    e = _unpack_mat(_need(sections, "EVEC", path))
+    means = _unpack_vec(_need(sections, "GMNS", path))
+    points = _unpack_mat(_need(sections, "TSET", path))
+    n = points.shape[0]
+    _check_hyper(path, q, sigma2, lam, n)
+    _check(np.isfinite(tail) and tail >= 0.0, path, f"tail={tail} is not a finite value >= 0")
+    _check_shape(path, "EVAL", lam, (q,))
+    _check_shape(path, "EVEC", e, (n, q))
+    _check_shape(path, "GMNS", means, (n + 1,))
+    _check_shape(path, "TSET", points, (n, points.shape[1]))
+    _check_evec(path, e)
+    return DualModel(sigma2=sigma2, eigenvalues=lam, e=e, tail=tail, means=means, spec=spec,
+                     ts=TrainingSet(points))
+
+
+def _load_dual_v1(sections, path):
+    # Version 1 kept the whole spectrum, its eigenvectors, the centered Gram
+    # matrix KCMT and the loadings AMAT; the model keeps the leading q
+    # eigenpairs, the discarded spectrum's sum and the Gram means, which
+    # come from the Gram matrix of TSET.
+    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
+    spec = _kernel_spec(sections, path)
     lam = _unpack_vec(_need(sections, "EVAL", path))
     e = _unpack_mat(_need(sections, "EVEC", path))
     a = _unpack_mat(_need(sections, "AMAT", path))
     kc = _unpack_mat(_need(sections, "KCMT", path))
     points = _unpack_mat(_need(sections, "TSET", path))
-    _check_hyper(path, q, sigma2, lam)
     n = lam.size
+    _check_hyper(path, q, sigma2, lam, n)
     _check_shape(path, "EVEC", e, (n, n))
     _check_shape(path, "AMAT", a, (n, q))
     _check_shape(path, "KCMT", kc, (n, n))
     _check_shape(path, "TSET", points, (n, points.shape[1]))
-    # EVAL and EVEC are the eigenpairs of KCMT: unit eigenvectors have no
-    # entry beyond 1, and the eigenvalues sum to the trace
-    _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
+    _check_evec(path, e)
     scale = max(1.0, float(np.max(np.abs(kc), initial=0.0)))
     _check(float(np.max(np.abs(kc - kc.T), initial=0.0)) <= 1e-9 * scale, path, "KCMT is not symmetric")
     _check(abs(float(np.trace(kc)) - float(np.sum(lam))) <= 1e-6 * max(1.0, float(np.trace(kc))),
            path, "EVAL does not sum to the trace of KCMT")
-    _check(family in (0, 1), path, f"unknown kernel family code {family}")
-    _check(family == 0 or (np.isfinite(gamma) and gamma > 0.0), path, f"rbf bandwidth {gamma} is not > 0")
-    spec = KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
-    return DualModel(sigma2=sigma2, q=q, eigenvalues=lam, e=e, kc=SymMatrix(kc), spec=spec,
-                     ts=TrainingSet(points))
+    ts = TrainingSet(points)
+    return DualModel(sigma2=sigma2, eigenvalues=lam[:q].copy(), e=e[:, :q].copy(),
+                     tail=float(lam[q:].sum()), means=gram_means(gram(spec, ts).entries),
+                     spec=spec, ts=ts)
 
 
 def load_model(path):
     """Read back a model written by save_model; the round trip is lossless.
+    A version 1 file, which kept the full spectrum of a dual model, loads
+    as the same model in the version 2 form.
 
-    Raises CorruptFile when the file is damaged or its sections disagree.
+    Raises CorruptFile when the file is damaged (in version 2, a section
+    fails its CRC32) or its sections disagree.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if len(blob) < len(MODEL_MAGIC) + 5 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise CorruptFile(f"{path}: not a model file")
     (version,) = struct.unpack_from("<I", blob, 6)
-    if version != MODEL_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, this build reads {MODEL_VERSION}")
+    if version not in (1, MODEL_VERSION):
+        raise VersionMismatch(f"{path}: version {version}, this build reads 1 and {MODEL_VERSION}")
     kind = bytes(blob[10:11])
-    sections = _read_sections(blob, 11, path)
-    loaders = {b"P": _load_primal, b"D": _load_dual}
+    sections = _read_sections(blob, 11, path, checksummed=version == MODEL_VERSION)
+    loaders = {b"P": _load_primal, b"D": _load_dual if version == MODEL_VERSION else _load_dual_v1}
     if kind not in loaders:
         raise CorruptFile(f"{path}: unknown model kind {kind!r}")
     try:

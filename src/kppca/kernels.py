@@ -77,7 +77,9 @@ def _kernel_block(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
             # cancel away the precision of data that sit far from the origin.
             mu = ts.points.mean(axis=0)
             a = ts.points - mu
-            b = xs - mu
+            # the Gram matrix's own block multiplies a by its transpose,
+            # which BLAS does as a symmetric update in half the flops
+            b = a if xs is ts.points else xs - mu
             d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
             k = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
     if not np.all(np.isfinite(k)):
@@ -93,20 +95,19 @@ def gram(spec: KernelSpec, ts: TrainingSet) -> SymMatrix:
     return SymMatrix(k)
 
 
-def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
+def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, xs) -> np.ndarray:
     """Out-of-sample centered kernel vectors, as an N x M matrix.
 
-    xs is (M, d_in), one input per row; column m of the result is the
-    centered kernel vector of xs[m], entry i
-    k_c(x, x_i) = k(x, x_i) - mean_j k(x, x_j) - mean_j k(x_j, x_i)
-                  + mean_{j,l} k(x_j, x_l).
+    means is the training Gram matrix's gram_means (its N column means m,
+    then its grand mean g), which the model keeps from fit, so a query
+    costs O(N d_in) and never the N x N Gram matrix. xs is (M, d_in), one
+    input per row; column j of the result is the centered kernel vector of
+    xs[j], entry i
+    k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
     A single input is the (1, d_in) batch.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != ts.d_in:
         raise DimensionMismatch(f"inputs must be (M, {ts.d_in}), got shape {xs.shape}")
-    k_train = gram(spec, ts).entries
-    col_means = k_train.mean(axis=0)
-    grand_mean = k_train.mean()
     kv = _kernel_block(spec, ts, xs)
-    return kv - kv.mean(axis=0, keepdims=True) - col_means[:, None] + grand_mean
+    return kv - kv.mean(axis=0, keepdims=True) - means[:-1, None] + means[-1]

@@ -63,6 +63,11 @@ class PrimalModel:
     def n(self):
         return self.eigenvalues.shape[0]
 
+    @property
+    def tail(self):
+        """Sum of the discarded eigenvalues lambda_{q+1..N}."""
+        return float(self.eigenvalues[self.q :].sum())
+
     def singular_values(self):
         """Loading scales s_p = ||w_p||, descending."""
         return np.sqrt(np.sum(self.w**2, axis=0))
@@ -85,34 +90,30 @@ def sigma2_ml(eigenvalues, q: int, n: int) -> float:
     return float(tail.sum() / (n * (n - q)))
 
 
-def _resolve_latent(lam, q, sigma2, q_cap, n):
-    """Turn the (q | sigma2) choice into a concrete (q, sigma2) pair.
-
-    lam is the length-N spectrum. The caller checks q against its own cap
-    when it needs a different error than LatentTooLarge.
-    """
+def _check_choice(q, sigma2):
+    """Exactly one of q and sigma2, and a sigma2 that is a finite value >= 0."""
     if (q is None) == (sigma2 is None):
         raise ValueError("exactly one of q and sigma2 must be given")
-    if q is not None:
-        if not 1 <= q <= q_cap:
-            raise LatentTooLarge(f"q={q} outside 1..{q_cap}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QEqualsNWarning)
-            return q, sigma2_ml(lam, q, n)
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    if sigma2 is not None and not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be a finite value >= 0, got {sigma2}")
+
+
+def _latent_for_sigma2(lam, sigma2, q_cap, n):
+    """The latent dimension a noise variance implies: the number of the
+    first q_cap eigenvalues (descending) with lambda_p / N >= sigma2."""
     if sigma2 > lam[0] / n:
         raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam[0] / n}")
-    return int(np.count_nonzero(lam[:q_cap] / n >= sigma2)), float(sigma2)
+    return int(np.count_nonzero(lam[:q_cap] / n >= sigma2))
 
 
 def explained_variance(m) -> float:
     """Fraction of the total spectrum captured by the q retained components
-    of a primal or dual model."""
-    total = float(m.eigenvalues.sum())
+    of a primal or dual model: sum lambda_q / (sum lambda_q + tail)."""
+    retained = float(m.eigenvalues[: m.q].sum())
+    total = retained + m.tail
     if total <= 0.0:
         raise ZeroSpectrum("all eigenvalues are zero")
-    return float(m.eigenvalues[: m.q].sum() / total)
+    return retained / total
 
 
 def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalModel:
@@ -122,6 +123,7 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     latent dimension deduced as the largest p with lambda_p / N >= sigma2)
     must be supplied.
     """
+    _check_choice(q, sigma2)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a d x N matrix, got shape {x.shape}")
@@ -135,7 +137,14 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     lam = np.zeros(n)
     m = min(d, n)
     lam[:m] = eig.eigenvalues[:m]
-    q, s2 = _resolve_latent(lam, q, sigma2, m, n)
+    if q is None:
+        q, s2 = _latent_for_sigma2(lam, sigma2, m, n), float(sigma2)
+    else:
+        if not 1 <= q <= m:
+            raise LatentTooLarge(f"q={q} outside 1..{m}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QEqualsNWarning)
+            s2 = sigma2_ml(lam, q, n)
     v = eig.eigenvectors[:, :q]
     scales = np.sqrt(np.maximum(lam[:q] / n - s2, 0.0))
     return PrimalModel(mu=mu, w=v * scales, sigma2=s2, q=q, eigenvalues=lam, v=v)

@@ -1,4 +1,5 @@
-"""Dense symmetric eigendecomposition, centering, and PSD square roots.
+"""Dense and leading-q symmetric eigendecompositions, centering, and PSD
+factors.
 
 Everything downstream (primal and dual training, the sampling operator,
 conditional covariances) is built on the decompositions produced here, so
@@ -72,6 +73,18 @@ def _fix_signs(vectors):
     return out
 
 
+def _descending(values, vectors):
+    # ascending eigh output in the conventions of EigenDecomposition
+    values = values[::-1].copy()
+    floor = 1e-12 * max(1.0, float(values[0]))
+    return EigenDecomposition(
+        eigenvalues=np.where(values < floor, 0.0, values),
+        eigenvectors=_fix_signs(vectors[:, ::-1]),
+        clamp_floor=floor,
+        raw_eigenvalues=values,
+    )
+
+
 def sym_eig(m: SymMatrix) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric PSD-up-to-noise matrix.
 
@@ -85,25 +98,93 @@ def sym_eig(m: SymMatrix) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    floor = 1e-12 * max(1.0, float(values[0]))
-    clamped = np.where(values < floor, 0.0, values)
-    return EigenDecomposition(
-        eigenvalues=clamped,
-        eigenvectors=_fix_signs(vectors),
-        clamp_floor=floor,
-        raw_eigenvalues=values,
-    )
+    return _descending(values, vectors)
+
+
+# Subspace iteration stops once every wanted Ritz pair has a residual
+# ||A x - theta x|| below this fraction of the largest Ritz value.
+_RESIDUAL_TOL = 1e-12
+
+
+def _subspace_iteration(a, count, width):
+    # the leading pairs, or None once the full solve is the cheaper way on
+    n = a.shape[0]
+    image = a @ np.random.default_rng(0).standard_normal((n, width))
+    lead = slice(width - count, width)  # eigh sorts ascending
+    spent = 0
+    while True:
+        basis, _ = np.linalg.qr(image)
+        image = a @ basis
+        t = basis.T @ image
+        theta, y = np.linalg.eigh((t + t.T) / 2.0)
+        ritz = basis @ y
+        image = image @ y  # a times the Ritz vectors: the next block
+        worst = float(np.linalg.norm(image[:, lead] - ritz[:, lead] * theta[lead], axis=0).max())
+        target = _RESIDUAL_TOL * theta[-1]
+        if worst <= target:
+            return _descending(theta[lead], ritz[:, lead])
+        spent += width
+        if spent > width:
+            # sweeps still needed at the last sweep's rate; a sweep that
+            # gained nothing means the block will not get there
+            rate = worst / last
+            ahead = np.log(target / worst) / np.log(rate) if rate < 1.0 and target > 0.0 else np.inf
+            if spent + width * ahead > 2 * n:
+                return None
+        last = worst
+
+
+def top_eig(a, count: int) -> EigenDecomposition:
+    """The leading `count` eigenpairs of a symmetric PSD N x N array, in
+    sym_eig's order, clamp floor and sign convention.
+
+    Subspace iteration with Rayleigh-Ritz, started from the randomized
+    range finder (Halko, Martinsson and Tropp, SIAM Review 2011): a block of
+    p = 2 count + 10 orthonormal columns spans a times a Gaussian matrix
+    (fixed seed), and each sweep replaces it by the orthonormalized a-image
+    of its Ritz vectors, until the leading `count` Ritz pairs pass the
+    residual test. A sweep costs about p/(2N) of the full eigensolve, so
+    the full solve takes over when the block is wider than N/8, or when the
+    sweeps done plus those the last sweep's rate of convergence predicts
+    would cost more than it. The same input and count give the same bits.
+    """
+    a = np.asarray(a, dtype=float)
+    _require_finite(a, "matrix")
+    n = a.shape[0]
+    if not 1 <= count <= n:
+        raise ValueError(f"count={count} outside 1..{n}")
+    width = 2 * count + 10
+    try:
+        found = _subspace_iteration(a, count, width) if width <= n // 8 else None
+        if found is None:
+            theta, vectors = np.linalg.eigh(a)
+            found = _descending(theta[n - count :], vectors[:, n - count :])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    return found
+
+
+def gram_means(a) -> np.ndarray:
+    """The column means of a symmetric N x N Gram matrix followed by its
+    grand mean: the N + 1 numbers that centering, in or out of sample,
+    needs."""
+    col = np.asarray(a, dtype=float).mean(axis=0)
+    return np.append(col, col.mean())
+
+
+def center_in_place(a, means) -> np.ndarray:
+    """Double-center a Gram matrix in place, K_c = J K J with
+    J = I - (1/N) 11^T, from its gram_means; returns a."""
+    col = means[:-1]
+    a -= col
+    a -= col[:, None]
+    a += means[-1]
+    return a
 
 
 def center_gram(k: SymMatrix) -> SymMatrix:
     """Double-center a Gram matrix: K_c = J K J with J = I - (1/N) 11^T."""
-    a = k.entries
-    row_mean = a.mean(axis=1, keepdims=True)
-    col_mean = a.mean(axis=0, keepdims=True)
-    total = a.mean()
-    return SymMatrix(a - row_mean - col_mean + total)
+    return SymMatrix(center_in_place(k.entries.copy(), gram_means(k.entries)))
 
 
 def center_columns(x):
@@ -118,6 +199,39 @@ def center_columns(x):
     _require_finite(x, "matrix")
     mean = x.mean(axis=1)
     return x - mean[:, None], mean
+
+
+def _pivoted_cholesky(a):
+    # Greedy pivoting on the largest remaining diagonal entry, stopped once
+    # that entry is at rounding level: one column per rank direction
+    n = a.shape[0]
+    d = np.diag(a).copy()
+    stop = n * np.finfo(float).eps * max(float(d.max()), 0.0)
+    f = np.zeros((n, n))
+    for j in range(n):
+        i = int(np.argmax(d))
+        if d[i] <= stop:
+            return f[:, :j]
+        col = (a[:, i] - f[:, :j] @ f[i, :j]) / np.sqrt(d[i])
+        f[:, j] = col
+        d -= col * col
+    return f
+
+
+def cholesky_factor(a) -> np.ndarray:
+    """A factor f (N x r) of a symmetric PSD N x N array, a = f f^T.
+
+    LAPACK's Cholesky factor (r = N) when a is numerically positive
+    definite; otherwise a pivoted Cholesky factor with one column per
+    numerical rank direction, whose residual diagonal is at most
+    N eps max(diag a).
+    """
+    a = np.asarray(a, dtype=float)
+    _require_finite(a, "matrix")
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _pivoted_cholesky(a)
 
 
 def psd_sqrt_factor(e: EigenDecomposition) -> np.ndarray:

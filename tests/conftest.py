@@ -1,10 +1,21 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from kppca import KernelSpec, SymMatrix, TrainingSet, sym_eig
-from kppca.dual import DualModel
+from kppca import (
+    KernelSpec,
+    SymMatrix,
+    TrainingSet,
+    center_gram,
+    fit_dual,
+    gram,
+    samples_from_noise,
+    sym_eig,
+    tail_factor,
+    two_arcs,
+)
 
 
 def random_psd(rng, n, rank=None):
@@ -14,22 +25,63 @@ def random_psd(rng, n, rank=None):
     return SymMatrix(b @ b.T)
 
 
-def toy_dual_model(n=8, q=3, sigma2=0.05, seed=0, spectrum=None):
-    """Hand-built dual model with a strictly positive spectrum.
-
-    Unlike fit_dual this does not center anything, so the full-rank
-    conditions of the sampler can be exercised.
-    """
+def bump_images(n, side=6, seed=0):
+    """n side x side images, each one or two Gaussian bumps, as an
+    (n, side**2) array: inputs whose RBF Gram matrix is positive definite."""
     rng = np.random.default_rng(seed)
-    if spectrum is None:
-        spectrum = np.sort(rng.uniform(0.5, 5.0, n))[::-1]
-    spectrum = np.asarray(spectrum, dtype=float)
-    qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    kc = SymMatrix((qmat * spectrum) @ qmat.T)
-    eig = sym_eig(kc)
-    ts = TrainingSet(rng.standard_normal((n, 2)))
-    return DualModel(sigma2=sigma2, q=q, eigenvalues=eig.eigenvalues, e=eig.eigenvectors, kc=kc,
-                     spec=KernelSpec("linear"), ts=ts)
+    grid = np.arange(side, dtype=float)
+    out = np.empty((n, side * side))
+    for i in range(n):
+        img = np.zeros((side, side))
+        for _ in range(1 + i % 2):
+            cy, cx = rng.uniform(1.0, side - 2.0, 2)
+            width = rng.uniform(0.8, 1.6)
+            img += np.outer(np.exp(-0.5 * ((grid - cy) / width) ** 2),
+                            np.exp(-0.5 * ((grid - cx) / width) ** 2))
+        out[i] = img.ravel() / img.max()
+    return out
+
+
+def arcs_model(n=60, gamma=2.0, seed=0, **choice):
+    """A model of two-arcs points (q=3 unless q or sigma2 is given); its RBF
+    Gram matrix is rank deficient at double precision, so the sampler takes
+    the pivoted Cholesky factor."""
+    return fit_dual(KernelSpec("rbf", gamma), TrainingSet.from_columns(two_arcs(n, seed=seed)),
+                    **(choice or {"q": 3}))
+
+
+def bumps_model(n=10, gamma=1.5, seed=0, **choice):
+    """A model of bump images (q=3 unless q or sigma2 is given); its RBF
+    Gram matrix is positive definite, so the sampler takes LAPACK's
+    Cholesky factor."""
+    return fit_dual(KernelSpec("rbf", gamma), TrainingSet(bump_images(n, seed=seed)),
+                    **(choice or {"q": 3}))
+
+
+def centered_gram(m):
+    """Oracle: the model's centered Gram matrix, rebuilt from its training set."""
+    return center_gram(gram(m.spec, m.ts)).entries
+
+
+def full_spectrum(m):
+    """Oracle: the full eigendecomposition of the model's centered Gram matrix."""
+    return sym_eig(center_gram(gram(m.spec, m.ts)))
+
+
+def marginal_covariance(m):
+    """Oracle: E diag(c^2) E^T over the full spectrum, c_p = lambda_p / sqrt(N)
+    for the q retained components and sigma sqrt(lambda_p) beyond."""
+    eig = full_spectrum(m)
+    lam, e = eig.eigenvalues, eig.eigenvectors
+    c2 = np.concatenate([lam[: m.q] ** 2 / m.n, m.sigma2 * lam[m.q :]])
+    return (e * c2) @ e.T
+
+
+def sampler_map(m):
+    """The sampler's noise-to-sample matrix [E_q diag(lambda_q / sqrt(N)), tail]
+    and the tail's width r."""
+    tail = tail_factor(m)
+    return samples_from_noise(m, np.eye(m.q + tail.shape[1]), tail), tail.shape[1]
 
 
 def align_columns(reference, candidate):
@@ -52,16 +104,17 @@ def kpca_oracle_reconstruct(kc_entries, q, kvec):
 
 
 def rewrite_section(path, tag, payload):
-    """Replace the payload of one section of a saved model file, keeping the
-    container framing intact."""
+    """Replace the payload of one section of a saved (version 2) model file,
+    keeping the container framing and the CRC32 of every section intact."""
     blob = path.read_bytes()
     out, pos = bytearray(blob[:11]), 11
     while pos < len(blob):
         name = blob[pos : pos + 4]
         (length,) = struct.unpack("<Q", blob[pos + 4 : pos + 12])
         body = payload if name == tag.encode("ascii") else blob[pos + 12 : pos + 12 + length]
-        out += name + struct.pack("<Q", len(body)) + body
-        pos += 12 + length
+        head = name + struct.pack("<Q", len(body))
+        out += head + body + struct.pack("<I", zlib.crc32(head + body))
+        pos += 12 + length + 4
     path.write_bytes(bytes(out))
 
 

@@ -8,11 +8,13 @@ import numpy.testing as npt
 import pytest
 
 from kppca import (
+    center_gram,
     dual_latent_map,
     dual_reconstruct,
     explained_variance,
     feature_reconstruct,
     fit_primal,
+    gram,
     kernel_smoother,
     latent_map,
     load_csv,
@@ -21,6 +23,7 @@ from kppca import (
     save_model,
     two_arcs,
 )
+from kppca import dual, io_datasets, kernels
 from kppca.cli import main
 from kppca.preimage import PreimageConfig
 
@@ -49,6 +52,30 @@ def test_fit_writes_model_and_metadata(tmp_path, toy_csv):
     assert (model_path.parent / "model.meta.json").exists()
     model = load_model(model_path)
     assert model.q == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--kernel", "rbf", "--gamma", "2", "--sigma2", "-1"],
+    ["fit", "--kernel", "rbf", "--gamma", "2", "--sigma2", "nan"],
+    ["fit", "--kernel", "rbf", "--gamma", "2", "--sigma2", "inf"],
+    ["fit", "--kernel", "rbf", "--gamma", "nan", "--q", "2"],
+    ["fit", "--kernel", "rbf", "--gamma", "inf", "--q", "2"],
+    ["fit", "--kernel", "rbf", "--gamma", "-1", "--q", "2"],
+    ["reconstruct", "--epsilon", "-1"],
+    ["reconstruct", "--epsilon", "nan"],
+    ["generate", "--epsilon", "-1"],
+    ["generate", "--epsilon", "nan"],
+    ["generate", "--grid", "2x2", "--latent-range=nan:1"],
+    ["generate", "--grid", "2x2", "--latent-range=-1:inf"],
+    ["generate", "--seed", "-1"],
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, toy_csv, capsys, args):
+    model_path = run_fit(tmp_path, toy_csv, "--q", "2")
+    io = ["--data", str(toy_csv)] if args[0] != "generate" else []
+    if args[0] != "fit":
+        io += ["--model", str(model_path)]
+    assert main([*args, *io, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_usage_errors(tmp_path, toy_csv):
@@ -106,7 +133,8 @@ def test_reconstruct_matches_library_pipeline(tmp_path, toy_csv):
     x = load_csv(toy_csv)
     cfg = PreimageConfig(epsilon=1e-3 * model.n, clip_negative=True)
     assert x.shape[1] == model.n  # training data: the in-sample columns are the Gram's
-    rec = dual_reconstruct(model, dual_latent_map(model, model.kc.entries))
+    kc = center_gram(gram(model.spec, model.ts)).entries
+    rec = dual_reconstruct(model, dual_latent_map(model, kc))
     npt.assert_allclose(got, kernel_smoother(model.ts, rec, cfg), atol=1e-12)
 
 
@@ -164,6 +192,43 @@ def test_generate_grid(tmp_path, toy_csv):
                  "--out", str(tmp_path / "bad")]) == 2
     assert main(["generate", "--model", str(model_path), "--grid", "2x2",
                  "--latent-range", "what", "--out", str(tmp_path / "bad2")]) == 2
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
+    # column r * a + c is E[:, :2] diag(c_1, c_2) (first[c], second[r]) with
+    # c_p = lambda_p / sqrt(N); a q = 1 model has no second direction, so
+    # every row of the grid repeats the first
+    model_path = run_fit(tmp_path, toy_csv, "--q", str(q))
+    out = tmp_path / "grid"
+    assert main(["generate", "--model", str(model_path), "--grid", "4x3",
+                 "--latent-range=-2:2", "--out", str(out)]) == 0
+    m = load_model(model_path)
+    sweep = np.stack([np.tile(np.linspace(-2, 2, 4), 3), np.repeat(np.linspace(-2, 2, 3), 4)])
+    lead = min(q, 2)
+    expected = (m.e[:, :lead] * m.eigenvalues[:lead] / np.sqrt(m.n)) @ sweep[:lead]
+    npt.assert_allclose(load_csv(out / "kernel_samples.csv"), expected, atol=1e-15)
+    if q == 1:
+        ks = load_csv(out / "kernel_samples.csv")
+        npt.assert_array_equal(ks[:, :4], ks[:, 4:8])
+
+
+def test_queries_never_build_the_gram(tmp_path, toy_csv, monkeypatch):
+    # project, reconstruct and report read O(N (d_in + q)) numbers; only
+    # generate factors the Gram matrix
+    model_path = run_fit(tmp_path, toy_csv, "--q", "3")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query command built the N x N Gram matrix")
+
+    for module in (dual, io_datasets, kernels):
+        monkeypatch.setattr(module, "gram", refuse)
+    model = str(model_path)
+    assert main(["project", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "p")]) == 0
+    assert main(["reconstruct", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "r")]) == 0
+    assert main(["report", "--model", model, "--out", str(tmp_path / "rep")]) == 0
+    with pytest.raises(AssertionError, match="Gram"):
+        main(["generate", "--model", model, "--count", "2", "--out", str(tmp_path / "g")])
 
 
 def test_generate_scatter_uses_first_two_coords_above_2d(tmp_path, rng):
@@ -245,10 +310,10 @@ def test_primal_model_commands(tmp_path, toy_csv, capsys):
 
 
 def test_inconsistent_model_file_is_data_error(tmp_path, toy_csv):
-    # a q that disagrees with the 20 x 3 AMAT used to load and then crash
+    # a q that disagrees with the 3 eigenpairs, under a valid CRC32
     model_path = run_fit(tmp_path, toy_csv, "--q", "3")
-    sigma2 = load_model(model_path).sigma2
-    rewrite_section(model_path, "HYPR", struct.pack("<Id", 10, sigma2))
+    model = load_model(model_path)
+    rewrite_section(model_path, "HYPR", struct.pack("<Idd", 10, model.sigma2, model.tail))
     assert main(["project", "--model", str(model_path), "--data", str(toy_csv),
                  "--out", str(tmp_path / "proj")]) == 3
 
@@ -293,7 +358,27 @@ def test_damaged_model_file_exits_cleanly(tmp_path, toy_csv, capsys):
         codes[main([*args, "--model", str(bad), "--out", out])] += 1
     capsys.readouterr()
     assert set(codes) <= CLEAN_EXITS, codes
-    assert codes[0] and codes[3], codes  # both intact-looking and rejected files occur
+    assert set(codes) == {3}, codes  # every section carries a CRC32
+
+
+def test_every_byte_flip_is_a_data_error(tmp_path, capsys):
+    # a 12-point model: whichever byte changes, project exits 3
+    data = tmp_path / "twelve.csv"
+    save_csv(data, two_arcs(12, seed=1), header=["x1", "x2"])
+    out = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--kernel", "rbf", "--gamma", "1",
+                 "--q", "2", "--out", str(out)]) == 0
+    blob = (out / "model.kppca").read_bytes()
+    bad = tmp_path / "flipped.kppca"
+    codes = Counter()
+    for pos in range(len(blob)):
+        b = bytearray(blob)
+        b[pos] ^= 1 << (pos % 8)
+        bad.write_bytes(bytes(b))
+        codes[main(["project", "--model", str(bad), "--data", str(data),
+                    "--out", str(tmp_path / "proj")])] += 1
+    capsys.readouterr()
+    assert codes == {3: len(blob)}, codes
 
 
 @pytest.mark.parametrize("data, code", [

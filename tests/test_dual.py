@@ -8,7 +8,6 @@ from scipy.stats import multivariate_normal
 from kppca import (
     KernelSpec,
     TrainingSet,
-    build_sampler,
     center_columns,
     center_gram,
     centered_kernel_vectors,
@@ -18,6 +17,7 @@ from kppca import (
     dual_marginal_loglik,
     dual_reconstruct,
     dual_sample,
+    dual_training_codes,
     explained_variance,
     fit_dual,
     fit_primal,
@@ -27,8 +27,8 @@ from kppca import (
     latent_posterior,
     samples_from_noise,
     sigma2_ml,
+    tail_factor,
 )
-from kppca.dual import _marginal_scales
 from kppca.errors import (
     DimensionMismatch,
     LatentExceedsRank,
@@ -39,22 +39,29 @@ from kppca.errors import (
     ZeroSpectrum,
 )
 
-from conftest import align_columns, toy_dual_model
+from conftest import (
+    align_columns,
+    arcs_model,
+    bumps_model,
+    centered_gram,
+    full_spectrum,
+    marginal_covariance,
+    sampler_map,
+)
 
 
 def fitted_rbf_model(rng, n=9, q=3, gamma=1.5):
     ts = TrainingSet(rng.standard_normal((n, 2)))
-    spec = KernelSpec("rbf", gamma)
-    kc = center_gram(gram(spec, ts))
-    return fit_dual(kc, spec, ts, q=q)
+    return fit_dual(KernelSpec("rbf", gamma), ts, q=q)
 
 
 def fitted_linear_pair(rng, d=3, n=8, q=2):
     x = rng.standard_normal((d, n))
-    spec = KernelSpec("linear")
-    ts = TrainingSet.from_columns(x)
-    kc = center_gram(gram(spec, ts))
-    return x, fit_primal(x, q=q), fit_dual(kc, spec, ts, q=q)
+    return x, fit_primal(x, q=q), fit_dual(KernelSpec("linear"), TrainingSet.from_columns(x), q=q)
+
+
+def rank(m):
+    return full_spectrum(m).rank()
 
 
 # --- fitting ------------------------------------------------------------
@@ -62,18 +69,16 @@ def fitted_linear_pair(rng, d=3, n=8, q=2):
 
 def test_fit_noiseless_gives_classical_loadings(rng):
     ts = TrainingSet(rng.standard_normal((7, 2)))
-    spec = KernelSpec("rbf", 1.0)
-    kc = center_gram(gram(spec, ts))
-    m = fit_dual(kc, spec, ts, sigma2=0.0)
+    m = fit_dual(KernelSpec("rbf", 1.0), ts, sigma2=0.0)
     assert m.sigma2 == 0.0
-    assert m.q == m.rank()
-    npt.assert_allclose(m.a, m.e[:, : m.q] / np.sqrt(7.0), atol=1e-12)
+    assert m.q == rank(m)
+    npt.assert_allclose(m.a, m.e / np.sqrt(7.0), atol=1e-12)
 
 
 def test_fit_sigma2_at_boundary_zeroes_last_column(rng):
     m0 = fitted_rbf_model(rng, n=8, q=4)
     s2 = m0.eigenvalues[3] / 8.0
-    m = fit_dual(m0.kc, m0.spec, m0.ts, sigma2=s2)
+    m = fit_dual(m0.spec, m0.ts, sigma2=s2)
     assert m.q == 4
     npt.assert_allclose(m.a[:, 3], 0.0, atol=1e-12)
 
@@ -88,45 +93,74 @@ def test_fit_matches_primal_through_weight_identity(rng):
 
 
 def test_fit_shares_noise_estimator_with_primal(rng):
+    # (tr K_c - sum lambda_q) / (N (N - q)) is sigma2_ml of the full spectrum
     m = fitted_rbf_model(rng, n=9, q=3)
-    assert abs(m.sigma2 - sigma2_ml(m.eigenvalues, 3, 9)) <= 1e-15
+    assert abs(m.sigma2 - sigma2_ml(full_spectrum(m).eigenvalues, 3, 9)) <= 1e-15
 
 
-def test_fit_rejects_uncentered(rng):
-    ts = TrainingSet(rng.standard_normal((5, 2)))
-    spec = KernelSpec("rbf", 1.0)
-    with pytest.raises(NotCentered):
-        fit_dual(gram(spec, ts), spec, ts, q=1)
+def test_fit_centers_its_own_gram(rng):
+    # fit_dual builds and centers the Gram matrix itself and keeps its means
+    ts = TrainingSet(rng.standard_normal((7, 2)) + 5.0)
+    spec = KernelSpec("linear")
+    m = fit_dual(spec, ts, q=2)
+    k = gram(spec, ts).entries
+    npt.assert_allclose(m.means, np.append(k.mean(axis=0), k.mean()), rtol=1e-14)
+    assert np.abs(m.e.sum(axis=0)).max() <= 1e-12  # the retained directions are centered
+    oracle = full_spectrum(m)
+    npt.assert_allclose(m.eigenvalues, oracle.eigenvalues[:2], rtol=1e-12)
 
 
 def test_fit_rejects_bad_latent(rng):
     ts = TrainingSet(rng.standard_normal((6, 2)))
     spec = KernelSpec("rbf", 1.0)
-    kc = center_gram(gram(spec, ts))
     with pytest.raises(LatentExceedsRank):
-        fit_dual(kc, spec, ts, q=6)  # centered Gram has rank at most 5
+        fit_dual(spec, ts, q=6)  # centered Gram has rank at most 5
     with pytest.raises(LatentExceedsRank):
-        fit_dual(kc, spec, ts, q=0)
+        fit_dual(spec, ts, q=0)
     with pytest.raises(SigmaTooLarge):
-        fit_dual(kc, spec, ts, sigma2=1e9)
+        fit_dual(spec, ts, sigma2=1e9)
     with pytest.raises(ValueError):
-        fit_dual(kc, spec, ts)
+        fit_dual(spec, ts)
     with pytest.raises(ValueError):
-        fit_dual(kc, spec, ts, q=1, sigma2=0.1)
+        fit_dual(spec, ts, q=1, sigma2=0.1)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fit_dual(spec, ts, sigma2=bad)
 
 
-def test_fit_rejects_mismatched_training_set(rng):
-    ts = TrainingSet(rng.standard_normal((5, 2)))
-    other = TrainingSet(rng.standard_normal((6, 2)))
-    spec = KernelSpec("rbf", 1.0)
-    kc = center_gram(gram(spec, ts))
-    with pytest.raises(DimensionMismatch):
-        fit_dual(kc, spec, other, q=1)
+def test_top_q_fit_matches_full_eigh_oracle():
+    # q mode (by subspace iteration at these sizes): lambda_q, E_q up to
+    # sign and sigma2 = sigma2_ml of the full spectrum; sigma2 mode: the
+    # oracle's q, also for a sigma2 a hair above or below lambda_k / N, and
+    # for 0 (q at the rank)
+    for m in (arcs_model(n=400, q=5), bumps_model(n=300, gamma=2.0, q=5)):
+        oracle = full_spectrum(m)
+        lam, n = oracle.eigenvalues, m.n
+        npt.assert_allclose(m.eigenvalues, lam[:5], rtol=1e-12)
+        aligned, _ = align_columns(oracle.eigenvectors[:, :5], m.e)
+        assert np.abs(aligned - oracle.eigenvectors[:, :5]).max() <= 1e-9
+        # the oracle drops eigenvalues below its clamp floor from the tail
+        npt.assert_allclose(m.sigma2, sigma2_ml(lam, 5, n), rtol=1e-12, atol=oracle.clamp_floor / (n - 5))
+        npt.assert_allclose(explained_variance(m), lam[:5].sum() / lam.sum(), rtol=1e-12,
+                            atol=n * oracle.clamp_floor / lam.sum())
+        for k in (1, 4, 9, 17):
+            for sigma2 in (lam[k] / n * (1 + 1e-9), lam[k] / n * (1 - 1e-9)):
+                fit = fit_dual(m.spec, m.ts, sigma2=sigma2)
+                assert fit.q == np.count_nonzero(lam[: oracle.rank()] / n >= sigma2)
+                assert fit.sigma2 == sigma2
+        assert fit_dual(m.spec, m.ts, sigma2=0.0).q == oracle.rank()
+
+
+def test_training_codes_are_the_gram_columns_codes():
+    # E_q^T K_c = Lambda_q E_q^T: no N x N matrix for the training points
+    for m in (arcs_model(q=4), kpca_limit(bumps_model(n=12, q=3))):
+        npt.assert_allclose(dual_training_codes(m), dual_latent_map(m, centered_gram(m)),
+                            atol=1e-11 * np.abs(dual_training_codes(m)).max())
 
 
 def test_dual_loadings_are_gram_orthogonal(rng):
     m = fitted_rbf_model(rng, n=9, q=4)
-    g = m.a.T @ m.kc.entries @ m.a
+    g = m.a.T @ centered_gram(m) @ m.a
     off = g - np.diag(np.diag(g))
     assert np.abs(off).max() <= 1e-8
     assert m.sigma2 <= m.eigenvalues[m.q - 1] / m.n + 1e-12
@@ -146,9 +180,10 @@ def test_latent_map_general_path_matches_ml_shortcut(rng):
     # the closed form against the general (a^T K_c a + sigma2 I)^-1 a^T k,
     # solved column by column, and the maximum-likelihood shortcut
     m = fitted_rbf_model(rng, n=10, q=4)
-    k = np.concatenate([m.kc.entries[:, :3], rng.standard_normal((10, 2))], axis=1)
+    kc = centered_gram(m)
+    k = np.concatenate([kc[:, :3], rng.standard_normal((10, 2))], axis=1)
     batch = dual_latent_map(m, k)
-    g = m.a.T @ m.kc.entries @ m.a + m.sigma2 * np.eye(4)
+    g = m.a.T @ kc @ m.a + m.sigma2 * np.eye(4)
     for j in range(k.shape[1]):
         general = np.linalg.solve(g, m.a.T @ k[:, j])
         assert np.abs(batch[:, j] - general).max() <= 1e-8
@@ -161,14 +196,14 @@ def test_latent_map_matches_primal_in_sample(rng):
     xc, _ = center_columns(x)
     _, signs = align_columns(pm.w, xc @ dm.a)
     h_p = latent_map(pm, x)
-    h_d = dual_latent_map(dm, dm.kc.entries)
+    h_d = dual_latent_map(dm, centered_gram(dm))
     assert np.abs(h_p - signs[:, None] * h_d).max() <= 1e-8
 
 
 def test_latent_map_noiseless_is_scaled_kpca_projection(rng):
     m = fitted_rbf_model(rng, n=8, q=3)
     lim = kpca_limit(m)
-    kvec = m.kc.entries[:, 1:2]
+    kvec = centered_gram(m)[:, 1:2]
     h = dual_latent_map(lim, kvec)
     # classical projection is lambda^{-1/2} e^T k; the latent code carries
     # an extra sqrt(N / lambda_p) from the 1/sqrt(N) loading scale
@@ -186,10 +221,11 @@ def test_reconstruct_zero_latent(rng):
 
 def test_reconstruct_dense_product_oracle(rng):
     # the closed form E_q diag(lambda s) h against K_c a h, entry by entry
-    m = toy_dual_model(n=5, q=2, sigma2=0.02, seed=3)
+    m = bumps_model(n=5, q=2)
+    kc = centered_gram(m)
     h = rng.standard_normal((2, 3))
     oracle = np.array([[
-        sum(m.kc.entries[i, j] * sum(m.a[j, p] * h[p, c] for p in range(2)) for j in range(5))
+        sum(kc[i, j] * sum(m.a[j, p] * h[p, c] for p in range(2)) for j in range(5))
         for c in range(3)] for i in range(5)
     ])
     npt.assert_allclose(dual_reconstruct(m, h), oracle, atol=1e-10)
@@ -199,105 +235,115 @@ def test_noiseless_full_rank_roundtrip_identity(rng):
     ts = TrainingSet(rng.standard_normal((7, 2)))
     spec = KernelSpec("rbf", 1.2)
     kc = center_gram(gram(spec, ts))
-    m = fit_dual(kc, spec, ts, sigma2=0.0)
-    probes = centered_kernel_vectors(spec, ts, rng.standard_normal((1, 2)))
+    m = fit_dual(spec, ts, sigma2=0.0)
+    probes = centered_kernel_vectors(spec, ts, m.means, rng.standard_normal((1, 2)))
     for k in (kc.entries, probes):
         rec = dual_reconstruct(m, dual_latent_map(m, k))
         assert np.abs(rec - k).max() <= 1e-8
 
 
 # --- sampler -------------------------------------------------------------
+#
+# k = E_q diag(lambda_q / sqrt(N)) z + sigma P J L v with K = L L^T; the
+# covariance must be the marginal E diag(c^2) E^T of the full spectrum.
 
 
 def test_sampler_noiseless_full_latent_form():
-    m = toy_dual_model(n=5, q=5, sigma2=0.0, seed=1)
-    b = build_sampler(m)
-    expected = (m.e * m.eigenvalues) @ m.e.T / np.sqrt(5.0)
-    npt.assert_allclose(b, expected, atol=1e-12)
+    # at sigma2 = 0 the tail vanishes and the map is E_q diag(lambda_q / sqrt(N))
+    m = kpca_limit(bumps_model(n=6, q=2))
+    b, r = sampler_map(m)
+    npt.assert_allclose(b[:, :2], m.e * m.eigenvalues / np.sqrt(6.0), atol=1e-15)
+    npt.assert_array_equal(b[:, 2:], 0.0)
 
 
 def test_sampler_full_latent_ignores_sigma():
-    m = toy_dual_model(n=5, q=5, sigma2=0.3, seed=2)
-    b = build_sampler(m)
-    expected = (m.e * m.eigenvalues) @ m.e.T / np.sqrt(5.0)
-    npt.assert_allclose(b, expected, atol=1e-12)
+    # with q at the full rank nothing is discarded, whatever sigma2 says
+    m = replace(bumps_model(n=6, sigma2=0.0), sigma2=0.3)
+    assert m.q == 5
+    b, _ = sampler_map(m)
+    expected = (m.e * m.eigenvalues**2) @ m.e.T / 6.0
+    npt.assert_allclose(b @ b.T, expected, atol=1e-12)
 
 
 def test_sampler_covariance_identity_oracle():
-    # B B^T must equal the marginal covariance of kernel representations,
-    # i.e. K_c (A A^T + sigma2 K_c^+) K_c, assembled densely
-    m = toy_dual_model(n=3, q=1, sigma2=0.1, seed=4, spectrum=[4.0, 2.0, 1.0])
-    b = build_sampler(m)
-    kc = m.kc.entries
-    kc_pinv = np.linalg.pinv(kc)
-    oracle = kc @ (m.a @ m.a.T + m.sigma2 * kc_pinv) @ kc
-    assert np.abs(b @ b.T - oracle).max() <= 1e-8
+    # the map's outer product must equal the marginal covariance of kernel
+    # representations, K_c (A A^T + sigma2 K_c^+) K_c, assembled densely
+    m = bumps_model(n=5, q=1)
+    b, _ = sampler_map(m)
+    kc = centered_gram(m)
+    oracle = kc @ (m.a @ m.a.T + m.sigma2 * np.linalg.pinv(kc)) @ kc
+    assert np.abs(b @ b.T - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_sampler_spectral_covariance_form():
-    m = toy_dual_model(n=6, q=2, sigma2=0.05, seed=5)
-    b = build_sampler(m)
-    lam = m.eigenvalues
-    coeff = np.concatenate([lam[:2] ** 2 / 6.0, m.sigma2 * lam[2:]])
-    target = (m.e * coeff) @ m.e.T
-    assert np.abs(b @ b.T - target).max() <= 1e-8
+    # both factorizations of K: LAPACK's Cholesky (bump images, positive
+    # definite) and the pivoted one (two arcs, rank deficient)
+    for m, full_rank in ((bumps_model(n=12, q=3), True), (arcs_model(q=4), False)):
+        b, r = sampler_map(m)
+        assert (r == m.n) == full_rank
+        target = marginal_covariance(m)
+        assert np.abs(b @ b.T - target).max() <= 1e-12 * np.abs(target).max()
 
 
-def test_sampler_self_adjoint_and_bijective():
-    m = toy_dual_model(n=7, q=3, sigma2=0.02, seed=6)
-    b = build_sampler(m)
-    assert np.abs(b - b.T).max() <= 1e-10
-    assert np.linalg.matrix_rank(b) == 7
+def test_sampler_map_spans_marginal_range():
+    # samples are centered kernel vectors; with sigma2 > 0 and a positive
+    # definite K the noise reaches all N - 1 centered directions
+    for m in (bumps_model(n=9, q=2), arcs_model(q=2)):
+        b, _ = sampler_map(m)
+        assert np.abs(b.sum(axis=0)).max() <= 1e-12 * np.abs(b).max()
+    m = bumps_model(n=9, q=2)
+    assert np.linalg.matrix_rank(sampler_map(m)[0]) == 8
 
 
 def test_sampler_zero_noise_hook():
-    m = toy_dual_model(n=6, q=2, sigma2=0.05, seed=7)
-    out = samples_from_noise(m, np.zeros((6, 3)))
+    m = bumps_model(n=6, q=2)
+    tail = tail_factor(m)
+    out = samples_from_noise(m, np.zeros((2 + tail.shape[1], 3)), tail)
     npt.assert_array_equal(out, np.zeros((6, 3)))
+    npt.assert_array_equal(samples_from_noise(m, np.zeros((2, 3))), np.zeros((6, 3)))
 
 
 def test_sample_deterministic_columns():
-    m = toy_dual_model(n=6, q=2, sigma2=0.05, seed=8)
+    m = arcs_model(q=2)
     a = dual_sample(m, 99, 4)
-    assert a.shape == (6, 4)
+    assert a.shape == (60, 4)
     npt.assert_array_equal(a, dual_sample(m, 99, 4))
-    assert dual_sample(m, 99, 0).shape == (6, 0)
+    assert dual_sample(m, 99, 0).shape == (60, 0)
 
 
 def test_sample_monte_carlo_covariance():
-    m = toy_dual_model(n=8, q=3, sigma2=0.05, seed=9)
-    mat = dual_sample(m, 1234, 100_000)
-    emp = mat @ mat.T / mat.shape[1]
-    b = build_sampler(m)
-    target = b @ b.T
-    rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-    assert rel <= 0.05
+    for m in (bumps_model(n=8, q=3), arcs_model(n=30, gamma=5.0, q=3)):
+        mat = dual_sample(m, 1234, 100_000)
+        emp = mat @ mat.T / mat.shape[1]
+        target = marginal_covariance(m)
+        rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
+        assert rel <= 0.05
 
 
 # --- explained variance ---------------------------------------------------
 
 
 def test_explained_variance_full():
-    m = toy_dual_model(n=5, q=5, sigma2=0.0, seed=10)
+    m = bumps_model(n=5, sigma2=0.0)  # q at the full rank: nothing discarded
+    assert m.tail == 0.0
     assert explained_variance(m) == 1.0
 
 
 def test_explained_variance_rank_one(rng):
     ts = TrainingSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    spec = KernelSpec("linear")
-    kc = center_gram(gram(spec, ts))
-    m = fit_dual(kc, spec, ts, q=1)
+    m = fit_dual(KernelSpec("linear"), ts, q=1)
     assert explained_variance(m) == 1.0
 
 
 def test_explained_variance_known_spectrum():
-    m = toy_dual_model(n=4, q=2, sigma2=0.0, seed=11, spectrum=[4.0, 2.0, 1.0, 1.0])
+    # retained spectrum [4, 2], discarded [1, 1]
+    m = replace(bumps_model(n=4, q=2), eigenvalues=np.array([4.0, 2.0]), tail=2.0)
     assert abs(explained_variance(m) - 0.75) <= 1e-12
 
 
 def test_explained_variance_zero_spectrum(rng):
-    m = toy_dual_model(n=3, q=1, sigma2=0.0, seed=12)
-    broken = replace(m, eigenvalues=np.zeros(3))
+    m = bumps_model(n=3, q=1)
+    broken = replace(m, eigenvalues=np.zeros(1), tail=0.0)
     with pytest.raises(ZeroSpectrum):
         explained_variance(broken)
 
@@ -305,8 +351,8 @@ def test_explained_variance_zero_spectrum(rng):
 def test_monotonicity_in_q(rng):
     m0 = fitted_rbf_model(rng, n=10, q=1)
     evs, s2s = [], []
-    for q in range(1, m0.rank() + 1):
-        m = fit_dual(m0.kc, m0.spec, m0.ts, q=q)
+    for q in range(1, rank(m0) + 1):
+        m = fit_dual(m0.spec, m0.ts, q=q)
         evs.append(explained_variance(m))
         s2s.append(m.sigma2)
     assert all(b >= a for a, b in zip(evs, evs[1:]))
@@ -324,7 +370,7 @@ def test_posterior_zero_vector(rng):
 
 def test_posterior_mean_is_map(rng):
     m = fitted_rbf_model(rng, n=8, q=3)
-    kvec = m.kc.entries[:, 4]
+    kvec = centered_gram(m)[:, 4]
     post = dual_latent_posterior(m, kvec)
     assert np.abs(post.mean - dual_latent_map(m, kvec[:, None])[:, 0]).max() <= 1e-10
 
@@ -332,8 +378,9 @@ def test_posterior_mean_is_map(rng):
 def test_posterior_covariance_convention(rng):
     # sigma2 G^-1 with G = a^T K_c a + sigma2 I, the primal convention
     m = fitted_rbf_model(rng, n=8, q=2)
-    post = dual_latent_posterior(m, m.kc.entries[:, 0])
-    g = m.a.T @ m.kc.entries @ m.a + m.sigma2 * np.eye(2)
+    kc = centered_gram(m)
+    post = dual_latent_posterior(m, kc[:, 0])
+    g = m.a.T @ kc @ m.a + m.sigma2 * np.eye(2)
     npt.assert_allclose(post.covariance(), m.sigma2 * np.linalg.inv(g), atol=1e-10)
 
 
@@ -343,7 +390,7 @@ def test_posterior_mean_matches_primal(rng):
     _, signs = align_columns(pm.w, xc @ dm.a)
     probe = rng.standard_normal(3)
     post_p = latent_posterior(pm, probe)
-    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, probe[None, :])[:, 0])
+    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probe[None, :])[:, 0])
     assert np.abs(post_p.mean - signs * post_d.mean).max() <= 1e-8
     flip = np.outer(signs, signs)
     cov_p, cov_d = post_p.covariance(), flip * post_d.covariance()
@@ -351,13 +398,13 @@ def test_posterior_mean_matches_primal(rng):
 
 
 def test_posterior_requires_noise():
-    m = toy_dual_model(n=5, q=2, sigma2=0.0, seed=13)
+    m = kpca_limit(bumps_model(n=5, q=2))
     with pytest.raises(SigmaZero):
         dual_latent_posterior(m, np.zeros(5))
 
 
 def test_conditional_kernel_degenerate_at_zero():
-    m = toy_dual_model(n=5, q=2, sigma2=0.0, seed=14)
+    m = kpca_limit(bumps_model(n=5, q=2))
     cond = dual_conditional_kernel(m, np.zeros(2))
     npt.assert_allclose(cond.mean, 0.0)
     npt.assert_allclose(cond.covariance(), 0.0, atol=1e-14)
@@ -368,36 +415,35 @@ def test_conditional_kernel_mean_and_covariance(rng):
     h = rng.standard_normal(3)
     cond = dual_conditional_kernel(m, h)
     npt.assert_array_equal(cond.mean, dual_reconstruct(m, h[:, None])[:, 0])
-    assert np.abs(cond.covariance() - m.sigma2 * m.kc.entries).max() <= 1e-10
+    assert np.abs(cond.covariance() - m.sigma2 * centered_gram(m)).max() <= 1e-10
 
 
 # --- marginal log-density -------------------------------------------------
 
 
 def test_marginal_loglik_matches_dense_oracle(rng):
-    m = toy_dual_model(n=6, q=2, sigma2=0.03, seed=15)
-    b = build_sampler(m)
-    cov = b @ b.T
+    # against the covariance of the sampler's own noise-to-sample map
+    m = bumps_model(n=6, q=2)
+    b, _ = sampler_map(m)
+    oracle = multivariate_normal(mean=np.zeros(6), cov=b @ b.T, allow_singular=True)
     for k in dual_sample(m, 5, 3).T:
-        oracle = multivariate_normal(mean=np.zeros(6), cov=cov).logpdf(k)
-        assert abs(dual_marginal_loglik(m, k) - oracle) <= 1e-8
+        assert abs(dual_marginal_loglik(m, k) - oracle.logpdf(k)) <= 1e-8
 
 
 def test_marginal_loglik_on_fitted_model_matches_singular_oracle(rng):
     # a centered Gram matrix has the constant vector as its one null
     # direction; the density lives on its complement
     m = fitted_rbf_model(rng, n=10, q=2, gamma=0.3)
-    assert m.rank() == m.n - 1
-    c = _marginal_scales(m)
-    oracle = multivariate_normal(mean=np.zeros(m.n), cov=(m.e * c**2) @ m.e.T, allow_singular=True)
-    queries = centered_kernel_vectors(m.spec, m.ts, rng.standard_normal((3, 2)))
+    assert rank(m) == m.n - 1
+    oracle = multivariate_normal(mean=np.zeros(m.n), cov=marginal_covariance(m), allow_singular=True)
+    queries = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((3, 2)))
     for k in np.hstack([dual_sample(m, 5, 3), queries]).T:
         assert abs(sum(k)) <= 1e-12
         assert abs(dual_marginal_loglik(m, k) - oracle.logpdf(k)) <= 1e-8
 
 
 def test_marginal_loglik_guards(rng):
-    m0 = toy_dual_model(n=5, q=2, sigma2=0.0, seed=16)
+    m0 = kpca_limit(bumps_model(n=5, q=2))
     with pytest.raises(SigmaZero):
         dual_marginal_loglik(m0, np.zeros(5))
     m1 = fitted_rbf_model(rng, n=6, q=2)  # centered Gram: null space is the constant vector
@@ -406,9 +452,8 @@ def test_marginal_loglik_guards(rng):
         dual_marginal_loglik(m1, np.ones(6))
     # three distinct points, each twice: singular beyond the centering direction
     ts = TrainingSet(np.repeat(rng.standard_normal((3, 2)), 2, axis=0))
-    spec = KernelSpec("rbf", 1.5)
-    m2 = fit_dual(center_gram(gram(spec, ts)), spec, ts, q=1)
-    assert m2.rank() == 2
+    m2 = fit_dual(KernelSpec("rbf", 1.5), ts, q=1)
+    assert rank(m2) == 2
     with pytest.raises(RankDeficient):
         dual_marginal_loglik(m2, np.zeros(6))
 
@@ -422,4 +467,6 @@ def test_dimension_checks(rng):
     with pytest.raises(DimensionMismatch):
         dual_reconstruct(m, np.zeros((m.q + 1, 1)))
     with pytest.raises(DimensionMismatch):
-        samples_from_noise(m, np.zeros((m.n + 2, 1)))
+        samples_from_noise(m, np.zeros((m.n + 2, 1)))  # q rows without a tail
+    with pytest.raises(DimensionMismatch):
+        samples_from_noise(m, np.zeros((m.q, 1)), tail_factor(m))  # q + r rows with one

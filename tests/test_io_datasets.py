@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,8 @@ from kppca import (
     RunMetadata,
     TrainingSet,
     center_gram,
+    centered_kernel_vectors,
+    dual_latent_map,
     fit_dual,
     fit_primal,
     gram,
@@ -24,6 +27,8 @@ from kppca import (
     load_model,
     save_csv,
     save_model,
+    sigma2_ml,
+    sym_eig,
     two_arcs,
     write_metadata,
 )
@@ -39,7 +44,7 @@ from kppca.errors import (
 )
 from kppca.io_datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
-from conftest import pack_matrix, pack_vector, rewrite_section
+from conftest import align_columns, pack_matrix, pack_vector, rewrite_section
 
 # --- CSV -----------------------------------------------------------------
 
@@ -77,6 +82,16 @@ def test_load_csv_reports_bad_cell_location(tmp_path):
     assert err.value.row == 2 and err.value.col == 2
 
 
+@pytest.mark.parametrize("text, col", [("1,2,\n", 3), ("1,#\n", 2), ("x,1\n1,2\n", 1)])
+def test_load_csv_first_row_with_a_number_is_data(tmp_path, text, col):
+    # a one-row table with a bad cell is located, not taken for a header
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_csv(p)
+    assert err.value.row == 1 and err.value.col == col
+
+
 def test_load_csv_ragged(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("1,2\n3\n")
@@ -95,7 +110,7 @@ def test_csv_roundtrip_exact(tmp_path, rng):
 def reference_load_csv(path):
     """The cell-by-cell parser load_csv must agree with: csv.reader, then
     float() on every cell, the first non-blank row skipped as a header when
-    one of its cells is not a number."""
+    none of its cells is a number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -110,15 +125,15 @@ def reference_load_csv(path):
                 raise ParseError(f"{path}: not a number: {tok!r}", row=rownum, col=j + 1) from None
         return out
 
-    start = 0
-    try:
-        first = parse_row(rows[0], 1)
-    except ParseError:
-        start = 1
-        first = None
-    data = [] if first is None else [first]
-    for i in range(start + len(data), len(rows)):
-        data.append(parse_row(rows[i], i + 1))
+    def is_number(tok):
+        try:
+            float(tok)
+        except ValueError:
+            return False
+        return True
+
+    start = 0 if any(is_number(tok) for tok in rows[0]) else 1
+    data = [parse_row(rows[i], i + 1) for i in range(start, len(rows))]
     if not data:
         raise ParseError(f"{path}: no data rows")
     width = len(data[0])
@@ -291,10 +306,7 @@ def test_idx_truncated(tmp_path, rng):
 def fitted_models(rng):
     x = two_arcs(7, seed=11)
     pm = fit_primal(x, q=2)
-    ts = TrainingSet.from_columns(x)
-    spec = KernelSpec("rbf", 2.0)
-    kc = center_gram(gram(spec, ts))
-    dm = fit_dual(kc, spec, ts, q=3)
+    dm = fit_dual(KernelSpec("rbf", 2.0), TrainingSet.from_columns(x), q=3)
     return pm, dm
 
 
@@ -322,11 +334,11 @@ def test_model_roundtrip_fields(tmp_path, rng):
     save_model(tmp_path / "d.kppca", dm)
     back = load_model(tmp_path / "d.kppca")
     assert back.q == dm.q and back.sigma2 == dm.sigma2
-    assert back.spec == dm.spec
+    assert back.spec == dm.spec and back.tail == dm.tail
     npt.assert_array_equal(back.a, dm.a)
     npt.assert_array_equal(back.eigenvalues, dm.eigenvalues)
     npt.assert_array_equal(back.e, dm.e)
-    npt.assert_array_equal(back.kc.entries, dm.kc.entries)
+    npt.assert_array_equal(back.means, dm.means)
     npt.assert_array_equal(back.ts.points, dm.ts.points)
 
 
@@ -356,23 +368,22 @@ def test_model_corrupt_file(tmp_path, rng):
 
 def _dual_sections(dm):
     # fitted_models' dual model: N = 7 two-arcs points in 2-D, q = 3
-    lam = dm.eigenvalues
+    lam, s2, tail = dm.eigenvalues, dm.sigma2, dm.tail
     return [
-        ("HYPR", struct.pack("<Id", 40, dm.sigma2), "q=40 outside 1..N=7"),
-        ("HYPR", struct.pack("<Id", 0, dm.sigma2), "q=0 outside"),
-        ("HYPR", struct.pack("<Id", 5, dm.sigma2), "AMAT has shape (7, 3), expected (7, 5)"),
-        ("HYPR", struct.pack("<Id", 3, -1.0), "sigma2=-1.0"),
-        ("HYPR", struct.pack("<Id", 3, float("nan")), "sigma2=nan"),
-        ("EVAL", pack_vector(lam[[1, 0, 2, 3, 4, 5, 6]]), "descending"),
-        ("EVAL", pack_vector(np.append(lam, 0.0)), "EVEC has shape (7, 7), expected (8, 8)"),
+        ("HYPR", struct.pack("<Idd", 40, s2, tail), "q=40 outside 1..N=7"),
+        ("HYPR", struct.pack("<Idd", 0, s2, tail), "q=0 outside"),
+        ("HYPR", struct.pack("<Idd", 5, s2, tail), "EVAL has shape (3,), expected (5,)"),
+        ("HYPR", struct.pack("<Idd", 3, -1.0, tail), "sigma2=-1.0"),
+        ("HYPR", struct.pack("<Idd", 3, float("nan"), tail), "sigma2=nan"),
+        ("HYPR", struct.pack("<Idd", 3, s2, -1.0), "tail=-1.0"),
+        ("HYPR", struct.pack("<Id", 3, s2), "payload ends prematurely"),
+        ("EVAL", pack_vector(lam[[1, 0, 2]]), "descending"),
         ("EVAL", pack_vector(np.where(lam == lam[0], np.inf, lam)), "finite"),
-        ("EVEC", pack_matrix(dm.e[:, :6]), "EVEC has shape (7, 6)"),
-        ("AMAT", pack_matrix(np.ones((60, 3))), "AMAT has shape (60, 3)"),
-        ("KCMT", pack_matrix(np.full((7, 7), np.nan)), "KCMT holds NaN"),
-        ("KCMT", pack_matrix(dm.kc.entries + np.triu(np.ones((7, 7)), 1)), "KCMT is not symmetric"),
-        ("EVAL", pack_vector(2.0 * lam), "EVAL does not sum to the trace of KCMT"),
-        ("EVEC", pack_matrix(np.where(np.eye(7, dtype=bool), 1e30, dm.e)), "EVEC has an entry beyond 1"),
-        ("TSET", pack_matrix(dm.ts.points[:5]), "TSET has shape (5, 2)"),
+        ("EVEC", pack_matrix(dm.e[:, :2]), "EVEC has shape (7, 2), expected (7, 3)"),
+        ("EVEC", pack_matrix(np.where(dm.e == dm.e[0, 0], 1e30, dm.e)), "EVEC has an entry beyond 1"),
+        ("GMNS", pack_vector(dm.means[:-1]), "GMNS has shape (7,), expected (8,)"),
+        ("GMNS", pack_vector(np.full(8, np.nan)), "GMNS holds NaN"),
+        ("TSET", pack_matrix(dm.ts.points[:5]), "EVEC has shape (7, 3), expected (5, 3)"),
         ("KSPC", struct.pack("<Bd", 7, 2.0), "kernel family code 7"),
         ("KSPC", struct.pack("<Bd", 1, 0.0), "rbf bandwidth 0.0"),
     ]
@@ -393,6 +404,77 @@ def test_model_sections_must_agree(tmp_path, rng):
         rewrite_section(path, tag, payload)
         with pytest.raises(CorruptFile, match=re.escape(msg)):
             load_model(path)
+
+
+def test_every_section_carries_a_crc32(tmp_path, rng):
+    pm, dm = fitted_models(rng)
+    for model in (pm, dm):
+        path = tmp_path / "m.kppca"
+        save_model(path, model)
+        blob = bytearray(path.read_bytes())
+        pos = 11
+        while pos < len(blob):
+            (length,) = struct.unpack_from("<Q", blob, pos + 4)
+            end = pos + 12 + length
+            assert struct.unpack_from("<I", blob, end)[0] == zlib.crc32(blob[pos:end])
+            pos = end + 4
+        blob[-5] ^= 0x10  # last payload byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile, match="CRC32"):
+            load_model(path)
+
+
+def write_v1_dual(path, spec, ts, q):
+    """A version 1 dual model file, from the full eigendecomposition: no
+    CRC32, the whole spectrum, N x N eigenvectors, loadings and KCMT."""
+    kc = center_gram(gram(spec, ts)).entries
+    eig = sym_eig(center_gram(gram(spec, ts)))
+    lam, e = eig.eigenvalues, eig.eigenvectors
+    sigma2 = sigma2_ml(lam, q, ts.n)
+    a = e[:, :q] * np.sqrt(np.maximum(1.0 / ts.n - sigma2 / lam[:q], 0.0))
+    family, gamma = (0, 0.0) if spec.family == "linear" else (1, spec.gamma)
+    sections = [("HYPR", struct.pack("<Id", q, sigma2)), ("KSPC", struct.pack("<Bd", family, gamma)),
+                ("EVAL", pack_vector(lam)), ("EVEC", pack_matrix(e)), ("AMAT", pack_matrix(a)),
+                ("KCMT", pack_matrix(kc)), ("TSET", pack_matrix(ts.points))]
+    blob = b"KPPCA\x00" + struct.pack("<I", 1) + b"D"
+    for tag, payload in sections:
+        blob += tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload
+    path.write_bytes(blob)
+    return lam
+
+
+def test_version_1_file_loads_as_v2_model(tmp_path, rng):
+    spec = KernelSpec("rbf", 0.8)
+    ts = TrainingSet.from_columns(two_arcs(15, seed=5))
+    lam = write_v1_dual(tmp_path / "v1.kppca", spec, ts, q=3)
+    old = load_model(tmp_path / "v1.kppca")
+    new = fit_dual(spec, ts, q=3)
+    assert old.q == 3 and old.e.shape == (15, 3)
+    npt.assert_allclose(old.sigma2, new.sigma2, rtol=1e-12)
+    npt.assert_allclose(old.tail, lam[3:].sum(), rtol=1e-14)
+    npt.assert_allclose(old.means, new.means, rtol=1e-14)
+    probes = rng.standard_normal((6, 2))
+    h_old = dual_latent_map(old, centered_kernel_vectors(spec, ts, old.means, probes))
+    h_new = dual_latent_map(new, centered_kernel_vectors(spec, ts, new.means, probes))
+    aligned, _ = align_columns(h_new.T, h_old.T)
+    npt.assert_allclose(aligned, h_new.T, atol=1e-10)
+    # saving writes version 2, which reloads bit for bit
+    save_model(tmp_path / "v2.kppca", old)
+    assert struct.unpack_from("<I", (tmp_path / "v2.kppca").read_bytes(), 6)[0] == 2
+    npt.assert_array_equal(load_model(tmp_path / "v2.kppca").e, old.e)
+
+
+def test_version_1_sections_must_agree(tmp_path):
+    spec = KernelSpec("rbf", 0.8)
+    ts = TrainingSet.from_columns(two_arcs(6, seed=5))
+    path = tmp_path / "v1.kppca"
+    lam = write_v1_dual(path, spec, ts, q=2)
+    blob = path.read_bytes()
+    tag = blob.index(b"EVAL")
+    doubled = pack_vector(2.0 * lam)
+    path.write_bytes(blob[: tag + 12] + doubled + blob[tag + 12 + len(doubled):])
+    with pytest.raises(CorruptFile, match="EVAL does not sum to the trace of KCMT"):
+        load_model(path)
 
 
 def test_save_model_rejects_other_types(tmp_path):

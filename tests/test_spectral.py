@@ -2,10 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kppca import SymMatrix, center_columns, center_gram, psd_sqrt_factor, sym_eig
+from kppca import SymMatrix, center_columns, center_gram, psd_sqrt_factor, sym_eig, top_eig
 from kppca.errors import NegativeEigenvalue, NoConvergence, NonFinite
+from kppca.spectral import cholesky_factor
 
-from conftest import random_psd
+from conftest import arcs_model, bumps_model, centered_gram, random_psd
 
 
 def test_symmatrix_symmetrizes_and_validates():
@@ -184,3 +185,97 @@ def test_center_gram_commutes_with_column_centering(rng):
     centered, _ = center_columns(x)
     via_features = gram(spec, TrainingSet.from_columns(centered))
     assert np.abs(via_gram.entries - via_features.entries).max() <= 1e-10
+
+
+# --- leading eigenpairs and Cholesky factors --------------------------------
+
+
+def aligned_error(vectors, reference):
+    # largest entry difference after flipping each column to the reference's sign
+    signs = np.sign(np.sum(vectors * reference, axis=0))
+    return float(np.abs(vectors * signs - reference).max())
+
+
+def full_solves(monkeypatch):
+    """Record the size of every np.linalg.eigh call: N for a full solve."""
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(m.shape[0]) or eigh(m))
+    return sizes
+
+
+def test_top_eig_matches_eigh_on_fitted_grams(monkeypatch):
+    # centered Gram matrices of two-arcs points (spectrum falling to the
+    # rounding level) and of bump images (slowly decaying), by subspace
+    # iteration: no full solve
+    for m in (arcs_model(n=300), bumps_model(n=300, gamma=2.0)):
+        kc = centered_gram(m)
+        values, vectors = np.linalg.eigh(kc)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        sizes = full_solves(monkeypatch)
+        for count in (1, 4, 8):
+            e = top_eig(kc, count)
+            assert e.eigenvalues.shape == (count,) and e.eigenvectors.shape == (m.n, count)
+            assert np.abs(e.eigenvalues - values[:count]).max() <= 1e-12 * values[0]
+            assert aligned_error(e.eigenvectors, vectors[:, :count]) <= 1e-9
+        assert m.n not in sizes
+        monkeypatch.undo()
+
+
+def test_top_eig_tight_gap(rng, monkeypatch):
+    # lambda_3 and lambda_4 one part in 10^6 apart, either side of the cut
+    n = 200
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([[10.0, 6.0, 3.0 * (1 + 1e-6), 3.0], 2.0 * 0.8 ** np.arange(n - 4)])
+    a = (basis * lam) @ basis.T
+    sizes = full_solves(monkeypatch)
+    for count in (3, 4):
+        e = top_eig(a, count)
+        assert np.abs(e.eigenvalues - lam[:count]).max() <= 1e-12 * lam[0]
+        assert aligned_error(e.eigenvectors, basis[:, :count]) <= 1e-6
+    assert n not in sizes
+
+
+def test_top_eig_conventions_match_sym_eig(rng):
+    # a block wider than N / 8: the full solve, with sym_eig's order, clamp
+    # floor and signs
+    m = random_psd(rng, 9, rank=4)
+    full = sym_eig(m)
+    e = top_eig(m.entries, 9)
+    npt.assert_allclose(e.eigenvalues, full.eigenvalues, atol=1e-12 * full.eigenvalues[0])
+    assert e.rank() == full.rank() == 4
+    assert abs(e.clamp_floor - full.clamp_floor) <= 1e-12 * full.clamp_floor
+    npt.assert_allclose(e.eigenvectors[:, :4], full.eigenvectors[:, :4], atol=1e-10)
+    again = top_eig(m.entries, 9)
+    npt.assert_array_equal(again.eigenvectors, e.eigenvectors)  # same bits
+
+
+def test_top_eig_gives_way_to_full_solve_on_slow_decay(rng, monkeypatch):
+    # a spectrum that decays slowly past the wanted pairs: the rate of the
+    # first sweeps predicts more work than the full solve, which takes over
+    n = 200
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 1.0 / (1.0 + 0.01 * np.arange(n))
+    a = (basis * lam) @ basis.T
+    sizes = full_solves(monkeypatch)
+    e = top_eig(a, 3)
+    assert sizes.count(n) == 1 and len(sizes) <= 4
+    assert np.abs(e.eigenvalues - lam[:3]).max() <= 1e-12
+    assert aligned_error(e.eigenvectors, basis[:, :3]) <= 1e-8
+
+
+def test_top_eig_rejects_bad_input():
+    with pytest.raises(NonFinite):
+        top_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+    for count in (0, 3):
+        with pytest.raises(ValueError):
+            top_eig(np.eye(2), count)
+
+
+def test_cholesky_factor_both_branches(rng):
+    full = random_psd(rng, 8).entries
+    f = cholesky_factor(full)
+    npt.assert_array_equal(f, np.linalg.cholesky(full))  # positive definite: LAPACK
+    low = random_psd(rng, 8, rank=3).entries
+    f = cholesky_factor(low)  # singular: pivoted, one column per rank direction
+    assert f.shape == (8, 3)
+    assert np.abs(f @ f.T - low).max() <= 1e-12 * np.abs(low).max()
