@@ -12,6 +12,7 @@ import numpy as np
 from kppca import (
     KernelSpec,
     PreimageConfig,
+    SymMatrix,
     TrainingSet,
     center_gram,
     dual_latent_map,
@@ -33,7 +34,7 @@ os.makedirs(OUT, exist_ok=True)
 x = two_arcs(20, seed=0)
 ts = TrainingSet.from_columns(x)
 spec = KernelSpec("rbf", 2.0)
-kc = center_gram(gram(spec, ts))
+kc = center_gram(SymMatrix(gram(spec, ts)))
 
 print("N = 20 points, centered Gram matrix has rank", np.linalg.matrix_rank(kc.entries))
 print()

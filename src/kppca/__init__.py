@@ -56,7 +56,6 @@ from .spectral import (
     center_columns,
     center_gram,
     gram_means,
-    psd_sqrt_factor,
     sym_eig,
     top_eig,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "load_mnist_idx",
     "load_model",
     "marginal_loglik",
-    "psd_sqrt_factor",
     "sample_feature",
     "samples_from_noise",
     "save_csv",

@@ -17,12 +17,13 @@ import numpy as np
 from ._version import __version__
 from .dual import (
     DualModel,
-    dual_latent_map,
-    dual_reconstruct,
     dual_sample,
     dual_training_codes,
     fit_dual,
     kpca_limit,
+    preimage_codes,
+    preimage_columns,
+    project_inputs,
     samples_from_noise,
 )
 from .errors import DataError, NumericError, ZeroSpectrum
@@ -34,9 +35,9 @@ from .io_datasets import (
     save_model,
     write_metadata,
 )
-from .kernels import KernelSpec, TrainingSet, centered_kernel_vectors
+from .kernels import KernelSpec, TrainingSet
 from .plots import pgm_grid, scatter_svg
-from .preimage import PreimageConfig, kernel_smoother
+from .preimage import PreimageConfig
 from .primal import PrimalModel, explained_variance, feature_reconstruct, latent_map, sample_feature
 
 
@@ -166,7 +167,7 @@ def cmd_project(args):
     model = load_model(args.model)
     x = load_csv(args.data)
     if isinstance(model, DualModel):
-        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, model.means, x.T))
+        h = project_inputs(model, x.T)
     else:
         h = latent_map(model, x)
     out = _ensure_out(args.out)
@@ -183,8 +184,7 @@ def cmd_reconstruct(args):
     x = load_csv(args.data)
     if isinstance(model, DualModel):
         cfg = _preimage_cfg(args, model.n)
-        h = dual_latent_map(model, centered_kernel_vectors(model.spec, model.ts, model.means, x.T))
-        points = kernel_smoother(model.ts, dual_reconstruct(model, h), cfg)
+        points = preimage_codes(model, project_inputs(model, x.T), cfg)
         extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
                  "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
     else:
@@ -238,6 +238,8 @@ def cmd_generate(args):
     grid = _parse_grid(args) if args.grid is not None else None
     model = load_model(args.model)
     if isinstance(model, PrimalModel):
+        if grid is not None:
+            raise _UsageError("--grid sweeps the latent noise of a dual model; a primal model takes --count")
         out = _ensure_out(args.out)
         points = sample_feature(model, args.seed, args.count)
         gen_path = os.path.join(out, "generated.csv")
@@ -256,7 +258,7 @@ def cmd_generate(args):
 
     ks_path = os.path.join(out, "kernel_samples.csv")
     save_csv(ks_path, kc_cols, header=[f"k{i + 1}" for i in range(model.n)])
-    points = kernel_smoother(model.ts, kc_cols, cfg)
+    points = preimage_columns(model, kc_cols, cfg)
     gen_path = os.path.join(out, "generated.csv")
     save_csv(gen_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
 
@@ -275,11 +277,9 @@ def cmd_generate(args):
     elif d_in >= 2:
         # higher-dimensional points are plotted on their first two coordinates
         train_cols = model.ts.columns()
-        rec_kc = dual_reconstruct(model, dual_training_codes(model))
-        rec_pts = kernel_smoother(model.ts, rec_kc, cfg)
+        rec_pts = preimage_codes(model, dual_training_codes(model), cfg)
         limit = kpca_limit(model)
-        kpca_kc = dual_reconstruct(limit, dual_training_codes(limit))
-        kpca_pts = kernel_smoother(model.ts, kpca_kc, cfg)
+        kpca_pts = preimage_codes(limit, dual_training_codes(limit), cfg)
         svg_path = os.path.join(out, "scatter.svg")
         scatter_svg(svg_path, [
             ("original", "black", train_cols[:2]),

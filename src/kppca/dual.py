@@ -8,6 +8,15 @@ batch with one column. The loadings are a = E_q diag(s), so the latent
 normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda + sigma2) and K_c a is
 E_q diag(lambda s); projecting or reconstructing M columns costs O(N q M).
 
+Those functions take and return whole N x M blocks and are the reference.
+project_inputs, preimage_codes and preimage_columns run the same steps
+from inputs, latent codes or kernel columns to their q x M or d_in x M
+results through the column-block driver (kernels.column_blocks): each
+N x B block is built, mapped and preimaged in one reused buffer, so their
+working memory is O(N B) on top of the inputs and outputs, whatever M is.
+Blocked results differ from the reference only by the rounding of BLAS
+products over B instead of M columns.
+
 A fitted DualModel is the dual solution itself: the leading q eigenpairs
 (lambda_q, E_q) of the centered Gram matrix, sigma2, the sum of the
 discarded eigenvalues, the training Gram matrix's column means and grand
@@ -28,7 +37,15 @@ from .errors import (
     SigmaZero,
     ZeroSpectrum,
 )
-from .kernels import KernelSpec, TrainingSet, gram
+from .kernels import (
+    KernelSpec,
+    TrainingSet,
+    _check_inputs,
+    centered_kernel_block,
+    column_blocks,
+    gram,
+)
+from .preimage import PreimageConfig, kernel_smoother_block
 from .primal import (
     _LOG_2PI,
     GaussianSpec,
@@ -37,7 +54,15 @@ from .primal import (
     _latent_for_sigma2,
     _posterior_factor,
 )
-from .spectral import center_gram, center_in_place, cholesky_factor, gram_means, sym_eig, top_eig
+from .spectral import (
+    SymMatrix,
+    center_gram,
+    center_in_place,
+    cholesky_factor,
+    gram_means,
+    sym_eig,
+    top_eig,
+)
 
 @dataclass(frozen=True)
 class DualModel:
@@ -94,7 +119,7 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     n = ts.n
     if q is not None and not 1 <= q <= n:
         raise LatentExceedsRank(f"q={q} outside 1..N={n}")
-    kc = gram(spec, ts).entries
+    kc = gram(spec, ts)
     means = gram_means(kc)
     center_in_place(kc, means)
     trace = float(np.trace(kc))
@@ -150,7 +175,11 @@ def dual_latent_map(m: DualModel, k) -> np.ndarray:
     recovering the N Lambda^-1 a^T k_c shortcut.
     """
     k = _as_columns(k, m.n, "kernel columns")
-    return _map_scales(m)[:, None] * (m.e.T @ k)
+    return _latent_into(m, k, np.empty((m.q, k.shape[1])))
+
+
+def _latent_into(m, k, out):
+    return np.multiply(_map_scales(m)[:, None], m.e.T @ k, out=out)
 
 
 def dual_training_codes(m: DualModel) -> np.ndarray:
@@ -165,12 +194,51 @@ def dual_reconstruct(m: DualModel, h) -> np.ndarray:
     """MAP kernel representations (N x M) of latent codes h (q x M):
     K_c a h = E_q diag(lambda s) h."""
     h = _as_columns(h, m.q, "latent codes")
-    return m.e @ ((m.eigenvalues * m.s)[:, None] * h)
+    return _reconstruct_into(m, h, np.empty((m.n, h.shape[1])))
+
+
+def _reconstruct_into(m, h, out):
+    return np.matmul(m.e, (m.eigenvalues * m.s)[:, None] * h, out=out)
+
+
+def project_inputs(m: DualModel, xs) -> np.ndarray:
+    """MAP latent codes (q x M) of the inputs xs (M x d_in, one per row):
+    dual_latent_map of their centered_kernel_vectors, one column block at
+    a time."""
+    xs = _check_inputs(m.ts, xs)
+    h = np.empty((m.q, xs.shape[0]))
+    for cols, block in column_blocks(m.n, xs.shape[0]):
+        centered_kernel_block(m.spec, m.ts, m.means, xs[cols], block)
+        _latent_into(m, block, h[:, cols])
+    return h
+
+
+def preimage_codes(m: DualModel, h, cfg: PreimageConfig) -> np.ndarray:
+    """Input-space preimages (d_in x M) of latent codes h (q x M): the
+    kernel_smoother of their dual_reconstruct, one column block at a
+    time."""
+    h = _as_columns(h, m.q, "latent codes")
+    points = np.empty((m.ts.d_in, h.shape[1]))
+    for cols, block in column_blocks(m.n, h.shape[1]):
+        _reconstruct_into(m, h[:, cols], block)
+        kernel_smoother_block(m.ts, block, cfg, points[:, cols], cols.start)
+    return points
+
+
+def preimage_columns(m: DualModel, k, cfg: PreimageConfig) -> np.ndarray:
+    """kernel_smoother of kernel representations k (N x M) into d_in x M
+    preimages, one column block at a time; k is left as it is."""
+    k = _as_columns(k, m.n, "kernel columns")
+    points = np.empty((m.ts.d_in, k.shape[1]))
+    for cols, block in column_blocks(m.n, k.shape[1]):
+        block[...] = k[:, cols]
+        kernel_smoother_block(m.ts, block, cfg, points[:, cols], cols.start)
+    return points
 
 
 def _centered_gram_factor(m):
     # J L with K = L L^T from the training set, so (J L)(J L)^T = J K J = K_c
-    f = cholesky_factor(gram(m.spec, m.ts).entries)
+    f = cholesky_factor(gram(m.spec, m.ts))
     return f - f.mean(axis=0)
 
 
@@ -255,7 +323,7 @@ def dual_marginal_loglik(m: DualModel, k) -> float:
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
-    eig = sym_eig(center_gram(gram(m.spec, m.ts)))
+    eig = sym_eig(center_gram(SymMatrix(gram(m.spec, m.ts))))
     lam, e = eig.eigenvalues, eig.eigenvectors
     rank = eig.rank()
     if rank < m.n - 1:

@@ -29,10 +29,6 @@ class NoConvergence(NumericError):
     """The iterative eigenvalue solver failed to converge."""
 
 
-class NegativeEigenvalue(NumericError):
-    """An eigenvalue is negative beyond the clamping floor."""
-
-
 class DimensionMismatch(NumericError):
     """Vector or matrix dimensions are incompatible."""
 

@@ -435,7 +435,7 @@ def _load_dual_v1(sections, path):
            path, "EVAL does not sum to the trace of KCMT")
     ts = TrainingSet(points)
     return DualModel(sigma2=sigma2, eigenvalues=lam[:q].copy(), e=e[:, :q].copy(),
-                     tail=float(lam[q:].sum()), means=gram_means(gram(spec, ts).entries),
+                     tail=float(lam[q:].sum()), means=gram_means(gram(spec, ts)),
                      spec=spec, ts=ts)
 
 

@@ -2,16 +2,26 @@
 
 Only the two kernels actually exercised downstream are shipped: the linear
 kernel k(x, y) = <x, y> and the RBF kernel k(x, y) = exp(-||x - y||^2 / (2 gamma^2)).
+
+Every kernel block, the N x N Gram matrix included, is built in place in
+one preallocated array: the product, the squared distances, the
+exponential and the centering all overwrite the same buffer. Queries cut
+their columns into blocks of about _BLOCK_BYTES (column_blocks), so a
+query's working memory is O(N block_width(N)) however many columns it has.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .spectral import SymMatrix
 
 FAMILIES = ("linear", "rbf")
+
+# Bytes of one N x B float64 block of the column-block driver, and so the
+# working memory of a query whatever its number of columns.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,38 @@ class TrainingSet:
         """The samples as a d_in x N matrix."""
         return self.points.T
 
+    @cached_property
+    def _rbf_side(self):
+        # the training side of the RBF blocks of every query, computed once:
+        # the mean mu, the points measured from it and their squared norms
+        mu = self.points.mean(axis=0)
+        return (mu, *_rbf_rows(self.points, mu))
 
-def _kernel_block(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
-    """Uncentered N x M block K[i, j] = k(x_i, xs[j]) against the rows of xs.
+
+def block_width(n: int) -> int:
+    """Columns per block for kernel columns of length n: as many as fit
+    _BLOCK_BYTES of float64, and at least 64 so that BLAS still multiplies
+    matrices. It depends on n alone, so re-runs cut the same blocks."""
+    return max(64, _BLOCK_BYTES // (8 * n))
+
+
+def column_blocks(n: int, m: int):
+    """The column-block driver: split m columns of length n into runs of
+    block_width(n) and yield (cols, buf) per run, cols the slice of the run
+    and buf a C-contiguous n x width scratch array. Every block reuses the
+    same memory, so the caller's working set is one n x block_width(n)
+    array whatever m is; a block's contents are gone once the next one is
+    yielded."""
+    width = block_width(n)
+    flat = np.empty(n * min(width, m))
+    for start in range(0, m, width):
+        stop = min(start + width, m)
+        yield slice(start, stop), flat[: n * (stop - start)].reshape(n, stop - start)
+
+
+def _kernel_into(spec: KernelSpec, ts: TrainingSet, xs, out) -> np.ndarray:
+    """Fill out (N x M) with the uncentered kernel values k(x_i, xs[j]) of
+    the rows of xs, in place; xs is ts.points itself for the Gram matrix.
 
     Raises NonFinite when a kernel value is NaN or Inf: xs holds NaN or Inf,
     or the inputs are too large for float64 products. An RBF distance that
@@ -70,29 +109,59 @@ def _kernel_block(spec: KernelSpec, ts: TrainingSet, xs) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == "linear":
-            k = ts.points @ xs.T
+            np.matmul(ts.points, xs.T, out=out)
         else:
-            # Distances do not change under translation; measured from the
-            # training mean, the expansion ||a||^2 + ||b||^2 - 2 a.b does not
-            # cancel away the precision of data that sit far from the origin.
-            mu = ts.points.mean(axis=0)
-            a = ts.points - mu
-            # the Gram matrix's own block multiplies a by its transpose,
-            # which BLAS does as a symmetric update in half the flops
-            b = a if xs is ts.points else xs - mu
-            d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-            k = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
-    if not np.all(np.isfinite(k)):
+            if xs is ts.points:
+                # The Gram matrix, built once per fit or sample, keeps no
+                # training side. It multiplies a by its own transpose, which
+                # BLAS does as a symmetric rank-k update in half the flops,
+                # exactly symmetric.
+                a, sq_a = _rbf_rows(ts.points, ts.points.mean(axis=0))
+                b, sq_b = a, sq_a
+            else:
+                mu, a, sq_a = ts._rbf_side
+                b, sq_b = _rbf_rows(xs, mu)
+            # d2 = (sq_i + sq_j) - 2 a.b, one row block of sq_i + sq_j at a time
+            np.matmul(a, b.T, out=out)
+            out *= -2.0
+            rows = block_width(max(out.shape[1], 1))
+            for start in range(0, out.shape[0], rows):
+                out[start : start + rows] += sq_a[start : start + rows, None] + sq_b
+            np.maximum(out, 0.0, out=out)
+            out /= -(2.0 * spec.gamma**2)
+            np.exp(out, out=out)
+    if not np.all(np.isfinite(out)):
         raise NonFinite("kernel values are not finite: the inputs hold NaN or Inf, or overflow float64")
+    return out
+
+
+def _rbf_rows(xs, mu):
+    # Distances do not change under translation; measured from the training
+    # mean, the expansion ||a||^2 + ||b||^2 - 2 a.b does not cancel away the
+    # precision of data that sit far from the origin.
+    b = xs - mu
+    return b, np.sum(b * b, axis=1)
+
+
+def gram(spec: KernelSpec, ts: TrainingSet) -> np.ndarray:
+    """Uncentered N x N kernel matrix K[i, j] = k(x_i, x_j), as a plain
+    array built in place: exactly symmetric, so it needs no averaging."""
+    k = _kernel_into(spec, ts, ts.points, np.empty((ts.n, ts.n)))
+    if spec.family == "rbf":
+        np.fill_diagonal(k, 1.0)  # exact zero distance of each point to itself
     return k
 
 
-def gram(spec: KernelSpec, ts: TrainingSet) -> SymMatrix:
-    """Uncentered N x N kernel matrix K[i, j] = k(x_i, x_j)."""
-    k = _kernel_block(spec, ts, ts.points)
-    if spec.family == "rbf":
-        np.fill_diagonal(k, 1.0)  # exact zero distance of each point to itself
-    return SymMatrix(k)
+def centered_kernel_block(spec: KernelSpec, ts: TrainingSet, means, xs, out) -> np.ndarray:
+    """Fill out (N x M) with the centered kernel vectors of the rows of xs
+    (M x d_in), in place, and return it: the kernel values, then
+    k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
+    xs is not checked; centered_kernel_vectors is the checked entry."""
+    _kernel_into(spec, ts, xs, out)
+    out -= out.mean(axis=0)
+    out -= means[:-1, None]
+    out += means[-1]
+    return out
 
 
 def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, xs) -> np.ndarray:
@@ -104,10 +173,16 @@ def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, xs) -> np.
     input per row; column j of the result is the centered kernel vector of
     xs[j], entry i
     k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
-    A single input is the (1, d_in) batch.
+    A single input is the (1, d_in) batch. This builds the whole N x M
+    block at once; the CLI's queries go through column_blocks instead.
     """
+    xs = _check_inputs(ts, xs)
+    return centered_kernel_block(spec, ts, means, xs, np.empty((ts.n, xs.shape[0])))
+
+
+def _check_inputs(ts: TrainingSet, xs) -> np.ndarray:
+    """xs as a float (M, d_in) array, or DimensionMismatch."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != ts.d_in:
         raise DimensionMismatch(f"inputs must be (M, {ts.d_in}), got shape {xs.shape}")
-    kv = _kernel_block(spec, ts, xs)
-    return kv - kv.mean(axis=0, keepdims=True) - means[:-1, None] + means[-1]
+    return xs

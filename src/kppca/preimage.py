@@ -39,13 +39,22 @@ def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) 
     if w.ndim != 2 or w.shape[0] != ts.n:
         raise DimensionMismatch(f"weights must be a {ts.n} x M matrix, got shape {w.shape}")
     if cfg.clip_negative:
-        w = np.maximum(w, 0.0)
+        w = w.copy()
+    return kernel_smoother_block(ts, w, cfg, np.empty((ts.d_in, w.shape[1])))
+
+
+def kernel_smoother_block(ts: TrainingSet, w, cfg: PreimageConfig, out, first: int = 0) -> np.ndarray:
+    """kernel_smoother of the N x B weights w into out (d_in x B), for the
+    columns first, ..., first + B - 1 of a larger batch: clip_negative clips
+    w in place, and an error names the column's index in the batch."""
+    if cfg.clip_negative:
+        np.maximum(w, 0.0, out=w)
     denom = w.sum(axis=0) + cfg.epsilon
     degenerate = np.flatnonzero(np.abs(denom) < _NORMALIZER_FLOOR)
     if degenerate.size:
         j = degenerate[0]
         raise DegenerateNormalizer(
-            f"weight sum {denom[j]:.3e} of column {j} is numerically zero; "
+            f"weight sum {denom[j]:.3e} of column {first + j} is numerically zero; "
             "set epsilon > 0 or clip_negative to stabilize"
         )
-    return (ts.points.T @ w) / denom
+    return np.divide(ts.points.T @ w, denom, out=out)

@@ -1,5 +1,5 @@
 """Dense and leading-q symmetric eigendecompositions, centering, and PSD
-factors.
+Cholesky factors.
 
 Everything downstream (primal and dual training, the sampling operator,
 conditional covariances) is built on the decompositions produced here, so
@@ -8,11 +8,11 @@ descending order, tiny negative eigenvalues of nominally PSD matrices are
 clamped to zero, and eigenvector signs are made deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NoConvergence, NonFinite
+from .errors import NoConvergence, NonFinite
 
 
 def _require_finite(a, what):
@@ -45,14 +45,12 @@ class EigenDecomposition:
     """Descending eigenpairs of a symmetric PSD matrix.
 
     eigenvalues[p] pairs with eigenvectors[:, p]. Values below clamp_floor
-    are stored as exactly 0; the unclamped values are kept separately so
-    that genuinely negative spectra can still be detected.
+    are stored as exactly 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clamp_floor: float
-    raw_eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -81,7 +79,6 @@ def _descending(values, vectors):
         eigenvalues=np.where(values < floor, 0.0, values),
         eigenvectors=_fix_signs(vectors[:, ::-1]),
         clamp_floor=floor,
-        raw_eigenvalues=values,
     )
 
 
@@ -232,12 +229,3 @@ def cholesky_factor(a) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return _pivoted_cholesky(a)
-
-
-def psd_sqrt_factor(e: EigenDecomposition) -> np.ndarray:
-    """Symmetric square root S = V diag(sqrt(lambda)) V^T, so S @ S restores the source."""
-    if np.any(e.raw_eigenvalues < -e.clamp_floor):
-        worst = float(e.raw_eigenvalues.min())
-        raise NegativeEigenvalue(f"eigenvalue {worst} below -{e.clamp_floor}")
-    roots = np.sqrt(e.eigenvalues)
-    return (e.eigenvectors * roots) @ e.eigenvectors.T

@@ -60,12 +60,12 @@ def bumps_model(n=10, gamma=1.5, seed=0, **choice):
 
 def centered_gram(m):
     """Oracle: the model's centered Gram matrix, rebuilt from its training set."""
-    return center_gram(gram(m.spec, m.ts)).entries
+    return center_gram(SymMatrix(gram(m.spec, m.ts))).entries
 
 
 def full_spectrum(m):
     """Oracle: the full eigendecomposition of the model's centered Gram matrix."""
-    return sym_eig(center_gram(gram(m.spec, m.ts)))
+    return sym_eig(center_gram(SymMatrix(gram(m.spec, m.ts))))
 
 
 def marginal_covariance(m):

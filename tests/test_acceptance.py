@@ -138,7 +138,7 @@ def test_criterion_5_kpca_limit():
         d_in = int(rng.integers(2, 5))
         spec = KernelSpec("linear") if i % 2 else KernelSpec("rbf", float(rng.uniform(0.8, 3.0)))
         ts = TrainingSet(rng.standard_normal((n, d_in)))
-        kc = center_gram(gram(spec, ts))
+        kc = center_gram(SymMatrix(gram(spec, ts)))
         rank = sym_eig(kc).rank()
         q = int(rng.integers(1, rank + 1))
         model = kpca_limit(fit_dual(spec, ts, q=q))
@@ -160,7 +160,7 @@ def test_criterion_6_identity_limit():
         n = int(rng.integers(4, 11))
         spec = KernelSpec("linear") if i % 2 else KernelSpec("rbf", 1.5)
         ts = TrainingSet(rng.standard_normal((n, 2)))
-        kc = center_gram(gram(spec, ts))
+        kc = center_gram(SymMatrix(gram(spec, ts)))
         model = fit_dual(spec, ts, sigma2=0.0)  # q resolves to the full rank
         new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((3, 2)))
         probes = np.concatenate([kc.entries, new], axis=1)
@@ -213,7 +213,7 @@ def test_criterion_9a_toy_trends():
     x = two_arcs(20, seed=0)
     spec = KernelSpec("rbf", 2.0)
     ts = TrainingSet.from_columns(x)
-    kc = center_gram(gram(spec, ts))
+    kc = center_gram(SymMatrix(gram(spec, ts)))
     rank = sym_eig(kc).rank()
     evs, s2s = [], []
     for q in range(1, rank + 1):

@@ -1,6 +1,7 @@
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ import numpy.testing as npt
 import pytest
 
 from kppca import (
+    SymMatrix,
     center_gram,
+    centered_kernel_vectors,
     dual_latent_map,
     dual_reconstruct,
     explained_variance,
@@ -27,7 +30,7 @@ from kppca import dual, io_datasets, kernels
 from kppca.cli import main
 from kppca.preimage import PreimageConfig
 
-from conftest import rewrite_section
+from conftest import arcs_model, bump_images, bumps_model, rewrite_section
 
 
 @pytest.fixture
@@ -133,7 +136,7 @@ def test_reconstruct_matches_library_pipeline(tmp_path, toy_csv):
     x = load_csv(toy_csv)
     cfg = PreimageConfig(epsilon=1e-3 * model.n, clip_negative=True)
     assert x.shape[1] == model.n  # training data: the in-sample columns are the Gram's
-    kc = center_gram(gram(model.spec, model.ts)).entries
+    kc = center_gram(SymMatrix(gram(model.spec, model.ts))).entries
     rec = dual_reconstruct(model, dual_latent_map(model, kc))
     npt.assert_allclose(got, kernel_smoother(model.ts, rec, cfg), atol=1e-12)
 
@@ -307,6 +310,84 @@ def test_primal_model_commands(tmp_path, toy_csv, capsys):
     assert "kind: primal" in text
     line = next(l for l in text.splitlines() if l.startswith("explained_variance:"))
     assert float(line.split(":", 1)[1]) == explained_variance(pm)
+
+
+def test_generate_grid_on_primal_model_is_usage_error(tmp_path, toy_csv, capsys):
+    # a primal model samples with --count only; --grid is refused before
+    # anything is written
+    model_path = tmp_path / "primal.kppca"
+    save_model(model_path, fit_primal(load_csv(toy_csv), q=1))
+    assert main(["generate", "--model", str(model_path), "--grid", "2x2",
+                 "--out", str(tmp_path / "g")]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+# --- column blocks --------------------------------------------------------
+
+BLOCKED_N = 300
+WIDTH = kernels.block_width(BLOCKED_N)
+
+
+def blocked_case(tmp_path, data):
+    """A saved N = 300 model and 3B + 7 held-out inputs (one per row)."""
+    if data == "arcs":
+        m, queries = arcs_model(n=BLOCKED_N), two_arcs(3 * WIDTH + 7, seed=1).T
+    else:
+        m, queries = bumps_model(n=BLOCKED_N), bump_images(3 * WIDTH + 7, seed=1)
+    model_path = tmp_path / f"{data}.kppca"
+    save_model(model_path, m)
+    return m, model_path, queries
+
+
+@pytest.mark.parametrize("data", ["arcs", "bumps"])
+def test_blocked_queries_match_the_one_shot_library(tmp_path, data, capsys):
+    # the CLI cuts the queries into column blocks of width B; its files
+    # match the whole-batch library functions at every block boundary and
+    # are byte-identical on a re-run
+    m, model_path, queries = blocked_case(tmp_path, data)
+    cfg = PreimageConfig(epsilon=1e-3 * m.n, clip_negative=True)
+    for count in (1, WIDTH, WIDTH + 1, 3 * WIDTH + 7):
+        xs = queries[:count]
+        csv = tmp_path / f"q{count}.csv"
+        save_csv(csv, xs.T)
+        h = dual_latent_map(m, centered_kernel_vectors(m.spec, m.ts, m.means, xs))
+        points = kernel_smoother(m.ts, dual_reconstruct(m, h), cfg)
+        for cmd, name, expected in (("project", "latent.csv", h),
+                                    ("reconstruct", "reconstructed.csv", points)):
+            runs = []
+            for rep in range(2):
+                out = tmp_path / f"{cmd}-{count}-{rep}"
+                assert main([cmd, "--model", str(model_path), "--data", str(csv), "--out", str(out)]) == 0
+                runs.append((out / name).read_bytes())
+            assert runs[0] == runs[1], f"{cmd} M={count}: re-run differs"
+            got = load_csv(out / name)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (cmd, count)
+    capsys.readouterr()
+
+
+def test_query_memory_is_one_column_block(tmp_path, capsys):
+    # project and reconstruct of M = 3B + 7 two-dimensional inputs trace at
+    # most a few N x B blocks on top of their q x M and d_in x M results;
+    # building the whole N x M block at once takes at least twice N M 8 bytes
+    m, model_path, queries = blocked_case(tmp_path, "arcs")
+    count, d_in = queries.shape
+    csv = tmp_path / "queries.csv"
+    save_csv(csv, queries.T)
+    bound = 3 * BLOCKED_N * WIDTH * 8 + (m.q + d_in) * count * 8
+    assert bound < 2 * BLOCKED_N * count * 8
+    for cmd in ("project", "reconstruct"):
+        args = [cmd, "--model", str(model_path), "--data", str(csv), "--out", str(tmp_path / cmd)]
+        assert main(args) == 0  # warm-up: imports and first-call caches are not the query's
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{cmd} traced {peak} bytes, bound {bound}"
+    capsys.readouterr()
 
 
 def test_inconsistent_model_file_is_data_error(tmp_path, toy_csv):

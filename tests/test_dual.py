@@ -7,6 +7,8 @@ from scipy.stats import multivariate_normal
 
 from kppca import (
     KernelSpec,
+    PreimageConfig,
+    SymMatrix,
     TrainingSet,
     center_columns,
     center_gram,
@@ -22,6 +24,7 @@ from kppca import (
     fit_dual,
     fit_primal,
     gram,
+    kernel_smoother,
     kpca_limit,
     latent_map,
     latent_posterior,
@@ -29,7 +32,10 @@ from kppca import (
     sigma2_ml,
     tail_factor,
 )
+from kppca import kernels
+from kppca.dual import preimage_columns
 from kppca.errors import (
+    DegenerateNormalizer,
     DimensionMismatch,
     LatentExceedsRank,
     NotCentered,
@@ -103,7 +109,7 @@ def test_fit_centers_its_own_gram(rng):
     ts = TrainingSet(rng.standard_normal((7, 2)) + 5.0)
     spec = KernelSpec("linear")
     m = fit_dual(spec, ts, q=2)
-    k = gram(spec, ts).entries
+    k = gram(spec, ts)
     npt.assert_allclose(m.means, np.append(k.mean(axis=0), k.mean()), rtol=1e-14)
     assert np.abs(m.e.sum(axis=0)).max() <= 1e-12  # the retained directions are centered
     oracle = full_spectrum(m)
@@ -234,7 +240,7 @@ def test_reconstruct_dense_product_oracle(rng):
 def test_noiseless_full_rank_roundtrip_identity(rng):
     ts = TrainingSet(rng.standard_normal((7, 2)))
     spec = KernelSpec("rbf", 1.2)
-    kc = center_gram(gram(spec, ts))
+    kc = center_gram(SymMatrix(gram(spec, ts)))
     m = fit_dual(spec, ts, sigma2=0.0)
     probes = centered_kernel_vectors(spec, ts, m.means, rng.standard_normal((1, 2)))
     for k in (kc.entries, probes):
@@ -470,3 +476,21 @@ def test_dimension_checks(rng):
         samples_from_noise(m, np.zeros((m.n + 2, 1)))  # q rows without a tail
     with pytest.raises(DimensionMismatch):
         samples_from_noise(m, np.zeros((m.q, 1)), tail_factor(m))  # q + r rows with one
+
+
+def test_blocked_preimage_names_the_batch_column():
+    # a degenerate column in the second block is reported by its index in
+    # the whole batch, as the one-shot smoother reports it; the kernel
+    # columns themselves are left as they were
+    m = arcs_model(n=40)
+    width = kernels.block_width(m.n)
+    k = np.ones((m.n, width + 5))
+    k[:, width + 2] = centered_gram(m)[:, 0]  # sums to ~0
+    for run in (lambda: preimage_columns(m, k, PreimageConfig()),
+                lambda: kernel_smoother(m.ts, k)):
+        with pytest.raises(DegenerateNormalizer, match=f"column {width + 2} "):
+            run()
+    before = k.copy()
+    cfg = PreimageConfig(epsilon=1e-3, clip_negative=True)
+    npt.assert_allclose(preimage_columns(m, k, cfg), kernel_smoother(m.ts, k, cfg), rtol=1e-13, atol=1e-15)
+    npt.assert_array_equal(k, before)

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from kppca import (
     KernelSpec,
     RunMetadata,
+    SymMatrix,
     TrainingSet,
     center_gram,
     centered_kernel_vectors,
@@ -427,8 +428,8 @@ def test_every_section_carries_a_crc32(tmp_path, rng):
 def write_v1_dual(path, spec, ts, q):
     """A version 1 dual model file, from the full eigendecomposition: no
     CRC32, the whole spectrum, N x N eigenvectors, loadings and KCMT."""
-    kc = center_gram(gram(spec, ts)).entries
-    eig = sym_eig(center_gram(gram(spec, ts)))
+    kc = center_gram(SymMatrix(gram(spec, ts))).entries
+    eig = sym_eig(center_gram(SymMatrix(gram(spec, ts))))
     lam, e = eig.eigenvalues, eig.eigenvectors
     sigma2 = sigma2_ml(lam, q, ts.n)
     a = e[:, :q] * np.sqrt(np.maximum(1.0 / ts.n - sigma2 / lam[:q], 0.0))

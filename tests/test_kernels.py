@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kppca import (
     KernelSpec,
+    SymMatrix,
     TrainingSet,
     center_columns,
     center_gram,
@@ -13,13 +14,15 @@ from kppca import (
     gram,
     gram_means,
 )
-from kppca import kernels
+from kppca import kernels, two_arcs
 from kppca.errors import DimensionMismatch
+
+from conftest import bump_images
 
 
 def centered_vectors(spec, ts, xs):
     """centered_kernel_vectors with the Gram means that a fitted model keeps."""
-    return centered_kernel_vectors(spec, ts, gram_means(gram(spec, ts).entries), xs)
+    return centered_kernel_vectors(spec, ts, gram_means(gram(spec, ts)), xs)
 
 
 def kernel_eval(spec, x, y):
@@ -58,19 +61,19 @@ def pair(x, y):
 def test_kernel_eval_rbf_zero_distance():
     x = [0.3, -1.2]
     assert kernel_eval(KernelSpec("rbf", 0.7), x, x) == 1.0
-    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), pair(x, x)).entries, np.ones((2, 2)))
+    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), pair(x, x)), np.ones((2, 2)))
 
 
 def test_kernel_eval_rbf_known_value():
     # gamma=2 and distance 2: exp(-4 / (2 * 4)) = exp(-1/2)
     spec = KernelSpec("rbf", 2.0)
     assert abs(kernel_eval(spec, [0.0, 0.0], [2.0, 0.0]) - np.exp(-0.5)) <= 1e-15
-    assert abs(gram(spec, pair([0.0, 0.0], [2.0, 0.0])).entries[0, 1] - np.exp(-0.5)) <= 1e-15
+    assert abs(gram(spec, pair([0.0, 0.0], [2.0, 0.0]))[0, 1] - np.exp(-0.5)) <= 1e-15
 
 
 def test_kernel_eval_linear_dot():
     assert kernel_eval(KernelSpec("linear"), [1.0, 2.0], [3.0, -1.0]) == 1.0
-    assert gram(KernelSpec("linear"), pair([1.0, 2.0], [3.0, -1.0])).entries[0, 1] == 1.0
+    assert gram(KernelSpec("linear"), pair([1.0, 2.0], [3.0, -1.0]))[0, 1] == 1.0
 
 
 def test_kernel_eval_dimension_mismatch():
@@ -88,7 +91,7 @@ def test_kernel_eval_dimension_mismatch():
 def test_rbf_symmetric_and_bounded(xs, ys, g):
     # ranges keep the exponent above the double-precision underflow cliff,
     # where the mathematical bound 0 < k would be unobservable anyway
-    k = gram(KernelSpec("rbf", g), pair(xs, ys)).entries
+    k = gram(KernelSpec("rbf", g), pair(xs, ys))
     assert 0.0 < k[0, 1] <= 1.0
     assert k[0, 1] == k[1, 0]
 
@@ -105,7 +108,7 @@ def test_rbf_precision_independent_of_offset(offset, angle, seed):
     spec = KernelSpec("rbf", 1.0)
     ts = TrainingSet(points)
     direct = np.exp(-np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2) / 2.0)
-    assert np.abs(gram(spec, ts).entries - direct).max() <= 1e-12
+    assert np.abs(gram(spec, ts) - direct).max() <= 1e-12
     cross = np.exp(-np.sum((points[:, None, :] - queries[None, :, :]) ** 2, axis=2) / 2.0)
     centered = cross - cross.mean(axis=0) - direct.mean(axis=0)[:, None] + direct.mean()
     assert np.abs(centered_vectors(spec, ts, queries) - centered).max() <= 1e-12
@@ -113,27 +116,66 @@ def test_rbf_precision_independent_of_offset(offset, angle, seed):
 
 def test_gram_single_point_rbf():
     k = gram(KernelSpec("rbf", 1.0), TrainingSet(np.array([[0.5, 0.5]])))
-    npt.assert_allclose(k.entries, [[1.0]])
+    npt.assert_allclose(k, [[1.0]])
 
 
 def test_gram_linear_is_xtx(rng):
     x = rng.standard_normal((3, 6))
     k = gram(KernelSpec("linear"), TrainingSet.from_columns(x))
-    assert np.abs(k.entries - x.T @ x).max() <= 1e-12
+    assert np.abs(k - x.T @ x).max() <= 1e-12
 
 
 def test_gram_rbf_identical_points_all_ones():
     p = np.array([[1.0, 2.0], [1.0, 2.0]])
     k = gram(KernelSpec("rbf", 3.0), TrainingSet(p))
-    npt.assert_allclose(k.entries, np.ones((2, 2)))
+    npt.assert_allclose(k, np.ones((2, 2)))
 
 
 def test_gram_rbf_diagonal_ones_and_psd(rng):
     ts = TrainingSet(rng.standard_normal((9, 4)))
     k = gram(KernelSpec("rbf", 1.5), ts)
-    npt.assert_array_equal(np.diag(k.entries), np.ones(9))
-    w = np.linalg.eigvalsh(k.entries)
+    npt.assert_array_equal(np.diag(k), np.ones(9))
+    w = np.linalg.eigvalsh(k)
     assert w.min() >= -1e-10
+
+
+def test_block_width_comes_from_the_byte_budget():
+    # about 2 MiB of float64 per N x B block, never narrower than 64 columns
+    assert kernels.block_width(300) == 873
+    assert kernels.block_width(10**6) == 64
+
+
+def expression_block(spec, ts, xs):
+    """The uncentered kernel block as one whole-array expression, the form
+    the in-place routine replaced: the bit-level oracle of its order of
+    operations. xs is ts.points for the Gram matrix."""
+    p = ts.points
+    if spec.family == "linear":
+        return p @ xs.T
+    mu = p.mean(axis=0)
+    a = p - mu
+    b = a if xs is p else xs - mu
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.gamma**2))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 1.3)])
+def test_in_place_kernels_keep_the_expression_bits(spec):
+    # N = 600 adds the squared-norm sums in two row blocks
+    assert kernels.block_width(600) < 600
+    for points in (two_arcs(600, seed=2).T, bump_images(600)):
+        ts = TrainingSet(points)
+        k = gram(spec, ts)
+        oracle = expression_block(spec, ts, ts.points)
+        if spec.family == "rbf":
+            np.fill_diagonal(oracle, 1.0)
+        npt.assert_array_equal(k, (oracle + oracle.T) / 2.0)
+        npt.assert_array_equal(k, k.T)
+        means = gram_means(k)
+        xs = points[::7] + 0.01
+        kv = expression_block(spec, ts, xs)
+        npt.assert_array_equal(centered_kernel_vectors(spec, ts, means, xs),
+                               kv - kv.mean(axis=0, keepdims=True) - means[:-1, None] + means[-1])
 
 
 def test_kernel_vector_matches_pointwise_eval(rng):
@@ -142,7 +184,7 @@ def test_kernel_vector_matches_pointwise_eval(rng):
         probes = rng.standard_normal((2, 3))
         k = np.array([[kernel_eval(spec, p, x) for p in probes] for x in ts.points])
         k_train = np.array([[kernel_eval(spec, x, y) for y in ts.points] for x in ts.points])
-        npt.assert_allclose(gram(spec, ts).entries, k_train, atol=1e-14)
+        npt.assert_allclose(gram(spec, ts), k_train, atol=1e-14)
         oracle = k - k.mean(axis=0) - k_train.mean(axis=0)[:, None] + k_train.mean()
         npt.assert_allclose(centered_vectors(spec, ts, probes), oracle, atol=1e-14)
 
@@ -150,7 +192,7 @@ def test_kernel_vector_matches_pointwise_eval(rng):
 def test_centered_vector_matches_gram_columns(rng):
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 1.3)):
         ts = TrainingSet(rng.standard_normal((7, 3)))
-        kc = center_gram(gram(spec, ts))
+        kc = center_gram(SymMatrix(gram(spec, ts)))
         vecs = centered_vectors(spec, ts, ts.points)
         assert np.abs(vecs - kc.entries).max() <= 1e-12
 
@@ -195,7 +237,7 @@ def test_centered_vectors_use_cached_means(rng, monkeypatch):
     spec = KernelSpec("rbf", 1.1)
     ts = TrainingSet(rng.standard_normal((8, 3)))
     probes = rng.standard_normal((4, 3))
-    means = gram_means(gram(spec, ts).entries)
+    means = gram_means(gram(spec, ts))
     expected = centered_kernel_vectors(spec, ts, means, probes)
 
     def refuse(*args, **kwargs):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kppca import (
     KernelSpec,
     PreimageConfig,
+    SymMatrix,
     TrainingSet,
     center_gram,
     gram,
@@ -33,7 +34,7 @@ def test_uniform_weights_give_mean(arcs):
 def test_centered_weights_degenerate_without_stabilizer(arcs):
     # centered Gram columns sum to ~0 by construction; one such column
     # among good ones is enough to reject the batch
-    kc = center_gram(gram(KernelSpec("rbf", 1.0), arcs))
+    kc = center_gram(SymMatrix(gram(KernelSpec("rbf", 1.0), arcs)))
     batch = np.concatenate([np.ones((12, 2)), kc.entries[:, :1]], axis=1)
     with pytest.raises(DegenerateNormalizer, match="column 2"):
         kernel_smoother(arcs, batch)
