@@ -1,6 +1,7 @@
 """Command-line harness: fit, project, reconstruct, generate, report.
 
-Exit codes: 0 success, 2 usage error, 3 data/IO error, 4 numeric error.
+Exit codes: 0 success, 2 usage error, 3 data/IO error (an allocation that
+fails included), 4 numeric error.
 Numeric output files are byte-identical across re-runs with the same flags
 and seed; run metadata (which carries a timestamp) lives in a .meta.json
 sidecar next to each output set.
@@ -26,7 +27,7 @@ from .dual import (
     project_inputs,
     samples_from_noise,
 )
-from .errors import DataError, NumericError, ZeroSpectrum
+from .errors import DataError, NonFinite, NumericError, ZeroSpectrum
 from .io_datasets import (
     RunMetadata,
     load_csv,
@@ -250,15 +251,22 @@ def cmd_generate(args):
         return 0
 
     cfg = _preimage_cfg(args, model.n)
-    out = _ensure_out(args.out)
-    if grid is not None:
-        kc_cols = samples_from_noise(model, _grid_noise(model, *grid))
-    else:
-        kc_cols = dual_sample(model, args.seed, args.count)
+    # a latent range near float64's limits overflows; the checks report it
+    # before any file is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid is not None:
+            kc_cols = samples_from_noise(model, _grid_noise(model, *grid))
+        else:
+            kc_cols = dual_sample(model, args.seed, args.count)
+        if not np.isfinite(kc_cols).all():
+            raise NonFinite("kernel samples are not finite: the latent noise overflows float64")
+        points = preimage_columns(model, kc_cols, cfg)
+        if not np.isfinite(points).all():
+            raise NonFinite("generated points are not finite: their preimage overflows float64")
 
+    out = _ensure_out(args.out)
     ks_path = os.path.join(out, "kernel_samples.csv")
     save_csv(ks_path, kc_cols, header=[f"k{i + 1}" for i in range(model.n)])
-    points = preimage_columns(model, kc_cols, cfg)
     gen_path = os.path.join(out, "generated.csv")
     save_csv(gen_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
 
@@ -342,6 +350,10 @@ def main(argv=None) -> int:
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an input, a flag or a file asked for more memory than there is
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

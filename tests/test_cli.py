@@ -197,6 +197,34 @@ def test_generate_grid(tmp_path, toy_csv):
                  "--latent-range", "what", "--out", str(tmp_path / "bad2")]) == 2
 
 
+@pytest.mark.parametrize("bound, what", [("1e308", "kernel samples"), ("5e307", "generated points")])
+def test_generate_non_finite_samples_are_a_numeric_error(tmp_path, capsys, bound, what):
+    # on 40 two-arcs points 1e308 overflows the samples; at 5e307 the
+    # samples are finite and their preimage overflows
+    data = tmp_path / "arcs40.csv"
+    save_csv(data, two_arcs(40, seed=0))
+    model_path = run_fit(tmp_path, data, "--q", "2")
+    out = tmp_path / "gen"
+    assert main(["generate", "--model", str(model_path), "--grid", "2x2",
+                 f"--latent-range={bound}:-{bound}", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"numeric error: {what} are not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--count", "1000000000000000"], ["--grid", "1000000x10000000000"]])
+def test_generate_failed_allocation_is_a_data_error(tmp_path, toy_csv, capsys, flags):
+    # the noise (298 PiB) and the grid sweep (71 PiB) exceed any address
+    # space, so numpy's allocation fails before a page is touched, whatever
+    # the host's overcommit policy
+    model_path = run_fit(tmp_path, toy_csv, "--q", "2")
+    capsys.readouterr()
+    out = tmp_path / "gen"
+    assert main(["generate", "--model", str(model_path), *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
     # column r * a + c is E[:, :2] diag(c_1, c_2) (first[c], second[r]) with

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from kppca import (
     KernelSpec,
+    PreimageConfig,
     RunMetadata,
     SymMatrix,
     TrainingSet,
@@ -34,6 +36,7 @@ from kppca import (
     write_metadata,
 )
 from kppca import io_datasets
+from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
     BadMagic,
     CorruptFile,
@@ -45,7 +48,7 @@ from kppca.errors import (
 )
 from kppca.io_datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
-from conftest import align_columns, pack_matrix, pack_vector, rewrite_section
+from conftest import align_columns, bump_images, bumps_model, pack_matrix, pack_vector, rewrite_section
 
 # --- CSV -----------------------------------------------------------------
 
@@ -244,6 +247,84 @@ def test_save_csv_matches_csv_writer_of_reprs(tmp_path_factory, matrix, with_hea
     save_csv(base / "saved.csv", matrix, header=header)
     reference_save_csv(base / "reference.csv", matrix, header=header)
     assert (base / "saved.csv").read_bytes() == (base / "reference.csv").read_bytes()
+
+
+def repr_corpus(seed=0):
+    """About 1.04 million seeded doubles of every kind repr has to handle."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 500_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    # random 53-bit mantissas at every binary exponent, subnormals included
+    exps = np.repeat(np.arange(-1074, 1024), 100)
+    mants = np.ldexp(rng.integers(2**52, 2**53, exps.size).astype(float), exps - 52)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    twos = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf)])
+    # short decimals d / 10**k, read from their decimal strings
+    digits, scale = rng.integers(1, 10**7, 200_000), rng.integers(0, 24, 200_000)
+    decimals = np.array([float(f"{d}e-{k}") for d, k in zip(digits.tolist(), scale.tolist())])
+    ints = np.concatenate([rng.integers(0, 2**53, 100_000, endpoint=True).astype(float),
+                           1e16 + np.arange(-5000.0, 5000.0), 1e17 + 16 * np.arange(-5000.0, 5000.0)])
+    switches = np.array([1e-05, 0.0001, 0.001, 9999999999999998.0, 1e15, 1e16, 1e17])
+    edges = np.array([5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 0.0, -0.0,
+                      np.nan, np.inf, -np.inf, 1.7976931348623157e308])
+    x = np.concatenate([bits, mants, twos, decimals, ints, switches,
+                        np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+    x.view(np.uint64)[rng.random(x.size) < 0.5] ^= np.uint64(1 << 63)  # signs, NaNs untouched
+    return np.concatenate([x, edges])
+
+
+def repr_lines(table):
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode("ascii")
+
+
+def test_save_csv_is_repr_on_a_million_values(tmp_path):
+    # every cell's bytes are repr's, in rows of 7 and in one row wider than
+    # a chunk, which is written in pieces
+    x = repr_corpus()
+    assert x.size >= 1_000_000
+    wide = io_datasets._CHUNK_CELLS * 2 + 3
+    for table in (x[: x.size // 7 * 7].reshape(-1, 7), x[:wide].reshape(1, -1)):
+        save_csv(tmp_path / "t.csv", table.T)
+        assert (tmp_path / "t.csv").read_bytes() == repr_lines(table)
+
+
+def test_save_csv_without_the_digit_path_is_all_repr(tmp_path, monkeypatch):
+    # where np.longdouble has no 64-bit significand, or words are not
+    # little-endian, every cell is repr's
+    x = repr_corpus(seed=1)[::50][: 3 * 6000].reshape(-1, 3)
+    monkeypatch.setattr(io_datasets, "_DIGIT_PATH", False)
+    save_csv(tmp_path / "t.csv", x.T)
+    assert (tmp_path / "t.csv").read_bytes() == repr_lines(x)
+
+
+def test_save_csv_formats_reconstructions_without_repr(tmp_path, monkeypatch):
+    # on a fitted bumps model's reconstruction table fewer than 5% of the
+    # cells take repr: a formatter that always fell back would pass every
+    # byte test and lose its speed
+    m = bumps_model(n=60, q=5)
+    points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3)), PreimageConfig(epsilon=0.06))
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(io_datasets, "repr", counting_repr, raising=False)
+    save_csv(tmp_path / "t.csv", points)
+    assert len(calls) < 0.05 * points.size
+    assert (tmp_path / "t.csv").read_bytes() == repr_lines(points.T)
+
+
+def test_save_csv_working_set_is_one_chunk(tmp_path):
+    # the traced peak of writing a 500 x 500 table is one chunk's buffers
+    # and temporaries, whatever the table's size
+    x = np.random.default_rng(5).standard_normal((500, 500))
+    tracemalloc.start()
+    try:
+        save_csv(tmp_path / "t.csv", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= io_datasets._FORMAT_BYTES
 
 
 # --- MNIST IDX -----------------------------------------------------------
