@@ -1,10 +1,12 @@
 """Probabilistic principal component analysis, primal and dual.
 
-The primal side trains on the explicit feature covariance; the dual side
-trains on the centered kernel matrix, projects and reconstructs in kernel
-space, generates new kernel representations, and maps them back to inputs
-with a kernel smoother. Query functions take one query per column; a single
-query is the batch with one column.
+The dual model trains on the centered kernel matrix, projects and
+reconstructs in kernel space, generates new kernel representations, and
+maps them back to inputs with a kernel smoother; it is the model that the
+CLI and the model file know. The primal side trains on the explicit feature
+covariance and is the reference that a linear-kernel dual model matches.
+Query functions take one query per column; a single query is the batch with
+one column.
 """
 
 from ._version import __version__
@@ -47,7 +49,6 @@ from .primal import (
     latent_map,
     latent_posterior,
     marginal_loglik,
-    sample_feature,
     sigma2_ml,
 )
 from .spectral import (
@@ -95,7 +96,6 @@ __all__ = [
     "load_mnist_idx",
     "load_model",
     "marginal_loglik",
-    "sample_feature",
     "samples_from_noise",
     "save_csv",
     "save_model",

@@ -1,4 +1,5 @@
-"""Command-line harness: fit, project, reconstruct, generate, report.
+"""Command-line harness for the kernel-space (dual) model: fit writes it;
+project, reconstruct, generate and report read it.
 
 Exit codes: 0 success, 2 usage error, 3 data/IO error (an allocation that
 fails included), 4 numeric error.
@@ -17,7 +18,6 @@ import numpy as np
 
 from ._version import __version__
 from .dual import (
-    DualModel,
     dual_sample,
     dual_training_codes,
     fit_dual,
@@ -27,7 +27,7 @@ from .dual import (
     project_inputs,
     samples_from_noise,
 )
-from .errors import DataError, NonFinite, NumericError, ZeroSpectrum
+from .errors import DataError, NonFinite, NumericError
 from .io_datasets import (
     RunMetadata,
     load_csv,
@@ -39,7 +39,7 @@ from .io_datasets import (
 from .kernels import KernelSpec, TrainingSet
 from .plots import pgm_grid, scatter_svg
 from .preimage import PreimageConfig
-from .primal import PrimalModel, explained_variance, feature_reconstruct, latent_map, sample_feature
+from .primal import explained_variance
 
 
 class _UsageError(Exception):
@@ -106,21 +106,9 @@ def _ensure_out(path):
     return path
 
 
-def _explained_variance(model, primal_zero):
-    # an all-zero spectrum is an error for a dual model; a primal model
-    # reports primal_zero instead
-    try:
-        return explained_variance(model)
-    except ZeroSpectrum:
-        if isinstance(model, DualModel):
-            raise
-        return primal_zero
-
-
 def _model_meta(model, seed=None):
-    kernel = model.spec if isinstance(model, DualModel) else None
-    return RunMetadata(seed=seed, kernel=kernel, q=model.q, sigma2=model.sigma2,
-                       explained_variance=_explained_variance(model, None))
+    return RunMetadata(seed=seed, kernel=model.spec, q=model.q, sigma2=model.sigma2,
+                       explained_variance=explained_variance(model))
 
 
 def _finite(value, flag, low, strict=False):
@@ -141,12 +129,16 @@ def _preimage_cfg(args, n):
 def cmd_fit(args):
     if (args.q is None) == (args.sigma2 is None):
         raise _UsageError("fit needs exactly one of --q and --sigma2")
+    if args.q is not None and args.q < 1:
+        raise _UsageError(f"--q must be at least 1, got {args.q}")
     if args.sigma2 is not None:
         _finite(args.sigma2, "--sigma2", 0.0)
     if args.kernel == "rbf":
         if args.gamma is None:
             raise _UsageError("--kernel rbf needs --gamma > 0")
         spec = KernelSpec("rbf", _finite(args.gamma, "--gamma", 0.0, strict=True))
+    elif args.gamma is not None:
+        raise _UsageError("--gamma is the RBF bandwidth; --kernel linear takes none")
     else:
         spec = KernelSpec("linear")
     x = load_csv(args.data)
@@ -166,11 +158,7 @@ def cmd_fit(args):
 
 def cmd_project(args):
     model = load_model(args.model)
-    x = load_csv(args.data)
-    if isinstance(model, DualModel):
-        h = project_inputs(model, x.T)
-    else:
-        h = latent_map(model, x)
+    h = project_inputs(model, load_csv(args.data).T)
     out = _ensure_out(args.out)
     latent_path = os.path.join(out, "latent.csv")
     save_csv(latent_path, h, header=[f"h{p + 1}" for p in range(h.shape[0])])
@@ -183,14 +171,10 @@ def cmd_project(args):
 def cmd_reconstruct(args):
     model = load_model(args.model)
     x = load_csv(args.data)
-    if isinstance(model, DualModel):
-        cfg = _preimage_cfg(args, model.n)
-        points = preimage_codes(model, project_inputs(model, x.T), cfg)
-        extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
-                 "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
-    else:
-        points = feature_reconstruct(model, latent_map(model, x))
-        extra = {"command": "reconstruct", "data": args.data}
+    cfg = _preimage_cfg(args, model.n)
+    points = preimage_codes(model, project_inputs(model, x.T), cfg)
+    extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
+             "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
     out = _ensure_out(args.out)
     rec_path = os.path.join(out, "reconstructed.csv")
     save_csv(rec_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
@@ -238,18 +222,6 @@ def cmd_generate(args):
         raise _UsageError("--count must be nonnegative")
     grid = _parse_grid(args) if args.grid is not None else None
     model = load_model(args.model)
-    if isinstance(model, PrimalModel):
-        if grid is not None:
-            raise _UsageError("--grid sweeps the latent noise of a dual model; a primal model takes --count")
-        out = _ensure_out(args.out)
-        points = sample_feature(model, args.seed, args.count)
-        gen_path = os.path.join(out, "generated.csv")
-        save_csv(gen_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
-        write_metadata(os.path.join(out, "generate.meta.json"),
-                       _model_meta(model, seed=args.seed), extra={"command": "generate"})
-        print(f"wrote {gen_path} ({points.shape[1]} rows)")
-        return 0
-
     cfg = _preimage_cfg(args, model.n)
     # a latent range near float64's limits overflows; the checks report it
     # before any file is written
@@ -312,18 +284,13 @@ def cmd_generate(args):
 def cmd_report(args):
     model = load_model(args.model)
     lam = model.eigenvalues
-    ev = _explained_variance(model, float("nan"))
-    if isinstance(model, DualModel):
-        print("kind: dual")
-        print(f"N: {model.n}")
-        print(f"d_in: {model.ts.d_in}")
-        gamma = "" if model.spec.gamma is None else f" gamma={model.spec.gamma!r}"
-        print(f"kernel: {model.spec.family}{gamma}")
-        print(f"discarded_spectrum: {model.tail!r}")
-    else:
-        print("kind: primal")
-        print(f"N: {model.n}")
-        print(f"d: {model.d}")
+    ev = explained_variance(model)
+    print("kind: dual")
+    print(f"N: {model.n}")
+    print(f"d_in: {model.ts.d_in}")
+    gamma = "" if model.spec.gamma is None else f" gamma={model.spec.gamma!r}"
+    print(f"kernel: {model.spec.family}{gamma}")
+    print(f"discarded_spectrum: {model.tail!r}")
     print(f"q: {model.q}")
     print(f"sigma2: {model.sigma2!r}")
     print(f"explained_variance: {ev!r}")

@@ -54,15 +54,7 @@ from .primal import (
     _latent_for_sigma2,
     _posterior_factor,
 )
-from .spectral import (
-    SymMatrix,
-    center_gram,
-    center_in_place,
-    cholesky_factor,
-    gram_means,
-    sym_eig,
-    top_eig,
-)
+from .spectral import center_in_place, cholesky_factor, gram_means, top_eig
 
 @dataclass(frozen=True)
 class DualModel:
@@ -312,7 +304,8 @@ def dual_marginal_loglik(m: DualModel, k) -> float:
     """Log-density of one kernel representation under the trained marginal.
 
     The marginal covariance E diag(c^2) E^T needs the whole spectrum, which
-    this rebuilds with the full eigensolve (sym_eig). It is singular along
+    this rebuilds from the Gram matrix, centered in place as fit_dual does,
+    with top_eig for all N pairs (its full eigensolve). It is singular along
     the null directions of the spectrum, and a centered Gram matrix always
     has one: the constant vector. The density is that of the degenerate
     Gaussian on the rank directions (the pseudo-determinant replaces the
@@ -323,7 +316,8 @@ def dual_marginal_loglik(m: DualModel, k) -> float:
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
-    eig = sym_eig(center_gram(SymMatrix(gram(m.spec, m.ts))))
+    kc = gram(m.spec, m.ts)
+    eig = top_eig(center_in_place(kc, gram_means(kc)), m.n)
     lam, e = eig.eigenvalues, eig.eigenvectors
     rank = eig.rank()
     if rank < m.n - 1:

@@ -5,7 +5,7 @@ Model container layout (version 2, all integers and floats little-endian):
 
     magic   6 bytes   b"KPPCA\\0"
     version u32       2
-    kind    1 byte    b"P" (primal) or b"D" (dual)
+    kind    1 byte    b"D" (the dual model, the only kind)
     then a sequence of sections, each
         tag     4 ascii bytes
         length  u64, payload byte count
@@ -15,21 +15,17 @@ Model container layout (version 2, all integers and floats little-endian):
     vector payload:  u32 length, then that many f64
     matrix payload:  u32 rows, u32 cols, then rows*cols f64 row-major
 
-    primal sections: HYPR (u32 q, f64 sigma2), MEAN (vector mu),
-                     WMAT (matrix w), EVAL (vector eigenvalues),
-                     VMAT (matrix v)
-    dual sections:   HYPR (u32 q, f64 sigma2, f64 tail: the discarded
-                     spectrum's sum), KSPC (u8 family: 0 linear 1 rbf,
-                     f64 gamma, 0.0 when unused), EVAL (vector, the q
-                     leading eigenvalues), EVEC (matrix, their N x q
-                     eigenvectors), GMNS (vector, the training Gram
-                     matrix's N column means then its grand mean), TSET
-                     (matrix training points, one per row)
+    sections: HYPR (u32 q, f64 sigma2, f64 tail: the discarded spectrum's
+              sum), KSPC (u8 family: 0 linear 1 rbf, f64 gamma, 0.0 when
+              unused), EVAL (vector, the q leading eigenvalues), EVEC
+              (matrix, their N x q eigenvectors), GMNS (vector, the
+              training Gram matrix's N column means then its grand mean),
+              TSET (matrix training points, one per row)
 
-A dual file holds O(N (d_in + q)) numbers. Version 1 files (no CRC32; a
-dual model kept the full spectrum EVAL, its N x N eigenvectors EVEC, the
-loadings AMAT and the centered Gram matrix KCMT) still load, as the same
-model in the version 2 form.
+A file holds O(N (d_in + q)) numbers. Version 1 files (no CRC32; they
+kept the full spectrum EVAL, its N x N eigenvectors EVEC, the loadings AMAT
+and the centered Gram matrix KCMT) still load, as the same model in the
+version 2 form.
 
 Loading checks every CRC32 and that the sections agree with each other:
 shapes against N, d_in and q, 1 <= q <= N, finite sigma2 and tail >= 0, a
@@ -60,7 +56,6 @@ from .errors import (
     VersionMismatch,
 )
 from .kernels import KernelSpec, TrainingSet, gram
-from .primal import PrimalModel
 from .spectral import gram_means
 
 MODEL_MAGIC = b"KPPCA\x00"
@@ -74,20 +69,17 @@ class RunMetadata:
     """Provenance attached to every artifact a run produces."""
 
     seed: int | None
-    kernel: KernelSpec | None
+    kernel: KernelSpec
     q: int
     sigma2: float
-    explained_variance: float | None
+    explained_variance: float
     timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     tool_version: str = __version__
 
     def to_dict(self):
-        kern = None
-        if self.kernel is not None:
-            kern = {"family": self.kernel.family, "gamma": self.kernel.gamma}
         return {
             "seed": self.seed,
-            "kernel": kern,
+            "kernel": {"family": self.kernel.family, "gamma": self.kernel.gamma},
             "q": self.q,
             "sigma2": self.sigma2,
             "explained_variance": self.explained_variance,
@@ -508,33 +500,22 @@ def _section(tag, payload):
 
 
 def save_model(path, model):
-    if isinstance(model, PrimalModel):
-        kind = b"P"
-        sections = [
-            _section("HYPR", struct.pack("<Id", model.q, model.sigma2)),
-            _section("MEAN", _pack_vec(model.mu)),
-            _section("WMAT", _pack_mat(model.w)),
-            _section("EVAL", _pack_vec(model.eigenvalues)),
-            _section("VMAT", _pack_mat(model.v)),
-        ]
-    elif isinstance(model, DualModel):
-        kind = b"D"
-        family = 0 if model.spec.family == "linear" else 1
-        gamma = model.spec.gamma if model.spec.gamma is not None else 0.0
-        sections = [
-            _section("HYPR", struct.pack("<Idd", model.q, model.sigma2, model.tail)),
-            _section("KSPC", struct.pack("<Bd", family, gamma)),
-            _section("EVAL", _pack_vec(model.eigenvalues)),
-            _section("EVEC", _pack_mat(model.e)),
-            _section("GMNS", _pack_vec(model.means)),
-            _section("TSET", _pack_mat(model.ts.points)),
-        ]
-    else:
+    if not isinstance(model, DualModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    family = 0 if model.spec.family == "linear" else 1
+    gamma = model.spec.gamma if model.spec.gamma is not None else 0.0
+    sections = [
+        _section("HYPR", struct.pack("<Idd", model.q, model.sigma2, model.tail)),
+        _section("KSPC", struct.pack("<Bd", family, gamma)),
+        _section("EVAL", _pack_vec(model.eigenvalues)),
+        _section("EVEC", _pack_mat(model.e)),
+        _section("GMNS", _pack_vec(model.means)),
+        _section("TSET", _pack_mat(model.ts.points)),
+    ]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(kind)
+        fh.write(b"D")
         for sec in sections:
             fh.write(sec)
 
@@ -617,19 +598,6 @@ def _check_hyper(path, q, sigma2, lam, n):
            path, "EVAL is not a finite, nonnegative, descending spectrum")
 
 
-def _load_primal(sections, path):
-    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
-    lam = _unpack_vec(_need(sections, "EVAL", path))
-    mu = _unpack_vec(_need(sections, "MEAN", path))
-    w = _unpack_mat(_need(sections, "WMAT", path))
-    v = _unpack_mat(_need(sections, "VMAT", path))
-    _check_hyper(path, q, sigma2, lam, lam.size)
-    _check_shape(path, "MEAN", mu, (mu.size,))
-    _check_shape(path, "WMAT", w, (mu.size, q))
-    _check_shape(path, "VMAT", v, (mu.size, q))
-    return PrimalModel(mu=mu, w=w, sigma2=sigma2, q=q, eigenvalues=lam, v=v)
-
-
 def _kernel_spec(sections, path):
     family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
     _check(family in (0, 1), path, f"unknown kernel family code {family}")
@@ -691,12 +659,12 @@ def _load_dual_v1(sections, path):
 
 
 def load_model(path):
-    """Read back a model written by save_model; the round trip is lossless.
-    A version 1 file, which kept the full spectrum of a dual model, loads
-    as the same model in the version 2 form.
+    """Read back a DualModel written by save_model; the round trip is
+    lossless. A version 1 file, which kept the full spectrum, loads as the
+    same model in the version 2 form.
 
     Raises CorruptFile when the file is damaged (in version 2, a section
-    fails its CRC32) or its sections disagree.
+    fails its CRC32), its kind byte is not b"D", or its sections disagree.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
@@ -707,10 +675,9 @@ def load_model(path):
         raise VersionMismatch(f"{path}: version {version}, this build reads 1 and {MODEL_VERSION}")
     kind = bytes(blob[10:11])
     sections = _read_sections(blob, 11, path, checksummed=version == MODEL_VERSION)
-    loaders = {b"P": _load_primal, b"D": _load_dual if version == MODEL_VERSION else _load_dual_v1}
-    if kind not in loaders:
+    if kind != b"D":
         raise CorruptFile(f"{path}: unknown model kind {kind!r}")
     try:
-        return loaders[kind](sections, path)
+        return (_load_dual if version == MODEL_VERSION else _load_dual_v1)(sections, path)
     except struct.error as exc:
         raise CorruptFile(f"{path}: {exc}") from exc

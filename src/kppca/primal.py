@@ -1,6 +1,8 @@
 """Probabilistic PCA over explicit features: closed-form training, the latent
-posterior, MAP projection and reconstruction, marginal log-likelihood, and
-sampling in feature space.
+posterior, MAP projection and reconstruction, and the marginal
+log-likelihood. The library's reference for the dual model, which shares
+its noise estimator, (q | sigma2) resolution, posterior factor and
+explained variance; the CLI and the model file know only the dual model.
 
 Conventions: data matrices are d x N with one sample per column, the centered
 covariance is the unnormalized X_c X_c^T (the 1/N lives inside the loading
@@ -224,14 +226,3 @@ def marginal_loglik(m: PrimalModel, x) -> float:
     logdet = float(np.sum(np.log(denom)) + (m.d - m.q) * np.log(m.sigma2))
     per_sample = -0.5 * (m.d * _LOG_2PI + logdet + quad)
     return float(per_sample.sum())
-
-
-def sample_feature(m: PrimalModel, rng, count: int) -> np.ndarray:
-    """Draw `count` i.i.d. feature vectors mu + w z + sigma zeta as columns.
-
-    rng may be a seed or a numpy Generator; the caller owns the stream.
-    """
-    gen = np.random.default_rng(rng)
-    z = gen.standard_normal((m.q, count))
-    noise = gen.standard_normal((m.d, count))
-    return m.mu[:, None] + m.w @ z + np.sqrt(m.sigma2) * noise

@@ -15,11 +15,8 @@ from kppca import (
     dual_latent_map,
     dual_reconstruct,
     explained_variance,
-    feature_reconstruct,
-    fit_primal,
     gram,
     kernel_smoother,
-    latent_map,
     load_csv,
     load_model,
     save_csv,
@@ -64,6 +61,9 @@ def test_fit_writes_model_and_metadata(tmp_path, toy_csv):
     ["fit", "--kernel", "rbf", "--gamma", "nan", "--q", "2"],
     ["fit", "--kernel", "rbf", "--gamma", "inf", "--q", "2"],
     ["fit", "--kernel", "rbf", "--gamma", "-1", "--q", "2"],
+    ["fit", "--kernel", "rbf", "--gamma", "2", "--q", "0"],
+    ["fit", "--kernel", "rbf", "--gamma", "2", "--q", "-2"],
+    ["fit", "--kernel", "linear", "--gamma", "5", "--q", "2"],
     ["reconstruct", "--epsilon", "-1"],
     ["reconstruct", "--epsilon", "nan"],
     ["generate", "--epsilon", "-1"],
@@ -314,41 +314,6 @@ def test_rerun_byte_identical(tmp_path, toy_csv):
         ]
     for a, b in zip(files["one"], files["two"]):
         assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
-
-
-def test_primal_model_commands(tmp_path, toy_csv, capsys):
-    # fit writes dual models only; primal ones come from the library
-    x = load_csv(toy_csv)
-    pm = fit_primal(x, q=1)
-    model_path = tmp_path / "primal.kppca"
-    save_model(model_path, pm)
-    model = str(model_path)
-    assert main(["project", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "p")]) == 0
-    npt.assert_array_equal(load_csv(tmp_path / "p" / "latent.csv"), latent_map(pm, x))
-    assert main(["reconstruct", "--model", model, "--data", str(toy_csv),
-                 "--out", str(tmp_path / "r")]) == 0
-    npt.assert_array_equal(load_csv(tmp_path / "r" / "reconstructed.csv"),
-                           feature_reconstruct(pm, latent_map(pm, x)))
-    assert main(["generate", "--model", model, "--count", "6", "--seed", "5",
-                 "--out", str(tmp_path / "g")]) == 0
-    assert load_csv(tmp_path / "g" / "generated.csv").shape == (2, 6)
-    capsys.readouterr()
-    assert main(["report", "--model", model, "--out", str(tmp_path / "rep")]) == 0
-    text = capsys.readouterr().out
-    assert "kind: primal" in text
-    line = next(l for l in text.splitlines() if l.startswith("explained_variance:"))
-    assert float(line.split(":", 1)[1]) == explained_variance(pm)
-
-
-def test_generate_grid_on_primal_model_is_usage_error(tmp_path, toy_csv, capsys):
-    # a primal model samples with --count only; --grid is refused before
-    # anything is written
-    model_path = tmp_path / "primal.kppca"
-    save_model(model_path, fit_primal(load_csv(toy_csv), q=1))
-    assert main(["generate", "--model", str(model_path), "--grid", "2x2",
-                 "--out", str(tmp_path / "g")]) == 2
-    assert "--grid" in capsys.readouterr().err
-    assert not (tmp_path / "g").exists()
 
 
 # --- column blocks --------------------------------------------------------

@@ -36,6 +36,7 @@ from kppca import (
     write_metadata,
 )
 from kppca import io_datasets
+from kppca.cli import main
 from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
     BadMagic,
@@ -385,34 +386,19 @@ def test_idx_truncated(tmp_path, rng):
 # --- model container -------------------------------------------------------
 
 
-def fitted_models(rng):
-    x = two_arcs(7, seed=11)
-    pm = fit_primal(x, q=2)
-    dm = fit_dual(KernelSpec("rbf", 2.0), TrainingSet.from_columns(x), q=3)
-    return pm, dm
+def fitted_model():
+    return fit_dual(KernelSpec("rbf", 2.0), TrainingSet.from_columns(two_arcs(7, seed=11)), q=3)
 
 
-def test_model_roundtrip_bitwise(tmp_path, rng):
-    pm, dm = fitted_models(rng)
-    for name, model in (("p.kppca", pm), ("d.kppca", dm)):
-        path = tmp_path / name
-        save_model(path, model)
-        loaded = load_model(path)
-        second = tmp_path / ("2" + name)
-        save_model(second, loaded)
-        assert path.read_bytes() == second.read_bytes()
+def test_model_roundtrip_bitwise(tmp_path):
+    path, second = tmp_path / "d.kppca", tmp_path / "2d.kppca"
+    save_model(path, fitted_model())
+    save_model(second, load_model(path))
+    assert path.read_bytes() == second.read_bytes()
 
 
-def test_model_roundtrip_fields(tmp_path, rng):
-    pm, dm = fitted_models(rng)
-    save_model(tmp_path / "p.kppca", pm)
-    back = load_model(tmp_path / "p.kppca")
-    assert back.q == pm.q and back.sigma2 == pm.sigma2
-    npt.assert_array_equal(back.mu, pm.mu)
-    npt.assert_array_equal(back.w, pm.w)
-    npt.assert_array_equal(back.eigenvalues, pm.eigenvalues)
-    npt.assert_array_equal(back.v, pm.v)
-
+def test_model_roundtrip_fields(tmp_path):
+    dm = fitted_model()
     save_model(tmp_path / "d.kppca", dm)
     back = load_model(tmp_path / "d.kppca")
     assert back.q == dm.q and back.sigma2 == dm.sigma2
@@ -424,10 +410,9 @@ def test_model_roundtrip_fields(tmp_path, rng):
     npt.assert_array_equal(back.ts.points, dm.ts.points)
 
 
-def test_model_version_mismatch(tmp_path, rng):
-    pm, _ = fitted_models(rng)
-    path = tmp_path / "p.kppca"
-    save_model(path, pm)
+def test_model_version_mismatch(tmp_path):
+    path = tmp_path / "d.kppca"
+    save_model(path, fitted_model())
     blob = bytearray(path.read_bytes())
     blob[6:10] = struct.pack("<I", 42)
     path.write_bytes(bytes(blob))
@@ -435,10 +420,23 @@ def test_model_version_mismatch(tmp_path, rng):
         load_model(path)
 
 
-def test_model_corrupt_file(tmp_path, rng):
-    pm, _ = fitted_models(rng)
-    path = tmp_path / "p.kppca"
-    save_model(path, pm)
+def write_primal_file(path, pm, version):
+    """A primal model file as earlier builds wrote it: kind byte P and the
+    sections HYPR, MEAN, WMAT, EVAL and VMAT, with a CRC32 per section in
+    version 2."""
+    sections = [("HYPR", struct.pack("<Id", pm.q, pm.sigma2)), ("MEAN", pack_vector(pm.mu)),
+                ("WMAT", pack_matrix(pm.w)), ("EVAL", pack_vector(pm.eigenvalues)),
+                ("VMAT", pack_matrix(pm.v))]
+    blob = b"KPPCA\x00" + struct.pack("<I", version) + b"P"
+    for tag, payload in sections:
+        head = tag.encode("ascii") + struct.pack("<Q", len(payload))
+        blob += head + payload + (struct.pack("<I", zlib.crc32(head + payload)) if version == 2 else b"")
+    path.write_bytes(blob)
+
+
+def test_model_corrupt_file(tmp_path):
+    path = tmp_path / "d.kppca"
+    save_model(path, fitted_model())
     blob = path.read_bytes()
     path.write_bytes(b"NOTME" + blob[5:])
     with pytest.raises(CorruptFile):
@@ -446,10 +444,21 @@ def test_model_corrupt_file(tmp_path, rng):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptFile):
         load_model(path)
+    # the dual model is the only kind: a primal model file is refused
+    x = two_arcs(7, seed=11)
+    data = tmp_path / "x.csv"
+    save_csv(data, x)
+    for version in (1, 2):
+        write_primal_file(path, fit_primal(x, q=2), version)
+        with pytest.raises(CorruptFile, match="unknown model kind b'P'"):
+            load_model(path)
+        assert main(["project", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p")]) == 3
+        assert main(["report", "--model", str(path), "--out", str(tmp_path / "r")]) == 3
 
 
 def _dual_sections(dm):
-    # fitted_models' dual model: N = 7 two-arcs points in 2-D, q = 3
+    # fitted_model(): N = 7 two-arcs points in 2-D, q = 3
     lam, s2, tail = dm.eigenvalues, dm.sigma2, dm.tail
     return [
         ("HYPR", struct.pack("<Idd", 40, s2, tail), "q=40 outside 1..N=7"),
@@ -471,39 +480,31 @@ def _dual_sections(dm):
     ]
 
 
-def test_model_sections_must_agree(tmp_path, rng):
-    pm, dm = fitted_models(rng)
-    cases = [("d", dm, tag, payload, msg) for tag, payload, msg in _dual_sections(dm)]
-    cases += [
-        ("p", pm, "WMAT", pack_matrix(pm.w[:1]), "WMAT has shape (1, 2), expected (2, 2)"),
-        ("p", pm, "VMAT", pack_matrix(np.ones((2, 3))), "VMAT has shape (2, 3)"),
-        ("p", pm, "HYPR", struct.pack("<Id", 8, pm.sigma2), "q=8 outside 1..N=7"),
-    ]
-    for i, (kind, model, tag, payload, msg) in enumerate(cases):
-        path = tmp_path / f"{kind}{i}.kppca"
-        save_model(path, model)
+def test_model_sections_must_agree(tmp_path):
+    dm = fitted_model()
+    for i, (tag, payload, msg) in enumerate(_dual_sections(dm)):
+        path = tmp_path / f"d{i}.kppca"
+        save_model(path, dm)
         load_model(path)
         rewrite_section(path, tag, payload)
         with pytest.raises(CorruptFile, match=re.escape(msg)):
             load_model(path)
 
 
-def test_every_section_carries_a_crc32(tmp_path, rng):
-    pm, dm = fitted_models(rng)
-    for model in (pm, dm):
-        path = tmp_path / "m.kppca"
-        save_model(path, model)
-        blob = bytearray(path.read_bytes())
-        pos = 11
-        while pos < len(blob):
-            (length,) = struct.unpack_from("<Q", blob, pos + 4)
-            end = pos + 12 + length
-            assert struct.unpack_from("<I", blob, end)[0] == zlib.crc32(blob[pos:end])
-            pos = end + 4
-        blob[-5] ^= 0x10  # last payload byte
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptFile, match="CRC32"):
-            load_model(path)
+def test_every_section_carries_a_crc32(tmp_path):
+    path = tmp_path / "m.kppca"
+    save_model(path, fitted_model())
+    blob = bytearray(path.read_bytes())
+    pos = 11
+    while pos < len(blob):
+        (length,) = struct.unpack_from("<Q", blob, pos + 4)
+        end = pos + 12 + length
+        assert struct.unpack_from("<I", blob, end)[0] == zlib.crc32(blob[pos:end])
+        pos = end + 4
+    blob[-5] ^= 0x10  # last payload byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptFile, match="CRC32"):
+        load_model(path)
 
 
 def write_v1_dual(path, spec, ts, q):
@@ -560,8 +561,9 @@ def test_version_1_sections_must_agree(tmp_path):
 
 
 def test_save_model_rejects_other_types(tmp_path):
-    with pytest.raises(TypeError):
-        save_model(tmp_path / "x", object())
+    for model in (object(), fit_primal(two_arcs(7, seed=11), q=2)):
+        with pytest.raises(TypeError):
+            save_model(tmp_path / "x", model)
 
 
 # --- metadata -------------------------------------------------------------

@@ -13,7 +13,6 @@ from kppca import (
     latent_map,
     latent_posterior,
     marginal_loglik,
-    sample_feature,
     sigma2_ml,
 )
 from kppca.errors import (
@@ -341,29 +340,3 @@ def test_fitted_loadings_are_local_likelihood_maximum(rng):
             perturbed_ll = multivariate_normal(mean=m.mu, cov=cov).logpdf(x.T).sum()
             assert perturbed_ll <= base + 1e-9 * abs(base)
 
-
-# --- sampling -----------------------------------------------------------
-
-
-def test_sample_degenerate_is_constant():
-    m = PrimalModel(mu=np.array([1.0, -2.0]), w=np.zeros((2, 1)), sigma2=0.0, q=1,
-                    eigenvalues=np.array([0.0, 0.0]), v=np.eye(2)[:, :1])
-    s = sample_feature(m, 0, 5)
-    npt.assert_array_equal(s, np.tile(m.mu[:, None], (1, 5)))
-
-
-def test_sample_fixed_seed_reproducible(rng):
-    m = fit_primal(rng.standard_normal((3, 8)), q=2)
-    a = sample_feature(m, 77, 10)
-    b = sample_feature(m, 77, 10)
-    npt.assert_array_equal(a, b)
-
-
-def test_sample_covariance_monte_carlo(rng):
-    m = fit_primal(rng.standard_normal((3, 8)), q=2)
-    s = sample_feature(m, 2024, 200_000)
-    resid = s - s.mean(axis=1, keepdims=True)
-    emp = resid @ resid.T / s.shape[1]
-    target = m.w @ m.w.T + m.sigma2 * np.eye(3)
-    rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-    assert rel <= 0.05
