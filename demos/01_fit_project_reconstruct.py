@@ -12,7 +12,6 @@ import numpy as np
 from kppca import (
     KernelSpec,
     PreimageConfig,
-    SymMatrix,
     TrainingSet,
     center_gram,
     dual_latent_map,
@@ -34,9 +33,9 @@ os.makedirs(OUT, exist_ok=True)
 x = two_arcs(20, seed=0)
 ts = TrainingSet.from_columns(x)
 spec = KernelSpec("rbf", 2.0)
-kc = center_gram(SymMatrix(gram(spec, ts)))
+kc = center_gram(gram(spec, ts))
 
-print("N = 20 points, centered Gram matrix has rank", np.linalg.matrix_rank(kc.entries))
+print("N = 20 points, centered Gram matrix has rank", np.linalg.matrix_rank(kc))
 print()
 print("   q   sigma2      explained variance")
 
@@ -50,7 +49,7 @@ for q in (1, 3, 10):
     # back to kernel space, then back to the input plane with the smoother.
     # The centered kernel vectors of the training points are the columns of
     # kc; every step takes one query per column.
-    h = dual_latent_map(model, kc.entries)
+    h = dual_latent_map(model, kc)
     recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
     # The model needs no Gram matrix for this: E_q^T K_c = Lambda_q E_q^T.
     print(f"       training codes from the identity: max diff {np.abs(dual_training_codes(model) - h).max():.1e}")

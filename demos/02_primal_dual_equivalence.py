@@ -8,7 +8,6 @@ import numpy as np
 
 from kppca import (
     KernelSpec,
-    SymMatrix,
     TrainingSet,
     center_columns,
     centered_kernel_vectors,
@@ -36,7 +35,7 @@ print(f"noise variance: primal {primal.sigma2:.8f}, dual {dual.sigma2:.8f}")
 # Both decompositions share their nonzero spectrum; the dual model keeps
 # its q leading eigenvalues.
 xc, _ = center_columns(x)
-cov_lam = sym_eig(SymMatrix(xc @ xc.T)).eigenvalues[:q]
+cov_lam = sym_eig(xc @ xc.T).eigenvalues[:q]
 gram_lam = dual.eigenvalues
 print("spectrum difference:", np.abs(cov_lam - gram_lam).max())
 

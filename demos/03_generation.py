@@ -24,7 +24,6 @@ import numpy as np
 from kppca import (
     KernelSpec,
     PreimageConfig,
-    SymMatrix,
     TrainingSet,
     center_gram,
     dual_sample,
@@ -63,7 +62,7 @@ print("noiseless sampler rank:", np.linalg.matrix_rank(noise_map(kpca_limit(mode
 
 # The covariance of the map is the marginal of the full spectrum, which the
 # model never computed: check it against a full eigendecomposition.
-eig = sym_eig(center_gram(SymMatrix(gram(spec, ts))))
+eig = sym_eig(center_gram(gram(spec, ts)))
 lam, e = eig.eigenvalues, eig.eigenvectors
 c2 = np.concatenate([lam[:3] ** 2 / model.n, model.sigma2 * lam[3:]])
 target = (e * c2) @ e.T

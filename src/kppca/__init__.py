@@ -25,13 +25,11 @@ from .dual import (
     tail_factor,
 )
 from .io_datasets import (
-    RunMetadata,
     load_csv,
     load_mnist_idx,
     load_model,
     save_csv,
     save_model,
-    write_metadata,
 )
 from .kernels import (
     KernelSpec,
@@ -53,7 +51,6 @@ from .primal import (
 )
 from .spectral import (
     EigenDecomposition,
-    SymMatrix,
     center_columns,
     center_gram,
     gram_means,
@@ -69,8 +66,6 @@ __all__ = [
     "KernelSpec",
     "PreimageConfig",
     "PrimalModel",
-    "RunMetadata",
-    "SymMatrix",
     "TrainingSet",
     "center_columns",
     "center_gram",
@@ -104,5 +99,4 @@ __all__ = [
     "tail_factor",
     "top_eig",
     "two_arcs",
-    "write_metadata",
 ]

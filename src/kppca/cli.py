@@ -9,10 +9,14 @@ sidecar next to each output set.
 """
 
 import argparse
+import json
 import math
 import os
 import re
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -28,18 +32,11 @@ from .dual import (
     samples_from_noise,
 )
 from .errors import DataError, NonFinite, NumericError
-from .io_datasets import (
-    RunMetadata,
-    load_csv,
-    load_model,
-    save_csv,
-    save_model,
-    write_metadata,
-)
+from .io_datasets import load_csv, load_model, save_csv, save_model
 from .kernels import KernelSpec, TrainingSet
 from .plots import pgm_grid, scatter_svg
 from .preimage import PreimageConfig
-from .primal import explained_variance
+from .primal import _check_choice, explained_variance
 
 
 class _UsageError(Exception):
@@ -106,49 +103,54 @@ def _ensure_out(path):
     return path
 
 
-def _model_meta(model, seed=None):
-    return RunMetadata(seed=seed, kernel=model.spec, q=model.q, sigma2=model.sigma2,
-                       explained_variance=explained_variance(model))
+def _write_sidecar(path, model, extra, seed=None):
+    # the run's provenance, next to its outputs: the only file that carries
+    # a timestamp
+    payload = {"seed": seed, "kernel": {"family": model.spec.family, "gamma": model.spec.gamma},
+               "q": model.q, "sigma2": model.sigma2, "explained_variance": explained_variance(model),
+               "timestamp": datetime.now(timezone.utc).isoformat(), "tool_version": __version__,
+               **extra}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _finite(value, flag, low, strict=False):
-    # a flag value that is finite and >= low (> low when strict)
-    if not (math.isfinite(value) and (value > low if strict else value >= low)):
-        raise _UsageError(f"{flag} must be a finite value {'>' if strict else '>='} {low}, got {value!r}")
-    return value
+@contextmanager
+def _flag_values():
+    # the value types own the rules of their flags; a value they refuse is
+    # a usage error
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _preimage_cfg(args, n):
-    eps = _finite(args.epsilon, "--epsilon", 0.0) if args.epsilon is not None else 1e-3 * n
-    return PreimageConfig(epsilon=eps, clip_negative=args.clip_negative)
+def _model_and_preimage_cfg(args):
+    # the config is built, and so checked, before the model file is read;
+    # the default epsilon is 1e-3 * N
+    with _flag_values():
+        cfg = PreimageConfig(epsilon=0.0 if args.epsilon is None else args.epsilon,
+                             clip_negative=args.clip_negative)
+    model = load_model(args.model)
+    if args.epsilon is None:
+        cfg = replace(cfg, epsilon=1e-3 * model.n)
+    return model, cfg
 
 
 # --- commands -----------------------------------------------------------
 
 
 def cmd_fit(args):
-    if (args.q is None) == (args.sigma2 is None):
-        raise _UsageError("fit needs exactly one of --q and --sigma2")
-    if args.q is not None and args.q < 1:
-        raise _UsageError(f"--q must be at least 1, got {args.q}")
-    if args.sigma2 is not None:
-        _finite(args.sigma2, "--sigma2", 0.0)
-    if args.kernel == "rbf":
-        if args.gamma is None:
-            raise _UsageError("--kernel rbf needs --gamma > 0")
-        spec = KernelSpec("rbf", _finite(args.gamma, "--gamma", 0.0, strict=True))
-    elif args.gamma is not None:
-        raise _UsageError("--gamma is the RBF bandwidth; --kernel linear takes none")
-    else:
-        spec = KernelSpec("linear")
+    with _flag_values():
+        _check_choice(args.q, args.sigma2)
+        spec = KernelSpec(args.kernel, args.gamma)
     x = load_csv(args.data)
     ts = TrainingSet.from_columns(x)
     model = fit_dual(spec, ts, q=args.q, sigma2=args.sigma2)
     out = _ensure_out(args.out)
     model_path = os.path.join(out, "model.kppca")
     save_model(model_path, model)
-    write_metadata(os.path.join(out, "model.meta.json"), _model_meta(model),
-                   extra={"command": "fit", "data": args.data})
+    _write_sidecar(os.path.join(out, "model.meta.json"), model, {"command": "fit", "data": args.data})
     ev = explained_variance(model)
     print(f"fit: N={model.n} d_in={ts.d_in} kernel={spec.family} q={model.q} "
           f"sigma2={model.sigma2:.6g} explained_variance={ev:.6g}")
@@ -162,23 +164,21 @@ def cmd_project(args):
     out = _ensure_out(args.out)
     latent_path = os.path.join(out, "latent.csv")
     save_csv(latent_path, h, header=[f"h{p + 1}" for p in range(h.shape[0])])
-    write_metadata(os.path.join(out, "latent.meta.json"), _model_meta(model),
-                   extra={"command": "project", "data": args.data})
+    _write_sidecar(os.path.join(out, "latent.meta.json"), model, {"command": "project", "data": args.data})
     print(f"wrote {latent_path} ({h.shape[1]} rows x {h.shape[0]} cols)")
     return 0
 
 
 def cmd_reconstruct(args):
-    model = load_model(args.model)
+    model, cfg = _model_and_preimage_cfg(args)
     x = load_csv(args.data)
-    cfg = _preimage_cfg(args, model.n)
     points = preimage_codes(model, project_inputs(model, x.T), cfg)
     extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
              "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
     out = _ensure_out(args.out)
     rec_path = os.path.join(out, "reconstructed.csv")
     save_csv(rec_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
-    write_metadata(os.path.join(out, "reconstructed.meta.json"), _model_meta(model), extra=extra)
+    _write_sidecar(os.path.join(out, "reconstructed.meta.json"), model, extra)
     print(f"wrote {rec_path} ({points.shape[1]} rows x {points.shape[0]} cols)")
     return 0
 
@@ -221,8 +221,7 @@ def cmd_generate(args):
     if args.count < 0:
         raise _UsageError("--count must be nonnegative")
     grid = _parse_grid(args) if args.grid is not None else None
-    model = load_model(args.model)
-    cfg = _preimage_cfg(args, model.n)
+    model, cfg = _model_and_preimage_cfg(args)
     # a latent range near float64's limits overflows; the checks report it
     # before any file is written
     with np.errstate(over="ignore", invalid="ignore"):
@@ -274,8 +273,7 @@ def cmd_generate(args):
              "files": [os.path.basename(p) for p in written]}
     if grid is not None:
         extra["grid"] = {"cols": grid[0], "rows": grid[1], "range": [grid[2], grid[3]]}
-    write_metadata(os.path.join(out, "generate.meta.json"),
-                   _model_meta(model, seed=args.seed), extra=extra)
+    _write_sidecar(os.path.join(out, "generate.meta.json"), model, extra, seed=args.seed)
     for p in written:
         print(f"wrote {p}")
     return 0
@@ -301,8 +299,7 @@ def cmd_report(args):
     spec_path = os.path.join(out, "spectrum.csv")
     table = np.stack([np.arange(1, lam.size + 1, dtype=float), lam])
     save_csv(spec_path, table, header=["index", "eigenvalue"])
-    write_metadata(os.path.join(out, "spectrum.meta.json"), _model_meta(model),
-                   extra={"command": "report"})
+    _write_sidecar(os.path.join(out, "spectrum.meta.json"), model, {"command": "report"})
     print(f"wrote {spec_path}")
     return 0
 

@@ -109,7 +109,7 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     """
     _check_choice(q, sigma2)
     n = ts.n
-    if q is not None and not 1 <= q <= n:
+    if q is not None and q > n:
         raise LatentExceedsRank(f"q={q} outside 1..N={n}")
     kc = gram(spec, ts)
     means = gram_means(kc)

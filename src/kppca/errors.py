@@ -33,12 +33,9 @@ class DimensionMismatch(NumericError):
     """Vector or matrix dimensions are incompatible."""
 
 
-class LatentTooLarge(NumericError):
-    """Requested latent dimension exceeds min(d, N)."""
-
-
 class LatentExceedsRank(NumericError):
-    """Requested latent dimension exceeds the numerical rank of the Gram matrix."""
+    """Requested latent dimension exceeds what the data support: the
+    numerical rank of the centered Gram matrix, or min(d, N)."""
 
 
 class SigmaTooLarge(NumericError):

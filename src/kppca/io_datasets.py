@@ -1,5 +1,4 @@
-"""Data ingestion (CSV tables, MNIST IDX files), model serialization, and run
-metadata.
+"""Data ingestion (CSV tables, MNIST IDX files) and model serialization.
 
 Model container layout (version 2, all integers and floats little-endian):
 
@@ -29,22 +28,19 @@ version 2 form.
 
 Loading checks every CRC32 and that the sections agree with each other:
 shapes against N, d_in and q, 1 <= q <= N, finite sigma2 and tail >= 0, a
-finite, nonnegative, descending EVAL, and EVEC entries within [-1, 1].
+finite, nonnegative, descending EVAL, EVEC entries within [-1, 1], and a
+KSPC that KernelSpec accepts.
 """
 
 import csv
 import gzip
 import io
-import json
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
-from ._version import __version__
 from .dual import DualModel
 from .errors import (
     BadMagic,
@@ -62,39 +58,6 @@ MODEL_MAGIC = b"KPPCA\x00"
 MODEL_VERSION = 2
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
-
-
-@dataclass
-class RunMetadata:
-    """Provenance attached to every artifact a run produces."""
-
-    seed: int | None
-    kernel: KernelSpec
-    q: int
-    sigma2: float
-    explained_variance: float
-    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-    tool_version: str = __version__
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "kernel": {"family": self.kernel.family, "gamma": self.kernel.gamma},
-            "q": self.q,
-            "sigma2": self.sigma2,
-            "explained_variance": self.explained_variance,
-            "timestamp": self.timestamp,
-            "tool_version": self.tool_version,
-        }
-
-
-def write_metadata(path, meta: RunMetadata, extra: dict | None = None):
-    payload = meta.to_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # --- CSV ----------------------------------------------------------------
@@ -601,8 +564,11 @@ def _check_hyper(path, q, sigma2, lam, n):
 def _kernel_spec(sections, path):
     family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
     _check(family in (0, 1), path, f"unknown kernel family code {family}")
-    _check(family == 0 or (np.isfinite(gamma) and gamma > 0.0), path, f"rbf bandwidth {gamma} is not > 0")
-    return KernelSpec("linear") if family == 0 else KernelSpec("rbf", gamma)
+    try:
+        # a linear kernel's gamma is stored as 0.0
+        return KernelSpec("linear", gamma or None) if family == 0 else KernelSpec("rbf", gamma)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
 
 
 def _check_evec(path, e):

@@ -10,12 +10,14 @@ their columns into blocks of about _BLOCK_BYTES (column_blocks), so a
 query's working memory is O(N block_width(N)) however many columns it has.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
+from .spectral import center_in_place
 
 FAMILIES = ("linear", "rbf")
 
@@ -32,9 +34,19 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "rbf":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("rbf kernel needs a bandwidth gamma > 0")
+        if self.family == "linear":
+            if self.gamma is not None:
+                raise ValueError(f"the linear kernel takes no bandwidth, got gamma={self.gamma!r}")
+        elif not (self.gamma is not None and self.gamma > 0 and 0.0 < _rbf_divisor(self.gamma) < math.inf):
+            raise ValueError(f"rbf bandwidth {self.gamma!r} must be > 0 with 2 gamma^2 a finite float > 0")
+
+
+def _rbf_divisor(gamma):
+    # 2 gamma^2, the divisor of the RBF exponent; inf where it overflows
+    try:
+        return 2.0 * float(gamma) ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def _kernel_into(spec: KernelSpec, ts: TrainingSet, xs, out) -> np.ndarray:
             for start in range(0, out.shape[0], rows):
                 out[start : start + rows] += sq_a[start : start + rows, None] + sq_b
             np.maximum(out, 0.0, out=out)
-            out /= -(2.0 * spec.gamma**2)
+            out /= -_rbf_divisor(spec.gamma)
             np.exp(out, out=out)
     if not np.all(np.isfinite(out)):
         raise NonFinite("kernel values are not finite: the inputs hold NaN or Inf, or overflow float64")
@@ -157,11 +169,7 @@ def centered_kernel_block(spec: KernelSpec, ts: TrainingSet, means, xs, out) -> 
     (M x d_in), in place, and return it: the kernel values, then
     k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
     xs is not checked; centered_kernel_vectors is the checked entry."""
-    _kernel_into(spec, ts, xs, out)
-    out -= out.mean(axis=0)
-    out -= means[:-1, None]
-    out += means[-1]
-    return out
+    return center_in_place(_kernel_into(spec, ts, xs, out), means)
 
 
 def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, xs) -> np.ndarray:

@@ -23,8 +23,8 @@ class PreimageConfig:
     clip_negative: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a finite value >= 0, got {self.epsilon!r}")
 
 
 def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) -> np.ndarray:

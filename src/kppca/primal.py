@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    LatentTooLarge,
-    NonFinite,
+    LatentExceedsRank,
     QEqualsNWarning,
     SigmaTooLarge,
     SigmaZero,
     ZeroSpectrum,
 )
-from .spectral import SymMatrix, center_columns, sym_eig
+from .spectral import center_columns, sym_eig
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -83,8 +82,9 @@ def sigma2_ml(eigenvalues, q: int, n: int) -> float:
     emitted so callers can tell the degenerate case apart.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if q < 1 or q > n:
-        raise LatentTooLarge(f"q={q} outside 1..{n}")
+    _check_choice(q, None)
+    if q > n:
+        raise LatentExceedsRank(f"q={q} outside 1..{n}")
     if q == n:
         warnings.warn("q == N leaves no discarded eigenvalues", QEqualsNWarning, stacklevel=2)
         return 0.0
@@ -93,9 +93,12 @@ def sigma2_ml(eigenvalues, q: int, n: int) -> float:
 
 
 def _check_choice(q, sigma2):
-    """Exactly one of q and sigma2, and a sigma2 that is a finite value >= 0."""
+    """Exactly one of q and sigma2, a q of at least 1, and a sigma2 that is
+    a finite value >= 0."""
     if (q is None) == (sigma2 is None):
         raise ValueError("exactly one of q and sigma2 must be given")
+    if q is not None and q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
     if sigma2 is not None and not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 must be a finite value >= 0, got {sigma2}")
 
@@ -126,14 +129,9 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     must be supplied.
     """
     _check_choice(q, sigma2)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a d x N matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("data matrix contains NaN or Inf entries")
-    d, n = x.shape
     xc, mu = center_columns(x)
-    eig = sym_eig(SymMatrix(xc @ xc.T))
+    d, n = xc.shape
+    eig = sym_eig(xc @ xc.T)
     # The model keeps the length-N spectrum: the d x d covariance and the
     # N x N Gram share their nonzero eigenvalues, everything further is 0.
     lam = np.zeros(n)
@@ -142,8 +140,8 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     if q is None:
         q, s2 = _latent_for_sigma2(lam, sigma2, m, n), float(sigma2)
     else:
-        if not 1 <= q <= m:
-            raise LatentTooLarge(f"q={q} outside 1..{m}")
+        if q > m:
+            raise LatentExceedsRank(f"q={q} outside 1..{m}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QEqualsNWarning)
             s2 = sigma2_ml(lam, q, n)

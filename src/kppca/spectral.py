@@ -21,26 +21,6 @@ def _require_finite(a, what):
 
 
 @dataclass(frozen=True)
-class SymMatrix:
-    """A real symmetric matrix; symmetry is enforced by averaging (M + M^T)/2."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ValueError("matrix must be at least 1x1")
-        _require_finite(m, "matrix")
-        object.__setattr__(self, "entries", (m + m.T) / 2.0)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Descending eigenpairs of a symmetric PSD matrix.
 
@@ -82,20 +62,12 @@ def _descending(values, vectors):
     )
 
 
-def sym_eig(m: SymMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric PSD-up-to-noise matrix.
-
-    Eigenvalues come back descending and clamped at 1e-12 * max(1, lambda_1);
-    eigenvector signs follow the largest-entry-positive convention so that
-    repeated runs and cross-implementation comparisons are deterministic.
-    """
-    a = m.entries
-    _require_finite(a, "matrix")
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return _descending(values, vectors)
+def sym_eig(a) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric PSD-up-to-noise N x N array:
+    top_eig(a, N), whose conventions make repeated runs and
+    cross-implementation comparisons deterministic."""
+    a = np.asarray(a, dtype=float)
+    return top_eig(a, a.shape[0] if a.ndim else 0)
 
 
 # Subspace iteration stops once every wanted Ritz pair has a residual
@@ -132,8 +104,9 @@ def _subspace_iteration(a, count, width):
 
 
 def top_eig(a, count: int) -> EigenDecomposition:
-    """The leading `count` eigenpairs of a symmetric PSD N x N array, in
-    sym_eig's order, clamp floor and sign convention.
+    """The leading `count` eigenpairs of a symmetric PSD N x N array:
+    eigenvalues descending and clamped at 1e-12 * max(1, lambda_1), each
+    eigenvector's largest-magnitude entry positive.
 
     Subspace iteration with Rayleigh-Ritz, started from the randomized
     range finder (Halko, Martinsson and Tropp, SIAM Review 2011): a block of
@@ -146,6 +119,8 @@ def top_eig(a, count: int) -> EigenDecomposition:
     would cost more than it. The same input and count give the same bits.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix of at least 1x1, got shape {a.shape}")
     _require_finite(a, "matrix")
     n = a.shape[0]
     if not 1 <= count <= n:
@@ -170,18 +145,21 @@ def gram_means(a) -> np.ndarray:
 
 
 def center_in_place(a, means) -> np.ndarray:
-    """Double-center a Gram matrix in place, K_c = J K J with
-    J = I - (1/N) 11^T, from its gram_means; returns a."""
-    col = means[:-1]
-    a -= col
-    a -= col[:, None]
+    """Double-center the N x M kernel columns a in place from the training
+    Gram matrix's gram_means and return a: entry (i, j) becomes
+    a_ij - mean_l a_lj - m_i + g. For the Gram matrix itself this is
+    K_c = J K J with J = I - (1/N) 11^T."""
+    a -= a.mean(axis=0)
+    a -= means[:-1, None]
     a += means[-1]
     return a
 
 
-def center_gram(k: SymMatrix) -> SymMatrix:
-    """Double-center a Gram matrix: K_c = J K J with J = I - (1/N) 11^T."""
-    return SymMatrix(center_in_place(k.entries.copy(), gram_means(k.entries)))
+def center_gram(k) -> np.ndarray:
+    """Double-center a Gram matrix into a new array: K_c = J K J with
+    J = I - (1/N) 11^T."""
+    k = np.array(k, dtype=float)
+    return center_in_place(k, gram_means(k))
 
 
 def center_columns(x):

@@ -6,7 +6,6 @@ import pytest
 
 from kppca import (
     KernelSpec,
-    SymMatrix,
     TrainingSet,
     center_gram,
     fit_dual,
@@ -22,7 +21,7 @@ def random_psd(rng, n, rank=None):
     """Random symmetric PSD matrix with controllable rank."""
     rank = n if rank is None else rank
     b = rng.standard_normal((n, rank))
-    return SymMatrix(b @ b.T)
+    return b @ b.T
 
 
 def bump_images(n, side=6, seed=0):
@@ -60,12 +59,12 @@ def bumps_model(n=10, gamma=1.5, seed=0, **choice):
 
 def centered_gram(m):
     """Oracle: the model's centered Gram matrix, rebuilt from its training set."""
-    return center_gram(SymMatrix(gram(m.spec, m.ts))).entries
+    return center_gram(gram(m.spec, m.ts))
 
 
 def full_spectrum(m):
     """Oracle: the full eigendecomposition of the model's centered Gram matrix."""
-    return sym_eig(center_gram(SymMatrix(gram(m.spec, m.ts))))
+    return sym_eig(center_gram(gram(m.spec, m.ts)))
 
 
 def marginal_covariance(m):

@@ -12,7 +12,6 @@ from scipy.stats import multivariate_normal
 
 from kppca import (
     KernelSpec,
-    SymMatrix,
     TrainingSet,
     center_columns,
     center_gram,
@@ -96,8 +95,8 @@ def test_criterion_3_spectrum_transport():
         d = int(rng.integers(2, 7))
         n = int(rng.integers(4, 13))
         xc, _ = center_columns(rng.standard_normal((d, n)))
-        cov_eig = sym_eig(SymMatrix(xc @ xc.T))
-        gram_eig = sym_eig(SymMatrix(xc.T @ xc))
+        cov_eig = sym_eig(xc @ xc.T)
+        gram_eig = sym_eig(xc.T @ xc)
         m = min(d, n)
         for p in range(m):
             lam = gram_eig.eigenvalues[p]
@@ -138,14 +137,14 @@ def test_criterion_5_kpca_limit():
         d_in = int(rng.integers(2, 5))
         spec = KernelSpec("linear") if i % 2 else KernelSpec("rbf", float(rng.uniform(0.8, 3.0)))
         ts = TrainingSet(rng.standard_normal((n, d_in)))
-        kc = center_gram(SymMatrix(gram(spec, ts)))
+        kc = center_gram(gram(spec, ts))
         rank = sym_eig(kc).rank()
         q = int(rng.integers(1, rank + 1))
         model = kpca_limit(fit_dual(spec, ts, q=q))
         new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((5, d_in)))
-        probes = np.concatenate([kc.entries, new], axis=1)
+        probes = np.concatenate([kc, new], axis=1)
         ours = dual_reconstruct(model, dual_latent_map(model, probes))
-        oracle = kpca_oracle_reconstruct(kc.entries, q, probes)
+        oracle = kpca_oracle_reconstruct(kc, q, probes)
         worst = max(worst, float(np.abs(ours - oracle).max()))
     elapsed = time.perf_counter() - start
     report(5, "noiseless pipeline equals classical KPCA", worst <= 1e-10 and elapsed < 5.0,
@@ -160,10 +159,10 @@ def test_criterion_6_identity_limit():
         n = int(rng.integers(4, 11))
         spec = KernelSpec("linear") if i % 2 else KernelSpec("rbf", 1.5)
         ts = TrainingSet(rng.standard_normal((n, 2)))
-        kc = center_gram(SymMatrix(gram(spec, ts)))
+        kc = center_gram(gram(spec, ts))
         model = fit_dual(spec, ts, sigma2=0.0)  # q resolves to the full rank
         new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((3, 2)))
-        probes = np.concatenate([kc.entries, new], axis=1)
+        probes = np.concatenate([kc, new], axis=1)
         rec = dual_reconstruct(model, dual_latent_map(model, probes))
         worst = max(worst, float(np.abs(rec - probes).max()))
     elapsed = time.perf_counter() - start
@@ -213,7 +212,7 @@ def test_criterion_9a_toy_trends():
     x = two_arcs(20, seed=0)
     spec = KernelSpec("rbf", 2.0)
     ts = TrainingSet.from_columns(x)
-    kc = center_gram(SymMatrix(gram(spec, ts)))
+    kc = center_gram(gram(spec, ts))
     rank = sym_eig(kc).rank()
     evs, s2s = [], []
     for q in range(1, rank + 1):

@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 from kppca import (
-    SymMatrix,
     center_gram,
     centered_kernel_vectors,
     dual_latent_map,
@@ -71,6 +70,8 @@ def test_fit_writes_model_and_metadata(tmp_path, toy_csv):
     ["generate", "--grid", "2x2", "--latent-range=nan:1"],
     ["generate", "--grid", "2x2", "--latent-range=-1:inf"],
     ["generate", "--seed", "-1"],
+    ["fit", "--kernel", "rbf", "--gamma", "1e300", "--q", "2"],
+    ["fit", "--kernel", "rbf", "--gamma", "1e-300", "--q", "2"],
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, toy_csv, capsys, args):
     model_path = run_fit(tmp_path, toy_csv, "--q", "2")
@@ -136,7 +137,7 @@ def test_reconstruct_matches_library_pipeline(tmp_path, toy_csv):
     x = load_csv(toy_csv)
     cfg = PreimageConfig(epsilon=1e-3 * model.n, clip_negative=True)
     assert x.shape[1] == model.n  # training data: the in-sample columns are the Gram's
-    kc = center_gram(SymMatrix(gram(model.spec, model.ts))).entries
+    kc = center_gram(gram(model.spec, model.ts))
     rec = dual_reconstruct(model, dual_latent_map(model, kc))
     npt.assert_allclose(got, kernel_smoother(model.ts, rec, cfg), atol=1e-12)
 

@@ -16,12 +16,11 @@ from hypothesis.extra.numpy import arrays
 from kppca import (
     KernelSpec,
     PreimageConfig,
-    RunMetadata,
-    SymMatrix,
     TrainingSet,
     center_gram,
     centered_kernel_vectors,
     dual_latent_map,
+    explained_variance,
     fit_dual,
     fit_primal,
     gram,
@@ -33,9 +32,8 @@ from kppca import (
     sigma2_ml,
     sym_eig,
     two_arcs,
-    write_metadata,
 )
-from kppca import io_datasets
+from kppca import __version__, io_datasets
 from kppca.cli import main
 from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
@@ -455,6 +453,14 @@ def test_model_corrupt_file(tmp_path):
         assert main(["project", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "p")]) == 3
         assert main(["report", "--model", str(path), "--out", str(tmp_path / "r")]) == 3
+    # a CRC-valid kernel section whose bandwidth KernelSpec refuses: 2 gamma^2
+    # overflows float64
+    save_model(path, fitted_model())
+    rewrite_section(path, "KSPC", struct.pack("<Bd", 1, 1e300))
+    with pytest.raises(CorruptFile, match="rbf bandwidth 1e[+]300"):
+        load_model(path)
+    assert main(["project", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "p")]) == 3
+    assert main(["report", "--model", str(path), "--out", str(tmp_path / "r")]) == 3
 
 
 def _dual_sections(dm):
@@ -477,6 +483,7 @@ def _dual_sections(dm):
         ("TSET", pack_matrix(dm.ts.points[:5]), "EVEC has shape (7, 3), expected (5, 3)"),
         ("KSPC", struct.pack("<Bd", 7, 2.0), "kernel family code 7"),
         ("KSPC", struct.pack("<Bd", 1, 0.0), "rbf bandwidth 0.0"),
+        ("KSPC", struct.pack("<Bd", 0, 5.0), "linear kernel takes no bandwidth"),
     ]
 
 
@@ -510,8 +517,8 @@ def test_every_section_carries_a_crc32(tmp_path):
 def write_v1_dual(path, spec, ts, q):
     """A version 1 dual model file, from the full eigendecomposition: no
     CRC32, the whole spectrum, N x N eigenvectors, loadings and KCMT."""
-    kc = center_gram(SymMatrix(gram(spec, ts))).entries
-    eig = sym_eig(center_gram(SymMatrix(gram(spec, ts))))
+    kc = center_gram(gram(spec, ts))
+    eig = sym_eig(center_gram(gram(spec, ts)))
     lam, e = eig.eigenvalues, eig.eigenvectors
     sigma2 = sigma2_ml(lam, q, ts.n)
     a = e[:, :q] * np.sqrt(np.maximum(1.0 / ts.n - sigma2 / lam[:q], 0.0))
@@ -570,12 +577,20 @@ def test_save_model_rejects_other_types(tmp_path):
 
 
 def test_metadata_sidecar(tmp_path):
-    meta = RunMetadata(seed=9, kernel=KernelSpec("rbf", 2.0), q=3, sigma2=0.01,
-                       explained_variance=0.8)
-    p = tmp_path / "run.meta.json"
-    write_metadata(p, meta, extra={"command": "fit"})
-    payload = json.loads(p.read_text())
-    assert payload["seed"] == 9
-    assert payload["kernel"] == {"family": "rbf", "gamma": 2.0}
-    assert payload["command"] == "fit"
-    assert "timestamp" in payload and "tool_version" in payload
+    # every command writes the same provenance keys; generate adds its seed
+    data, out = tmp_path / "x.csv", tmp_path / "m"
+    save_csv(data, two_arcs(20, seed=0))
+    assert main(["fit", "--data", str(data), "--kernel", "rbf", "--gamma", "2", "--q", "3",
+                 "--out", str(out)]) == 0
+    assert main(["generate", "--model", str(out / "model.kppca"), "--count", "4", "--seed", "9",
+                 "--out", str(tmp_path / "g")]) == 0
+    model = load_model(out / "model.kppca")
+    for path, seed, command in ((out / "model.meta.json", None, "fit"),
+                                (tmp_path / "g" / "generate.meta.json", 9, "generate")):
+        payload = json.loads(path.read_text())
+        assert payload["seed"] == seed
+        assert payload["kernel"] == {"family": "rbf", "gamma": 2.0}
+        assert payload["q"] == 3 and payload["sigma2"] == model.sigma2
+        assert payload["explained_variance"] == explained_variance(model)
+        assert payload["command"] == command
+        assert "timestamp" in payload and payload["tool_version"] == __version__

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kppca import (
     KernelSpec,
-    SymMatrix,
     TrainingSet,
     center_columns,
     center_gram,
@@ -43,6 +42,11 @@ def test_kernel_spec_validation():
         KernelSpec("rbf")
     with pytest.raises(ValueError):
         KernelSpec("rbf", -1.0)
+    # 2 gamma^2 must be a finite float > 0: 1e300 overflows, 1e-300 underflows
+    for family, gamma in (("rbf", np.inf), ("rbf", np.nan), ("rbf", 1e300), ("rbf", 1e-300),
+                          ("linear", 5.0)):
+        with pytest.raises(ValueError):
+            KernelSpec(family, gamma)
 
 
 def test_training_set_shapes(rng):
@@ -192,9 +196,9 @@ def test_kernel_vector_matches_pointwise_eval(rng):
 def test_centered_vector_matches_gram_columns(rng):
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 1.3)):
         ts = TrainingSet(rng.standard_normal((7, 3)))
-        kc = center_gram(SymMatrix(gram(spec, ts)))
+        kc = center_gram(gram(spec, ts))
         vecs = centered_vectors(spec, ts, ts.points)
-        assert np.abs(vecs - kc.entries).max() <= 1e-12
+        assert np.abs(vecs - kc).max() <= 1e-12
 
 
 def test_centered_vector_single_point_linear():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kppca import (
     KernelSpec,
     PreimageConfig,
-    SymMatrix,
     TrainingSet,
     center_gram,
     gram,
@@ -34,8 +33,8 @@ def test_uniform_weights_give_mean(arcs):
 def test_centered_weights_degenerate_without_stabilizer(arcs):
     # centered Gram columns sum to ~0 by construction; one such column
     # among good ones is enough to reject the batch
-    kc = center_gram(SymMatrix(gram(KernelSpec("rbf", 1.0), arcs)))
-    batch = np.concatenate([np.ones((12, 2)), kc.entries[:, :1]], axis=1)
+    kc = center_gram(gram(KernelSpec("rbf", 1.0), arcs))
+    batch = np.concatenate([np.ones((12, 2)), kc[:, :1]], axis=1)
     with pytest.raises(DegenerateNormalizer, match="column 2"):
         kernel_smoother(arcs, batch)
     out = kernel_smoother(arcs, batch, PreimageConfig(epsilon=1e-3))
@@ -89,5 +88,6 @@ def test_dimension_mismatch(arcs):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PreimageConfig(epsilon=-1.0)
+    for eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PreimageConfig(epsilon=eps)

@@ -17,7 +17,7 @@ from kppca import (
 )
 from kppca.errors import (
     DimensionMismatch,
-    LatentTooLarge,
+    LatentExceedsRank,
     NonFinite,
     QEqualsNWarning,
     SigmaTooLarge,
@@ -74,9 +74,9 @@ def test_sigma2_ml_q_equals_n_warns():
 
 
 def test_sigma2_ml_rejects_bad_q():
-    with pytest.raises(LatentTooLarge):
+    with pytest.raises(ValueError):
         sigma2_ml([1.0], q=0, n=1)
-    with pytest.raises(LatentTooLarge):
+    with pytest.raises(LatentExceedsRank):
         sigma2_ml([1.0], q=2, n=1)
 
 
@@ -158,9 +158,9 @@ def test_fit_given_sigma2_deduces_q(rng):
 
 def test_fit_error_paths(rng):
     x = rng.standard_normal((3, 5))
-    with pytest.raises(LatentTooLarge):
+    with pytest.raises(LatentExceedsRank):
         fit_primal(x, q=4)
-    with pytest.raises(LatentTooLarge):
+    with pytest.raises(ValueError):
         fit_primal(x, q=0)
     with pytest.raises(SigmaTooLarge):
         fit_primal(x, sigma2=1e9)
