@@ -5,8 +5,9 @@ reconstructs in kernel space, generates new kernel representations, and
 maps them back to inputs with a kernel smoother; it is the model that the
 CLI and the model file know. The primal side trains on the explicit feature
 covariance and is the reference that a linear-kernel dual model matches.
-Query functions take one query per column; a single query is the batch with
-one column.
+Query functions, the posteriors, conditionals and marginal densities
+included, take one query per column and return one result per column; a
+single query is the batch with one column, and a 1-D argument is refused.
 """
 
 from ._version import __version__

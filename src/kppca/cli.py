@@ -222,6 +222,11 @@ def cmd_generate(args):
         raise _UsageError("--count must be nonnegative")
     grid = _parse_grid(args) if args.grid is not None else None
     model, cfg = _model_and_preimage_cfg(args)
+    columns = args.count if grid is None else grid[0] * grid[1]
+    if (model.q + model.n) * columns * 8 > sys.maxsize:
+        # numpy refuses with a ValueError an array whose bytes overflow the
+        # address space; the largest here is the (q + r) x M noise, r <= N
+        raise MemoryError(f"{columns} samples of {model.n} kernel values exceed the address space")
     # a latent range near float64's limits overflows; the checks report it
     # before any file is written
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,13 +260,12 @@ def cmd_generate(args):
             written.append(pgm_path)
     elif d_in >= 2:
         # higher-dimensional points are plotted on their first two coordinates
-        train_cols = model.ts.columns()
         rec_pts = preimage_codes(model, dual_training_codes(model), cfg)
         limit = kpca_limit(model)
         kpca_pts = preimage_codes(limit, dual_training_codes(limit), cfg)
         svg_path = os.path.join(out, "scatter.svg")
         scatter_svg(svg_path, [
-            ("original", "black", train_cols[:2]),
+            ("original", "black", model.ts.points.T[:2]),
             ("reconstruction", "blue", rec_pts[:2]),
             ("kpca limit", "red", kpca_pts[:2]),
             ("generated", "grey", points[:2]),

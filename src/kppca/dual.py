@@ -53,6 +53,7 @@ from .primal import (
     _check_choice,
     _latent_for_sigma2,
     _posterior_factor,
+    _sigma2_from_tail,
 )
 from .spectral import center_in_place, cholesky_factor, gram_means, top_eig
 
@@ -136,7 +137,7 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     tail = 0.0
     if q < lam.size and lam[q] > 0.0:
         tail = max(trace - float(lam[:q].sum()), 0.0)
-    s2 = tail / (n * (n - q)) if sigma2 is None else float(sigma2)
+    s2 = _sigma2_from_tail(tail, n, q) if sigma2 is None else float(sigma2)
     return DualModel(sigma2=s2, eigenvalues=lam[:q].copy(), e=eig.eigenvectors[:, :q].copy(),
                      tail=tail, means=means, spec=spec, ts=ts)
 
@@ -282,40 +283,41 @@ def dual_sample(m: DualModel, rng, count: int) -> np.ndarray:
 
 
 def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
-    """Posterior of the latent code given one centered kernel vector; the
-    mean coincides with dual_latent_map and the covariance is
-    sigma2 (a^T K_c a + sigma2 I)^-1, as on the primal side."""
+    """Posterior of the latent codes of centered kernel columns k (N x M):
+    means dual_latent_map's q x M codes and, shared by every column,
+    covariance sigma2 (a^T K_c a + sigma2 I)^-1, as on the primal side."""
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use dual_latent_map")
-    mean = dual_latent_map(m, np.reshape(k, (-1, 1)))[:, 0]
-    factor = _posterior_factor(np.diag(_normal_diagonal(m)), m.sigma2)
-    return GaussianSpec(mean=mean, cov_factor=factor, dim=m.q)
+    return GaussianSpec(mean=dual_latent_map(m, k),
+                        cov_factor=_posterior_factor(np.diag(_normal_diagonal(m)), m.sigma2))
 
 
 def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
-    """Distribution of kernel representations given one latent code:
-    mean K_c a h, covariance sigma2 K_c, factored as sigma J L."""
-    mean = dual_reconstruct(m, np.reshape(h, (-1, 1)))[:, 0]
-    factor = np.sqrt(m.sigma2) * _centered_gram_factor(m)
-    return GaussianSpec(mean=mean, cov_factor=factor, dim=m.n)
+    """Distribution of kernel representations given latent codes h (q x M):
+    means K_c a h (N x M) and, shared by every column, covariance
+    sigma2 K_c, factored as sigma J L."""
+    return GaussianSpec(mean=dual_reconstruct(m, h),
+                        cov_factor=np.sqrt(m.sigma2) * _centered_gram_factor(m))
 
 
-def dual_marginal_loglik(m: DualModel, k) -> float:
-    """Log-density of one kernel representation under the trained marginal.
+def dual_marginal_loglik(m: DualModel, k) -> np.ndarray:
+    """Log-densities (length M) of kernel representations k (N x M) under
+    the trained marginal; a data set's log-likelihood is their sum.
 
-    The marginal covariance E diag(c^2) E^T needs the whole spectrum, which
-    this rebuilds from the Gram matrix, centered in place as fit_dual does,
-    with top_eig for all N pairs (its full eigensolve). It is singular along
-    the null directions of the spectrum, and a centered Gram matrix always
-    has one: the constant vector. The density is that of the degenerate
-    Gaussian on the rank directions (the pseudo-determinant replaces the
-    determinant), so k must have no component along the null direction; a
-    centered kernel vector has none. Only the log form is exposed: the
-    normalizer multiplies up to N eigenvalues and underflows quickly as a
-    raw density. Requires sigma2 > 0 and at most one null direction.
+    The marginal covariance E diag(c^2) E^T needs the whole spectrum: once
+    per call, whatever M is, this rebuilds the centered Gram matrix as
+    fit_dual does and runs top_eig for all N pairs (the full eigensolve).
+    A centered Gram matrix always has the constant vector in its null
+    space, so this is the degenerate Gaussian's density on the rank
+    directions (the pseudo-determinant replaces the determinant), and a
+    column with a component along a null direction is refused; a centered
+    kernel vector has none. Only the log form is exposed: the normalizer
+    multiplies up to N eigenvalues and underflows as a raw density. Needs
+    sigma2 > 0 and at most one null direction.
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
+    k = _as_columns(k, m.n, "kernel columns")
     kc = gram(m.spec, m.ts)
     eig = top_eig(center_in_place(kc, gram_means(kc)), m.n)
     lam, e = eig.eigenvalues, eig.eigenvectors
@@ -323,12 +325,12 @@ def dual_marginal_loglik(m: DualModel, k) -> float:
     if rank < m.n - 1:
         raise RankDeficient(f"marginal covariance has {m.n - rank} null directions; "
                             "at most one (the centering direction) is allowed")
-    k = _as_columns(np.reshape(k, (-1, 1)), m.n, "kernel vector")[:, 0]
     coords = e.T @ k
-    scale = max(float(np.linalg.norm(k)), float(np.sqrt(lam[0])))
-    if np.any(np.abs(coords[rank:]) > 1e-8 * scale):
-        raise NotCentered("kernel vector has a component along the null direction of the "
+    scale = np.maximum(np.linalg.norm(k, axis=0), np.sqrt(lam[0]))
+    off = np.flatnonzero((np.abs(coords[rank:]) > 1e-8 * scale).any(axis=0))
+    if off.size:
+        raise NotCentered(f"kernel column {off[0]} has a component along the null direction of the "
                           "marginal covariance (the constant vector for a centered Gram matrix)")
     c = np.concatenate([lam[: m.q] / np.sqrt(m.n), np.sqrt(m.sigma2 * lam[m.q : rank])])
-    z = coords[:rank] / c
-    return -0.5 * (rank * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + float(z @ z))
+    z = coords[:rank] / c[:, None]
+    return -0.5 * (rank * _LOG_2PI + 2.0 * float(np.sum(np.log(c))) + np.sum(z * z, axis=0))

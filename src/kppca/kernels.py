@@ -78,10 +78,6 @@ class TrainingSet:
     def d_in(self):
         return self.points.shape[1]
 
-    def columns(self):
-        """The samples as a d_in x N matrix."""
-        return self.points.T
-
     @cached_property
     def _rbf_side(self):
         # the training side of the RBF blocks of every query, computed once:

@@ -8,6 +8,7 @@ import numpy as np
 
 _SVG_W, _SVG_H = 640, 480
 _PAD = 45.0
+_GAP = 2  # pixels between the tiles of a PGM grid
 
 
 def scatter_svg(path, layers):
@@ -62,7 +63,7 @@ def scatter_svg(path, layers):
         fh.write("\n")
 
 
-def pgm_grid(path, images, grid_cols, gap: int = 2):
+def pgm_grid(path, images, grid_cols):
     """Tile square grayscale images into one binary PGM (P5) file.
 
     images: (count, side, side) array with values in [0, 1], written
@@ -71,12 +72,12 @@ def pgm_grid(path, images, grid_cols, gap: int = 2):
     images = np.asarray(images, dtype=float)
     count, side, _ = images.shape
     rows = (count + grid_cols - 1) // grid_cols
-    height = rows * side + (rows - 1) * gap
-    width = grid_cols * side + (grid_cols - 1) * gap
+    height = rows * side + (rows - 1) * _GAP
+    width = grid_cols * side + (grid_cols - 1) * _GAP
     canvas = np.zeros((height, width))
     for i in range(count):
         r, c = divmod(i, grid_cols)
-        y, x = r * (side + gap), c * (side + gap)
+        y, x = r * (side + _GAP), c * (side + _GAP)
         canvas[y : y + side, x : x + side] = images[i]
     bytes_img = (np.clip(canvas, 0.0, 1.0) * 255.0).round().astype(np.uint8)
     with open(path, "wb") as fh:

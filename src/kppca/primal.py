@@ -34,7 +34,6 @@ class GaussianSpec:
 
     mean: np.ndarray
     cov_factor: np.ndarray
-    dim: int
 
     def covariance(self):
         return self.cov_factor @ self.cov_factor.T
@@ -87,9 +86,12 @@ def sigma2_ml(eigenvalues, q: int, n: int) -> float:
         raise LatentExceedsRank(f"q={q} outside 1..{n}")
     if q == n:
         warnings.warn("q == N leaves no discarded eigenvalues", QEqualsNWarning, stacklevel=2)
-        return 0.0
-    tail = lam[q:n]
-    return float(tail.sum() / (n * (n - q)))
+    return _sigma2_from_tail(float(lam[q:n].sum()), n, q)
+
+
+def _sigma2_from_tail(tail, n, q):
+    # sigma2_ml from the sum of the discarded eigenvalues, without a warning
+    return tail / (n * (n - q)) if q < n else 0.0
 
 
 def _check_choice(q, sigma2):
@@ -142,9 +144,7 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
     else:
         if q > m:
             raise LatentExceedsRank(f"q={q} outside 1..{m}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QEqualsNWarning)
-            s2 = sigma2_ml(lam, q, n)
+        s2 = _sigma2_from_tail(float(lam[q:].sum()), n, q)
     v = eig.eigenvectors[:, :q]
     scales = np.sqrt(np.maximum(lam[:q] / n - s2, 0.0))
     return PrimalModel(mu=mu, w=v * scales, sigma2=s2, q=q, eigenvalues=lam, v=v)
@@ -171,17 +171,15 @@ def _posterior_factor(g, sigma2):
 
 
 def latent_posterior(m: PrimalModel, phi) -> GaussianSpec:
-    """Posterior of the latent code given one feature vector.
-
-    Mean (w^T w + sigma2 I)^-1 w^T (phi - mu), covariance sigma2 times that
-    same inverse. Needs sigma2 > 0; at sigma2 == 0 the posterior collapses
-    and latent_map is the right tool.
-    """
+    """Posterior of the latent codes of feature columns phi (d x M): means
+    latent_map's (w^T w + sigma2 I)^-1 w^T (phi - mu) (q x M) and, shared by
+    every column, covariance sigma2 times that same inverse. Needs
+    sigma2 > 0; at sigma2 == 0 the posterior collapses and latent_map is
+    the right tool."""
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use latent_map")
-    mean = latent_map(m, np.reshape(phi, (-1, 1)))[:, 0]
-    factor = _posterior_factor(_normal_matrix(m), m.sigma2)
-    return GaussianSpec(mean=mean, cov_factor=factor, dim=m.q)
+    return GaussianSpec(mean=latent_map(m, phi),
+                        cov_factor=_posterior_factor(_normal_matrix(m), m.sigma2))
 
 
 def latent_map(m: PrimalModel, phi) -> np.ndarray:
@@ -205,9 +203,10 @@ def feature_reconstruct(m: PrimalModel, h) -> np.ndarray:
     return m.w @ _as_columns(h, m.q, "latent codes") + m.mu[:, None]
 
 
-def marginal_loglik(m: PrimalModel, x) -> float:
-    """Total log-likelihood of the columns of x under the marginal
-    N(mu, w w^T + sigma2 I).
+def marginal_loglik(m: PrimalModel, x) -> np.ndarray:
+    """Log-densities (length M) of the columns of x (d x M) under the
+    marginal N(mu, w w^T + sigma2 I); a data set's log-likelihood is their
+    sum.
 
     Evaluated through the spectrum of w w^T (loadings contribute
     s_p^2 + sigma2, the remaining d - q directions contribute sigma2), so no
@@ -222,5 +221,4 @@ def marginal_loglik(m: PrimalModel, x) -> float:
     quad = np.sum(coords**2 / denom[:, None], axis=0)
     quad += (np.sum(resid**2, axis=0) - np.sum(coords**2, axis=0)) / m.sigma2
     logdet = float(np.sum(np.log(denom)) + (m.d - m.q) * np.log(m.sigma2))
-    per_sample = -0.5 * (m.d * _LOG_2PI + logdet + quad)
-    return float(per_sample.sum())
+    return -0.5 * (m.d * _LOG_2PI + logdet + quad)

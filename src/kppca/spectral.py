@@ -32,10 +32,6 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
     clamp_floor: float
 
-    @property
-    def n(self):
-        return self.eigenvalues.shape[0]
-
     def rank(self):
         """Number of eigenvalues strictly above the clamp floor."""
         return int(np.count_nonzero(self.eigenvalues > 0.0))

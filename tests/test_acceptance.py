@@ -200,7 +200,7 @@ def test_criterion_8_loglik_oracle():
             continue
         cov = m.w @ m.w.T + m.sigma2 * np.eye(d)
         oracle = multivariate_normal(mean=m.mu, cov=cov).logpdf(x.T).sum()
-        worst = max(worst, abs(marginal_loglik(m, x) - oracle))
+        worst = max(worst, abs(marginal_loglik(m, x).sum() - oracle))
         checked += 1
     elapsed = time.perf_counter() - start
     report(8, "marginal log-likelihood vs dense oracle", worst <= 1e-8 and elapsed < 2.0,

@@ -226,6 +226,19 @@ def test_generate_failed_allocation_is_a_data_error(tmp_path, toy_csv, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--count", "9223372036854775808"], ["--grid", "100000000000000000000x2"]])
+def test_generate_oversized_request_is_a_data_error(tmp_path, toy_csv, capsys, flags):
+    # arrays whose byte count overflows the address space, which numpy
+    # refuses with a ValueError rather than a failed allocation
+    model_path = run_fit(tmp_path, toy_csv, "--q", "2")
+    capsys.readouterr()
+    out = tmp_path / "gen"
+    assert main(["generate", "--model", str(model_path), *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
     # column r * a + c is E[:, :2] diag(c_1, c_2) (first[c], second[r]) with

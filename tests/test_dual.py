@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from kppca import (
+    GaussianSpec,
     KernelSpec,
     PreimageConfig,
     TrainingSet,
@@ -20,6 +21,7 @@ from kppca import (
     dual_sample,
     dual_training_codes,
     explained_variance,
+    feature_reconstruct,
     fit_dual,
     fit_primal,
     gram,
@@ -27,11 +29,12 @@ from kppca import (
     kpca_limit,
     latent_map,
     latent_posterior,
+    marginal_loglik,
     samples_from_noise,
     sigma2_ml,
     tail_factor,
 )
-from kppca import kernels
+from kppca import dual, kernels
 from kppca.dual import preimage_columns
 from kppca.errors import (
     DegenerateNormalizer,
@@ -369,22 +372,22 @@ def test_monotonicity_in_q(rng):
 
 def test_posterior_zero_vector(rng):
     m = fitted_rbf_model(rng)
-    post = dual_latent_posterior(m, np.zeros(m.n))
+    post = dual_latent_posterior(m, np.zeros((m.n, 1)))
     npt.assert_allclose(post.mean, 0.0)
 
 
 def test_posterior_mean_is_map(rng):
     m = fitted_rbf_model(rng, n=8, q=3)
-    kvec = centered_gram(m)[:, 4]
+    kvec = centered_gram(m)[:, 4:5]
     post = dual_latent_posterior(m, kvec)
-    assert np.abs(post.mean - dual_latent_map(m, kvec[:, None])[:, 0]).max() <= 1e-10
+    assert np.abs(post.mean - dual_latent_map(m, kvec)).max() <= 1e-10
 
 
 def test_posterior_covariance_convention(rng):
     # sigma2 G^-1 with G = a^T K_c a + sigma2 I, the primal convention
     m = fitted_rbf_model(rng, n=8, q=2)
     kc = centered_gram(m)
-    post = dual_latent_posterior(m, kc[:, 0])
+    post = dual_latent_posterior(m, kc[:, :1])
     g = m.a.T @ kc @ m.a + m.sigma2 * np.eye(2)
     npt.assert_allclose(post.covariance(), m.sigma2 * np.linalg.inv(g), atol=1e-10)
 
@@ -393,10 +396,10 @@ def test_posterior_mean_matches_primal(rng):
     x, pm, dm = fitted_linear_pair(rng, d=3, n=9, q=2)
     xc, _ = center_columns(x)
     _, signs = align_columns(pm.w, xc @ dm.a)
-    probe = rng.standard_normal(3)
+    probe = rng.standard_normal((3, 1))
     post_p = latent_posterior(pm, probe)
-    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probe[None, :])[:, 0])
-    assert np.abs(post_p.mean - signs * post_d.mean).max() <= 1e-8
+    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probe.T))
+    assert np.abs(post_p.mean - signs[:, None] * post_d.mean).max() <= 1e-8
     flip = np.outer(signs, signs)
     cov_p, cov_d = post_p.covariance(), flip * post_d.covariance()
     assert np.abs(cov_p - cov_d).max() <= 1e-8 * np.abs(cov_p).max()
@@ -405,21 +408,21 @@ def test_posterior_mean_matches_primal(rng):
 def test_posterior_requires_noise():
     m = kpca_limit(bumps_model(n=5, q=2))
     with pytest.raises(SigmaZero):
-        dual_latent_posterior(m, np.zeros(5))
+        dual_latent_posterior(m, np.zeros((5, 1)))
 
 
 def test_conditional_kernel_degenerate_at_zero():
     m = kpca_limit(bumps_model(n=5, q=2))
-    cond = dual_conditional_kernel(m, np.zeros(2))
+    cond = dual_conditional_kernel(m, np.zeros((2, 1)))
     npt.assert_allclose(cond.mean, 0.0)
     npt.assert_allclose(cond.covariance(), 0.0, atol=1e-14)
 
 
 def test_conditional_kernel_mean_and_covariance(rng):
     m = fitted_rbf_model(rng, n=7, q=3)
-    h = rng.standard_normal(3)
+    h = rng.standard_normal((3, 1))
     cond = dual_conditional_kernel(m, h)
-    npt.assert_array_equal(cond.mean, dual_reconstruct(m, h[:, None])[:, 0])
+    npt.assert_array_equal(cond.mean, dual_reconstruct(m, h))
     assert np.abs(cond.covariance() - m.sigma2 * centered_gram(m)).max() <= 1e-10
 
 
@@ -431,8 +434,8 @@ def test_marginal_loglik_matches_dense_oracle(rng):
     m = bumps_model(n=6, q=2)
     b, _ = sampler_map(m)
     oracle = multivariate_normal(mean=np.zeros(6), cov=b @ b.T, allow_singular=True)
-    for k in dual_sample(m, 5, 3).T:
-        assert abs(dual_marginal_loglik(m, k) - oracle.logpdf(k)) <= 1e-8
+    k = dual_sample(m, 5, 3)
+    assert np.abs(dual_marginal_loglik(m, k) - oracle.logpdf(k.T)).max() <= 1e-8
 
 
 def test_marginal_loglik_on_fitted_model_matches_singular_oracle(rng):
@@ -442,33 +445,31 @@ def test_marginal_loglik_on_fitted_model_matches_singular_oracle(rng):
     assert rank(m) == m.n - 1
     oracle = multivariate_normal(mean=np.zeros(m.n), cov=marginal_covariance(m), allow_singular=True)
     queries = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((3, 2)))
-    for k in np.hstack([dual_sample(m, 5, 3), queries]).T:
-        assert abs(sum(k)) <= 1e-12
-        assert abs(dual_marginal_loglik(m, k) - oracle.logpdf(k)) <= 1e-8
+    k = np.hstack([dual_sample(m, 5, 3), queries])
+    assert np.abs(k.sum(axis=0)).max() <= 1e-12
+    assert np.abs(dual_marginal_loglik(m, k) - oracle.logpdf(k.T)).max() <= 1e-8
 
 
 def test_marginal_loglik_guards(rng):
     m0 = kpca_limit(bumps_model(n=5, q=2))
     with pytest.raises(SigmaZero):
-        dual_marginal_loglik(m0, np.zeros(5))
+        dual_marginal_loglik(m0, np.zeros((5, 1)))
     m1 = fitted_rbf_model(rng, n=6, q=2)  # centered Gram: null space is the constant vector
-    assert np.isfinite(dual_marginal_loglik(m1, np.zeros(6)))
-    with pytest.raises(NotCentered):
-        dual_marginal_loglik(m1, np.ones(6))
+    assert np.isfinite(dual_marginal_loglik(m1, np.zeros((6, 1)))).all()
+    with pytest.raises(NotCentered, match="column 1 "):
+        dual_marginal_loglik(m1, np.hstack([np.zeros((6, 1)), np.ones((6, 1))]))
     # three distinct points, each twice: singular beyond the centering direction
     ts = TrainingSet(np.repeat(rng.standard_normal((3, 2)), 2, axis=0))
     m2 = fit_dual(KernelSpec("rbf", 1.5), ts, q=1)
     assert rank(m2) == 2
     with pytest.raises(RankDeficient):
-        dual_marginal_loglik(m2, np.zeros(6))
+        dual_marginal_loglik(m2, np.zeros((6, 1)))
 
 
 def test_dimension_checks(rng):
     m = fitted_rbf_model(rng)
     with pytest.raises(DimensionMismatch):
         dual_latent_map(m, np.zeros((m.n + 1, 1)))
-    with pytest.raises(DimensionMismatch):
-        dual_latent_map(m, np.zeros(m.n))  # a single query is an N x 1 column
     with pytest.raises(DimensionMismatch):
         dual_reconstruct(m, np.zeros((m.q + 1, 1)))
     with pytest.raises(DimensionMismatch):
@@ -493,3 +494,58 @@ def test_blocked_preimage_names_the_batch_column():
     cfg = PreimageConfig(epsilon=1e-3, clip_negative=True)
     npt.assert_allclose(preimage_columns(m, k, cfg), kernel_smoother(m.ts, k, cfg), rtol=1e-13, atol=1e-15)
     npt.assert_array_equal(k, before)
+
+
+# --- the batch convention ---------------------------------------------------
+
+
+def _query_batches():
+    # every public query function as (function of a batch, a 5-column batch)
+    rng = np.random.default_rng(21)
+    dm = fitted_rbf_model(rng, n=9, q=3)
+    pm = fit_primal(rng.standard_normal((4, 9)), q=2)
+    kc = centered_kernel_vectors(dm.spec, dm.ts, dm.means, rng.standard_normal((5, 2)))
+    codes = rng.standard_normal((dm.q, 5))
+    feats = rng.standard_normal((pm.d, 5))
+    return {
+        "dual_latent_map": (lambda b: dual_latent_map(dm, b), kc),
+        "dual_reconstruct": (lambda b: dual_reconstruct(dm, b), codes),
+        "latent_map": (lambda b: latent_map(pm, b), feats),
+        "feature_reconstruct": (lambda b: feature_reconstruct(pm, b), rng.standard_normal((pm.q, 5))),
+        "kernel_smoother": (lambda b: kernel_smoother(dm.ts, b), rng.uniform(0.1, 1.0, (dm.n, 5))),
+        "samples_from_noise": (lambda b: samples_from_noise(dm, b), codes),
+        "dual_latent_posterior": (lambda b: dual_latent_posterior(dm, b), kc),
+        "latent_posterior": (lambda b: latent_posterior(pm, b), feats),
+        "dual_conditional_kernel": (lambda b: dual_conditional_kernel(dm, b), codes),
+        "dual_marginal_loglik": (lambda b: dual_marginal_loglik(dm, b), kc),
+        "marginal_loglik": (lambda b: marginal_loglik(pm, b), feats),
+    }
+
+
+@pytest.mark.parametrize("name", list(_query_batches()))
+def test_query_takes_one_query_per_column(name):
+    # an M-column batch is M one-column calls, and one query is the batch
+    # with one column: a 1-D argument is refused
+    run, batch = _query_batches()[name]
+    out = run(batch)
+    for j in range(batch.shape[1]):
+        one = run(batch[:, j : j + 1])
+        if isinstance(out, GaussianSpec):
+            npt.assert_array_equal(out.cov_factor, one.cov_factor)
+            got, want = out.mean[:, j], one.mean[:, 0]
+        else:
+            got, want = out[..., j], one[..., 0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(DimensionMismatch):
+        run(batch[:, 0])
+
+
+def test_marginal_loglik_builds_the_spectrum_once(rng, monkeypatch):
+    m = fitted_rbf_model(rng, n=8, q=2)
+    calls = []
+    for name in ("gram", "top_eig"):
+        real = getattr(dual, name)
+        monkeypatch.setattr(dual, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    k = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((7, 2)))
+    assert dual_marginal_loglik(m, k).shape == (7,)
+    assert calls == ["gram", "top_eig"]
