@@ -27,7 +27,6 @@ from .dual import (
     fit_dual,
     kpca_limit,
     preimage_codes,
-    preimage_columns,
     project_inputs,
     samples_from_noise,
 )
@@ -35,7 +34,7 @@ from .errors import DataError, NonFinite, NumericError
 from .io_datasets import load_csv, load_model, save_csv, save_model
 from .kernels import KernelSpec, TrainingSet
 from .plots import pgm_grid, scatter_svg
-from .preimage import PreimageConfig
+from .preimage import PreimageConfig, kernel_smoother
 from .primal import _check_choice, explained_variance
 
 
@@ -236,7 +235,7 @@ def cmd_generate(args):
             kc_cols = dual_sample(model, args.seed, args.count)
         if not np.isfinite(kc_cols).all():
             raise NonFinite("kernel samples are not finite: the latent noise overflows float64")
-        points = preimage_columns(model, kc_cols, cfg)
+        points = kernel_smoother(model.ts, kc_cols, cfg)
         if not np.isfinite(points).all():
             raise NonFinite("generated points are not finite: their preimage overflows float64")
 

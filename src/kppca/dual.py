@@ -9,11 +9,12 @@ normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda + sigma2) and K_c a is
 E_q diag(lambda s); projecting or reconstructing M columns costs O(N q M).
 
 Those functions take and return whole N x M blocks and are the reference.
-project_inputs, preimage_codes and preimage_columns run the same steps
-from inputs, latent codes or kernel columns to their q x M or d_in x M
-results through the column-block driver (kernels.column_blocks): each
-N x B block is built, mapped and preimaged in one reused buffer, so their
-working memory is O(N B) on top of the inputs and outputs, whatever M is.
+project_inputs and preimage_codes run the same steps from inputs or latent
+codes to their q x M or d_in x M results through the column-block driver
+(kernels.column_blocks), as preimage.kernel_smoother does from kernel
+columns: each N x B block is built, mapped and preimaged in one reused
+buffer, so their working memory is O(N B) on top of the inputs and
+outputs, whatever M is.
 Blocked results differ from the reference only by the rounding of BLAS
 products over B instead of M columns.
 
@@ -214,17 +215,6 @@ def preimage_codes(m: DualModel, h, cfg: PreimageConfig) -> np.ndarray:
     points = np.empty((m.ts.d_in, h.shape[1]))
     for cols, block in column_blocks(m.n, h.shape[1]):
         _reconstruct_into(m, h[:, cols], block)
-        kernel_smoother_block(m.ts, block, cfg, points[:, cols], cols.start)
-    return points
-
-
-def preimage_columns(m: DualModel, k, cfg: PreimageConfig) -> np.ndarray:
-    """kernel_smoother of kernel representations k (N x M) into d_in x M
-    preimages, one column block at a time; k is left as it is."""
-    k = _as_columns(k, m.n, "kernel columns")
-    points = np.empty((m.ts.d_in, k.shape[1]))
-    for cols, block in column_blocks(m.n, k.shape[1]):
-        block[...] = k[:, cols]
         kernel_smoother_block(m.ts, block, cfg, points[:, cols], cols.start)
     return points
 

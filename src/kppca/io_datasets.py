@@ -21,10 +21,8 @@ Model container layout (version 2, all integers and floats little-endian):
               training Gram matrix's N column means then its grand mean),
               TSET (matrix training points, one per row)
 
-A file holds O(N (d_in + q)) numbers. Version 1 files (no CRC32; they
-kept the full spectrum EVAL, its N x N eigenvectors EVEC, the loadings AMAT
-and the centered Gram matrix KCMT) still load, as the same model in the
-version 2 form.
+A file holds O(N (d_in + q)) numbers. A file of any other version,
+version 1 included, raises VersionMismatch: re-fit it with `kppca fit`.
 
 Loading checks every CRC32 and that the sections agree with each other:
 shapes against N, d_in and q, 1 <= q <= N, finite sigma2 and tail >= 0, a
@@ -51,13 +49,13 @@ from .errors import (
     Truncated,
     VersionMismatch,
 )
-from .kernels import KernelSpec, TrainingSet, gram
-from .spectral import gram_means
+from .kernels import KernelSpec, TrainingSet
 
 MODEL_MAGIC = b"KPPCA\x00"
 MODEL_VERSION = 2
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
+_IDX_CHUNK = 1 << 24
 
 
 # --- CSV ----------------------------------------------------------------
@@ -409,9 +407,14 @@ def _idx_open(path):
 
 
 def _read_exact(fh, count, path):
-    data = fh.read(count)
-    if len(data) != count:
-        raise Truncated(f"{path}: expected {count} bytes, got {len(data)}")
+    # count comes from the file's header and may exceed memory or an index:
+    # read chunks while the stream lasts, never more than count bytes
+    data = bytearray()
+    while len(data) < count:
+        chunk = fh.read(min(count - len(data), _IDX_CHUNK))
+        if not chunk:
+            raise Truncated(f"{path}: expected {count} bytes, got {len(data)}")
+        data += chunk
     return data
 
 
@@ -512,10 +515,9 @@ def _unpack_mat(cur):
     return flat.reshape(rows, cols)
 
 
-def _read_sections(blob, pos, path, checksummed):
-    # payloads are slices of the caller's memoryview, not copies; a version 2
-    # section ends in the CRC32 of its tag, length and payload
-    trailer = 4 if checksummed else 0
+def _read_sections(blob, pos, path):
+    # payloads are slices of the caller's memoryview, not copies; a section
+    # ends in the CRC32 of its tag, length and payload
     sections = {}
     while pos < len(blob):
         if pos + 12 > len(blob):
@@ -523,18 +525,17 @@ def _read_sections(blob, pos, path, checksummed):
         tag = bytes(blob[pos : pos + 4])
         (length,) = struct.unpack_from("<Q", blob, pos + 4)
         end = pos + 12 + length
-        if end + trailer > len(blob):
+        if end + 4 > len(blob):
             raise CorruptFile(f"{path}: section {tag!r} longer than file")
-        if checksummed:
-            (crc,) = struct.unpack_from("<I", blob, end)
-            if zlib.crc32(blob[pos:end]) != crc:
-                raise CorruptFile(f"{path}: section {tag!r} fails its CRC32 check")
+        (crc,) = struct.unpack_from("<I", blob, end)
+        if zlib.crc32(blob[pos:end]) != crc:
+            raise CorruptFile(f"{path}: section {tag!r} fails its CRC32 check")
         try:
             name = tag.decode("ascii")
         except UnicodeDecodeError:
             raise CorruptFile(f"{path}: bad section tag {tag!r}") from None
         sections[name] = blob[pos + 12 : end]
-        pos = end + trailer
+        pos = end + 4
     return sections
 
 
@@ -554,13 +555,6 @@ def _check_shape(path, name, arr, shape):
     _check(bool(np.all(np.isfinite(arr))), path, f"section {name} holds NaN or Inf entries")
 
 
-def _check_hyper(path, q, sigma2, lam, n):
-    _check(1 <= q <= n, path, f"q={q} outside 1..N={n}")
-    _check(np.isfinite(sigma2) and sigma2 >= 0.0, path, f"sigma2={sigma2} is not a finite value >= 0")
-    _check(bool(np.all(np.isfinite(lam)) and np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)),
-           path, "EVAL is not a finite, nonnegative, descending spectrum")
-
-
 def _kernel_spec(sections, path):
     family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
     _check(family in (0, 1), path, f"unknown kernel family code {family}")
@@ -571,11 +565,6 @@ def _kernel_spec(sections, path):
         raise CorruptFile(f"{path}: {exc}") from None
 
 
-def _check_evec(path, e):
-    # unit eigenvectors have no entry beyond 1
-    _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
-
-
 def _load_dual(sections, path):
     q, sigma2, tail = _need(sections, "HYPR", path).unpack("<Idd")
     spec = _kernel_spec(sections, path)
@@ -584,66 +573,42 @@ def _load_dual(sections, path):
     means = _unpack_vec(_need(sections, "GMNS", path))
     points = _unpack_mat(_need(sections, "TSET", path))
     n = points.shape[0]
-    _check_hyper(path, q, sigma2, lam, n)
+    _check(1 <= q <= n, path, f"q={q} outside 1..N={n}")
+    _check(np.isfinite(sigma2) and sigma2 >= 0.0, path, f"sigma2={sigma2} is not a finite value >= 0")
+    _check(bool(np.all(np.isfinite(lam)) and np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)),
+           path, "EVAL is not a finite, nonnegative, descending spectrum")
     _check(np.isfinite(tail) and tail >= 0.0, path, f"tail={tail} is not a finite value >= 0")
     _check_shape(path, "EVAL", lam, (q,))
     _check_shape(path, "EVEC", e, (n, q))
     _check_shape(path, "GMNS", means, (n + 1,))
     _check_shape(path, "TSET", points, (n, points.shape[1]))
-    _check_evec(path, e)
+    # unit eigenvectors have no entry beyond 1
+    _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
     return DualModel(sigma2=sigma2, eigenvalues=lam, e=e, tail=tail, means=means, spec=spec,
                      ts=TrainingSet(points))
 
 
-def _load_dual_v1(sections, path):
-    # Version 1 kept the whole spectrum, its eigenvectors, the centered Gram
-    # matrix KCMT and the loadings AMAT; the model keeps the leading q
-    # eigenpairs, the discarded spectrum's sum and the Gram means, which
-    # come from the Gram matrix of TSET.
-    q, sigma2 = _need(sections, "HYPR", path).unpack("<Id")
-    spec = _kernel_spec(sections, path)
-    lam = _unpack_vec(_need(sections, "EVAL", path))
-    e = _unpack_mat(_need(sections, "EVEC", path))
-    a = _unpack_mat(_need(sections, "AMAT", path))
-    kc = _unpack_mat(_need(sections, "KCMT", path))
-    points = _unpack_mat(_need(sections, "TSET", path))
-    n = lam.size
-    _check_hyper(path, q, sigma2, lam, n)
-    _check_shape(path, "EVEC", e, (n, n))
-    _check_shape(path, "AMAT", a, (n, q))
-    _check_shape(path, "KCMT", kc, (n, n))
-    _check_shape(path, "TSET", points, (n, points.shape[1]))
-    _check_evec(path, e)
-    scale = max(1.0, float(np.max(np.abs(kc), initial=0.0)))
-    _check(float(np.max(np.abs(kc - kc.T), initial=0.0)) <= 1e-9 * scale, path, "KCMT is not symmetric")
-    _check(abs(float(np.trace(kc)) - float(np.sum(lam))) <= 1e-6 * max(1.0, float(np.trace(kc))),
-           path, "EVAL does not sum to the trace of KCMT")
-    ts = TrainingSet(points)
-    return DualModel(sigma2=sigma2, eigenvalues=lam[:q].copy(), e=e[:, :q].copy(),
-                     tail=float(lam[q:].sum()), means=gram_means(gram(spec, ts)),
-                     spec=spec, ts=ts)
-
-
 def load_model(path):
     """Read back a DualModel written by save_model; the round trip is
-    lossless. A version 1 file, which kept the full spectrum, loads as the
-    same model in the version 2 form.
+    lossless.
 
-    Raises CorruptFile when the file is damaged (in version 2, a section
-    fails its CRC32), its kind byte is not b"D", or its sections disagree.
+    Raises VersionMismatch when the file is not version 2, and CorruptFile
+    when it is damaged (a section fails its CRC32), its kind byte is not
+    b"D", or its sections disagree.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if len(blob) < len(MODEL_MAGIC) + 5 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise CorruptFile(f"{path}: not a model file")
     (version,) = struct.unpack_from("<I", blob, 6)
-    if version not in (1, MODEL_VERSION):
-        raise VersionMismatch(f"{path}: version {version}, this build reads 1 and {MODEL_VERSION}")
+    if version != MODEL_VERSION:
+        raise VersionMismatch(f"{path}: version {version}, this build reads only version {MODEL_VERSION}; "
+                              "re-fit the model with `kppca fit`")
     kind = bytes(blob[10:11])
-    sections = _read_sections(blob, 11, path, checksummed=version == MODEL_VERSION)
+    sections = _read_sections(blob, 11, path)
     if kind != b"D":
         raise CorruptFile(f"{path}: unknown model kind {kind!r}")
     try:
-        return (_load_dual if version == MODEL_VERSION else _load_dual_v1)(sections, path)
+        return _load_dual(sections, path)
     except struct.error as exc:
         raise CorruptFile(f"{path}: {exc}") from exc

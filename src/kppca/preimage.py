@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalizer, DimensionMismatch
-from .kernels import TrainingSet
+from .kernels import TrainingSet, column_blocks
 
 _NORMALIZER_FLOOR = 1e-12
 
@@ -31,16 +31,20 @@ def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) 
     """Weighted averages of the training points, one per column of the
     weights k (N x M); returns the d_in x M preimages.
 
-    Raises DegenerateNormalizer when the stabilized weight sum of any column
-    is within 1e-12 of zero, which is the typical fate of centered weights
-    with epsilon = 0.
+    Runs one column block at a time (kernels.column_blocks), so its working
+    memory is O(N B) besides k and the result, whatever M is; k is left as
+    it is. Raises DegenerateNormalizer, naming the column, when the
+    stabilized weight sum of any column is within 1e-12 of zero, which is
+    the typical fate of centered weights with epsilon = 0.
     """
-    w = np.asarray(k, dtype=float)
-    if w.ndim != 2 or w.shape[0] != ts.n:
-        raise DimensionMismatch(f"weights must be a {ts.n} x M matrix, got shape {w.shape}")
-    if cfg.clip_negative:
-        w = w.copy()
-    return kernel_smoother_block(ts, w, cfg, np.empty((ts.d_in, w.shape[1])))
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[0] != ts.n:
+        raise DimensionMismatch(f"weights must be a {ts.n} x M matrix, got shape {k.shape}")
+    points = np.empty((ts.d_in, k.shape[1]))
+    for cols, block in column_blocks(ts.n, k.shape[1]):
+        block[...] = k[:, cols]
+        kernel_smoother_block(ts, block, cfg, points[:, cols], cols.start)
+    return points
 
 
 def kernel_smoother_block(ts: TrainingSet, w, cfg: PreimageConfig, out, first: int = 0) -> np.ndarray:

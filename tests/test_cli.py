@@ -22,7 +22,7 @@ from kppca import (
     save_model,
     two_arcs,
 )
-from kppca import dual, io_datasets, kernels
+from kppca import dual, kernels
 from kppca.cli import main
 from kppca.preimage import PreimageConfig
 
@@ -266,7 +266,7 @@ def test_queries_never_build_the_gram(tmp_path, toy_csv, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a query command built the N x N Gram matrix")
 
-    for module in (dual, io_datasets, kernels):
+    for module in (dual, kernels):
         monkeypatch.setattr(module, "gram", refuse)
     model = str(model_path)
     assert main(["project", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "p")]) == 0

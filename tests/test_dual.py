@@ -35,7 +35,6 @@ from kppca import (
     tail_factor,
 )
 from kppca import dual, kernels
-from kppca.dual import preimage_columns
 from kppca.errors import (
     DegenerateNormalizer,
     DimensionMismatch,
@@ -480,20 +479,22 @@ def test_dimension_checks(rng):
 
 def test_blocked_preimage_names_the_batch_column():
     # a degenerate column in the second block is reported by its index in
-    # the whole batch, as the one-shot smoother reports it; the kernel
-    # columns themselves are left as they were
+    # the whole batch; the kernel columns themselves are left as they were,
+    # and the blocked batch equals one-column calls on both sides of the
+    # block boundary
     m = arcs_model(n=40)
     width = kernels.block_width(m.n)
     k = np.ones((m.n, width + 5))
     k[:, width + 2] = centered_gram(m)[:, 0]  # sums to ~0
-    for run in (lambda: preimage_columns(m, k, PreimageConfig()),
-                lambda: kernel_smoother(m.ts, k)):
-        with pytest.raises(DegenerateNormalizer, match=f"column {width + 2} "):
-            run()
+    with pytest.raises(DegenerateNormalizer, match=f"column {width + 2} "):
+        kernel_smoother(m.ts, k)
+    k += np.random.default_rng(4).uniform(-1.5, 0.5, k.shape)  # some weights to clip
     before = k.copy()
     cfg = PreimageConfig(epsilon=1e-3, clip_negative=True)
-    npt.assert_allclose(preimage_columns(m, k, cfg), kernel_smoother(m.ts, k, cfg), rtol=1e-13, atol=1e-15)
+    batch = kernel_smoother(m.ts, k, cfg)
     npt.assert_array_equal(k, before)
+    for j in (0, width - 1, width, width + 4):
+        npt.assert_allclose(batch[:, j], kernel_smoother(m.ts, k[:, [j]], cfg)[:, 0], rtol=1e-13, atol=1e-15)
 
 
 # --- the batch convention ---------------------------------------------------

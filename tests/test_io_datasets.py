@@ -17,20 +17,14 @@ from kppca import (
     KernelSpec,
     PreimageConfig,
     TrainingSet,
-    center_gram,
-    centered_kernel_vectors,
-    dual_latent_map,
     explained_variance,
     fit_dual,
     fit_primal,
-    gram,
     load_csv,
     load_mnist_idx,
     load_model,
     save_csv,
     save_model,
-    sigma2_ml,
-    sym_eig,
     two_arcs,
 )
 from kppca import __version__, io_datasets
@@ -47,7 +41,7 @@ from kppca.errors import (
 )
 from kppca.io_datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
-from conftest import align_columns, bump_images, bumps_model, pack_matrix, pack_vector, rewrite_section
+from conftest import bump_images, bumps_model, pack_matrix, pack_vector, rewrite_section
 
 # --- CSV -----------------------------------------------------------------
 
@@ -381,6 +375,17 @@ def test_idx_truncated(tmp_path, rng):
         load_mnist_idx(img, lab)
 
 
+def test_idx_header_beyond_the_stream(tmp_path):
+    # a header may declare more bytes than fit in an index or in memory; the
+    # reader takes what the file holds and reports it as truncated
+    _, lab = write_idx_pair(tmp_path, np.zeros((1, 1, 1)), [0])
+    img = tmp_path / "huge.idx3"
+    for count, rows, cols in ((0xFFFFFFFF,) * 3, (1 << 20, 1 << 10, 1 << 10)):
+        img.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
+        with pytest.raises(Truncated, match=f"expected {count * rows * cols} bytes, got 0"):
+            load_mnist_idx(img, lab)
+
+
 # --- model container -------------------------------------------------------
 
 
@@ -446,9 +451,10 @@ def test_model_corrupt_file(tmp_path):
     x = two_arcs(7, seed=11)
     data = tmp_path / "x.csv"
     save_csv(data, x)
-    for version in (1, 2):
+    for version, error, msg in ((1, VersionMismatch, "version 1"),
+                                (2, CorruptFile, "unknown model kind b'P'")):
         write_primal_file(path, fit_primal(x, q=2), version)
-        with pytest.raises(CorruptFile, match="unknown model kind b'P'"):
+        with pytest.raises(error, match=msg):
             load_model(path)
         assert main(["project", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "p")]) == 3
@@ -514,57 +520,22 @@ def test_every_section_carries_a_crc32(tmp_path):
         load_model(path)
 
 
-def write_v1_dual(path, spec, ts, q):
-    """A version 1 dual model file, from the full eigendecomposition: no
-    CRC32, the whole spectrum, N x N eigenvectors, loadings and KCMT."""
-    kc = center_gram(gram(spec, ts))
-    eig = sym_eig(center_gram(gram(spec, ts)))
-    lam, e = eig.eigenvalues, eig.eigenvectors
-    sigma2 = sigma2_ml(lam, q, ts.n)
-    a = e[:, :q] * np.sqrt(np.maximum(1.0 / ts.n - sigma2 / lam[:q], 0.0))
-    family, gamma = (0, 0.0) if spec.family == "linear" else (1, spec.gamma)
-    sections = [("HYPR", struct.pack("<Id", q, sigma2)), ("KSPC", struct.pack("<Bd", family, gamma)),
-                ("EVAL", pack_vector(lam)), ("EVEC", pack_matrix(e)), ("AMAT", pack_matrix(a)),
-                ("KCMT", pack_matrix(kc)), ("TSET", pack_matrix(ts.points))]
-    blob = b"KPPCA\x00" + struct.pack("<I", 1) + b"D"
-    for tag, payload in sections:
-        blob += tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload
-    path.write_bytes(blob)
-    return lam
-
-
-def test_version_1_file_loads_as_v2_model(tmp_path, rng):
-    spec = KernelSpec("rbf", 0.8)
-    ts = TrainingSet.from_columns(two_arcs(15, seed=5))
-    lam = write_v1_dual(tmp_path / "v1.kppca", spec, ts, q=3)
-    old = load_model(tmp_path / "v1.kppca")
-    new = fit_dual(spec, ts, q=3)
-    assert old.q == 3 and old.e.shape == (15, 3)
-    npt.assert_allclose(old.sigma2, new.sigma2, rtol=1e-12)
-    npt.assert_allclose(old.tail, lam[3:].sum(), rtol=1e-14)
-    npt.assert_allclose(old.means, new.means, rtol=1e-14)
-    probes = rng.standard_normal((6, 2))
-    h_old = dual_latent_map(old, centered_kernel_vectors(spec, ts, old.means, probes))
-    h_new = dual_latent_map(new, centered_kernel_vectors(spec, ts, new.means, probes))
-    aligned, _ = align_columns(h_new.T, h_old.T)
-    npt.assert_allclose(aligned, h_new.T, atol=1e-10)
-    # saving writes version 2, which reloads bit for bit
-    save_model(tmp_path / "v2.kppca", old)
-    assert struct.unpack_from("<I", (tmp_path / "v2.kppca").read_bytes(), 6)[0] == 2
-    npt.assert_array_equal(load_model(tmp_path / "v2.kppca").e, old.e)
-
-
-def test_version_1_sections_must_agree(tmp_path):
-    spec = KernelSpec("rbf", 0.8)
-    ts = TrainingSet.from_columns(two_arcs(6, seed=5))
+def test_version_1_file_is_refused(tmp_path, capsys):
+    # only version 2 is read: every command refuses a version 1 file with
+    # one line that says to re-fit, and exit 3
     path = tmp_path / "v1.kppca"
-    lam = write_v1_dual(path, spec, ts, q=2)
-    blob = path.read_bytes()
-    tag = blob.index(b"EVAL")
-    doubled = pack_vector(2.0 * lam)
-    path.write_bytes(blob[: tag + 12] + doubled + blob[tag + 12 + len(doubled):])
-    with pytest.raises(CorruptFile, match="EVAL does not sum to the trace of KCMT"):
+    payload = struct.pack("<Id", 2, 0.1)
+    path.write_bytes(b"KPPCA\x00" + struct.pack("<I", 1) + b"D" + b"HYPR" + struct.pack("<Q", 12) + payload)
+    with pytest.raises(VersionMismatch, match="version 1.*re-fit"):
         load_model(path)
+    data = tmp_path / "x.csv"
+    save_csv(data, two_arcs(7, seed=11))
+    for args in (["project", "--data", str(data)], ["reconstruct", "--data", str(data)],
+                 ["generate", "--count", "2"], ["report"]):
+        capsys.readouterr()
+        assert main([*args, "--model", str(path), "--out", str(tmp_path / args[0])]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "re-fit" in err
 
 
 def test_save_model_rejects_other_types(tmp_path):
