@@ -1,0 +1,336 @@
+"""Vectorized reader for the body of a well-formed decimal CSV table, the
+fast path of io_datasets.load_csv.
+
+It takes rows of ASCII cells
+
+    [+-] digits [. digits] [(e|E) [+-] digits]   (at least one mantissa digit)
+
+joined by ',' and ended by '\n', every row as wide as the first, and reads
+each as float() does. A first pass over the file counts its rows, so that
+the result is allocated once. The second reads the text into one buffer a
+piece at a time: at most 128 KiB (_PIECE_BYTES) and 8,192 cells
+(_PIECE_CELLS), cut after a separator, the rest carried to the next piece.
+It never holds the file whole; reading it twice needs a file it can
+rewind, not a pipe.
+
+Grammar. One pass over a piece finds its non-digit bytes. Each gets a class
+(separator, '+', '-', '.', exponent mark) and a bit that says whether it
+directly follows the previous one, with no digit between them. A cell is
+read back from its separator: the classes of the five non-digits before it
+and the bits of the six up to it index a table (_cell_shapes) that says
+whether the cell is in the grammar and where its sign, point and exponent
+are.
+
+Digits. A mantissa's digits, up to 23, are the 24 bytes before its end with
+the point squeezed out; an exponent's, up to 8, the 8 bytes before the
+separator. Both become integers eight digits at a time in 64-bit words
+(Lemire, "Number parsing at a gigabyte per second", 2021).
+
+Scaling. With the digits m < 10**19 and the decimal exponent k, the cell is
+r = m * 10**k in np.longdouble: m is exact, 10**k is the nearest longdouble,
+and the product rounds once, so r is within just over 2u|r| of the exact
+value, u the longdouble unit roundoff. The cell is the float64 nearest to r when
+r - 4u|r| and r + 4u|r| round to that float64 too (a widened Clinger fast
+path). float() reads each cell this does not certify: results near a
+rounding tie (no 17-digit cell, about 1 in 1,300 cells written by repr and
+1 in 370 written with 7 digits), more than 23 mantissa or 8 exponent
+digits, m >= 10**19, subnormal results and exponents outside [_K_LO, _K_HI].
+
+A piece outside the grammar (a blank line, CR line ends, quotes, spaces,
+inf or nan, a non-ASCII byte, a ragged row) stops the reader, and load_csv
+reads the file on its text path. The reader needs words that are
+little-endian and an np.longdouble with a 64-bit significand, which
+io_datasets._DIGIT_PATH tells. It lives in its own module because the
+compiler's memory for one module grows with its source, and every command
+compiles io_datasets (bytecode is not always cached): merged into it, the
+reader raised a command's peak RSS by up to 1.2 MiB.
+"""
+
+import functools
+
+import numpy as np
+
+_PIECE_BYTES = 1 << 17
+_PIECE_CELLS = 1 << 13
+# the buffers and temporaries of a piece, measured: 1.8 MiB on tables of
+# 17-digit cells, at most 3.2 MiB on tables of short cells and on text
+# outside the grammar
+_READ_BYTES = 4 << 20
+_PAD = 32  # bytes before a piece in its buffer, and after it: a window's reach
+_K_LO, _K_HI = -327, 308  # m * 10**k is subnormal or zero below, infinite above
+_SEPARATOR, _PLUS, _MINUS, _DOT, _MARK, _OTHER = range(6)
+# flags of a cell shape
+_SIGNED, _NEGATIVE, _EXP_SIGNED, _EXP_NEGATIVE, _HAS_POINT = 1, 2, 4, 8, 16
+
+
+def _cell_shapes():
+    """Tables indexed by the classes of the five non-digits before a
+    separator, in base 5 with the nearest lowest: each cell shape's
+    grammar, as a mask whose bit a is set when the cell is in the grammar
+    with the six adjacency bits a up to the separator (bit d for the
+    non-digit d back); the offsets, in non-digits back from the separator,
+    of its exponent mark and of its point, each 0 for none; and its flags."""
+    valid = np.zeros(5**5, dtype=np.uint64)
+    off_e = np.zeros(5**5, dtype=np.int8)
+    off_p = np.zeros(5**5, dtype=np.int8)
+    flags = np.zeros(5**5, dtype=np.uint8)
+    bit = [np.arange(64) >> d & 1 for d in range(6)]
+    for sign in (None, _PLUS, _MINUS):
+        for point in (False, True):
+            for exp_sign in (None, False, _PLUS, _MINUS):  # False: a mark without a sign
+                shape = [c for c in (sign, point and _DOT) if c]
+                if exp_sign is not None:
+                    shape += [_MARK] + ([exp_sign] if exp_sign else [])
+                q = len(shape)
+                back = {c: q - i for i, c in enumerate(shape) if c in (_DOT, _MARK)}
+                at_e = back.get(_MARK, 0)
+                ok = bit[q] == 1 if sign else np.ones(64, dtype=bool)  # a sign opens the cell
+                if exp_sign:
+                    ok &= bit[1] == 1  # right after the mark
+                if exp_sign is not None:
+                    ok &= bit[0] == 0  # exponent digits
+                ok &= (bit[at_e] == 0) | ((bit[back[_DOT]] == 0) if point else False)  # mantissa digits
+                code = sum(c * 5 ** (q - 1 - i) for i, c in enumerate(shape))
+                codes = code + 5 ** (q + 1) * np.arange(5 ** max(4 - q, 0))  # the separator at q + 1, then any
+                valid[codes] = sum(1 << int(a) for a in np.flatnonzero(ok))
+                off_e[codes] = at_e
+                off_p[codes] = back[_DOT] if point else at_e
+                flags[codes] = ((_SIGNED if sign else 0) | (_NEGATIVE if sign == _MINUS else 0)
+                                | (_EXP_SIGNED if exp_sign else 0)
+                                | (_EXP_NEGATIVE if exp_sign == _MINUS else 0) | (_HAS_POINT if point else 0))
+    return valid, off_e, off_p, flags
+
+
+def _pow10_longdouble():
+    # 10**k rounded to nearest-even in np.longdouble, for k in [_K_LO, _K_HI]:
+    # the top 64 bits of 10**k, or of 2**s / 10**-k, and their binary exponent
+    sig, exp = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        if k >= 0:
+            shift = max((10**k).bit_length() - 64, 0)
+            num, den, e = 10**k, 1 << shift, shift
+        else:
+            shift = (10**-k).bit_length() + 63
+            num, den, e = 1 << shift, 10**-k, -shift
+        q, r = divmod(num, den)
+        q += 2 * r > den or (2 * r == den and q & 1)
+        if q >> 64:
+            q, e = q >> 1, e + 1
+        sig.append(q)
+        exp.append(e)
+    return np.ldexp(np.array(sig, dtype=np.uint64).astype(np.longdouble), np.array(exp, dtype=np.int32))
+
+
+class _ReaderTables:
+    def __init__(self):
+        self.classes = np.full(256, _OTHER, dtype=np.uint8)
+        for chars, cls in ((b",\n", _SEPARATOR), (b"+", _PLUS), (b"-", _MINUS), (b".", _DOT), (b"eE", _MARK)):
+            self.classes[list(chars)] = cls
+        self.valid, self.off_e, self.off_p, self.flags = _cell_shapes()
+        self.pow10 = _pow10_longdouble()
+        self.slack = np.longdouble(2.0) ** (1 - np.finfo(np.longdouble).nmant)  # 4u
+        # keep[b]: the three words of a 24-byte window with bytes b..23 set;
+        # shifted/unshifted[(24 - digits) * 25 + 24 - fraction digits]: the
+        # digit bytes of the window shifted by one (the point's slot) and not
+        keep = (np.arange(24) >= np.arange(25)[:, None]).astype(np.uint8) * np.uint8(255)
+        keep = np.ascontiguousarray(keep).view(np.uint64)
+        self.shifted = (keep[:, None, :] & ~keep[None, :, :]).reshape(-1, 3)
+        self.unshifted = (keep[:, None, :] & keep[None, :, :]).reshape(-1, 3)
+        self.keep_last = keep[:, 2].copy()
+
+
+@functools.cache
+def _reader_tables():
+    return _ReaderTables()  # built on the first read, not at import
+
+
+def _eight_digits(words):
+    """The values of 64-bit words of eight digit bytes (0..9 each, the first
+    digit in the lowest byte), computed in place."""
+    low = words >> np.uint64(8)
+    words *= np.uint64(10)
+    words += low  # byte pairs: 10 a + b
+    mask = np.uint64(0x000000FF000000FF)
+    np.right_shift(words, np.uint64(16), out=low)
+    low &= mask
+    low *= np.uint64(1 + (10000 << 32))
+    words &= mask
+    words *= np.uint64(100 + (1000000 << 32))
+    words += low
+    words >>= np.uint64(32)
+    return words
+
+
+class _DecimalReader:
+    """Reads a file's cells one piece of text at a time, in buffers that
+    every piece reuses."""
+
+    def __init__(self, fh, head, out, width):
+        self.fh, self.out, self.width = fh, out, width
+        self.tables = _reader_tables()
+        self.buf = np.zeros(_PAD + _PIECE_BYTES + _PAD, dtype=np.uint8)
+        self.buf[_PAD - 1] = ord(",")  # ends the cell before the piece's first
+        # windows that end at any offset: a 24-byte one for the mantissa's
+        # digits, an 8-byte one for the exponent's
+        self.window24 = np.ndarray((self.buf.size - 23,), dtype="V24", buffer=self.buf, strides=(1,))
+        self.window8 = np.ndarray((self.buf.size - 7,), dtype="V8", buffer=self.buf, strides=(1,))
+        self.size = len(head)  # bytes of text in the buffer, from _PAD on
+        self.buf[_PAD : _PAD + self.size] = np.frombuffer(head, dtype=np.uint8)
+        self.cells = 0  # cells read so far
+
+    def fill(self):
+        """Tops the buffer up from the file; returns whether the file ended."""
+        view = memoryview(self.buf)[_PAD : _PAD + _PIECE_BYTES]
+        while self.size < _PIECE_BYTES:
+            got = self.fh.readinto(view[self.size :])
+            if not got:
+                return True
+            self.size += got
+        return False
+
+    def read(self, ended):
+        """Reads the complete cells in the buffer, up to _PIECE_CELLS of
+        them, into the result, and keeps the rest of its text for the next
+        piece; at the end of the file a missing last newline is added.
+        Returns False when the text is outside the grammar."""
+        t, buf, n = self.tables, self.buf, self.size
+        if ended and buf[_PAD + n - 1] not in b",\n":
+            buf[_PAD + n] = ord("\n")
+            n += 1
+        text = buf[_PAD - 1 : _PAD + n]
+        pos = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
+        pos += _PAD - 1
+        byte = buf[pos]
+        cls = np.take(t.classes, byte)
+        if cls.max() == _OTHER:
+            return False
+        # shape[i]: the classes of non-digits i-4..i, nearest lowest
+        code = cls.astype(np.uint16)
+        shape = code.copy()
+        for d in range(1, 5):
+            shape[d:] += code[:-d] * np.uint16(5**d)
+        sep = np.flatnonzero(cls == _SEPARATOR)[1 : _PIECE_CELLS + 1]
+        if not sep.size or self.cells + sep.size > self.out.size:
+            return False  # a cell longer than a piece, or more cells than rows
+        shape = shape[sep - 1].astype(np.intp)
+        # adjacent[5 + i]: non-digit i directly follows i-1; the 8 bytes from
+        # adjacent[s] hold those of non-digits s-5..s+2, and one multiply
+        # gathers the first six into bits 56..61, s-d's at 56+d
+        adjacent = np.zeros(pos.size + 8, dtype=np.uint8)
+        np.equal(np.diff(pos), 1, out=adjacent[6 : pos.size + 5], casting="unsafe")
+        bits = np.ndarray((adjacent.size - 7,), dtype="V8", buffer=adjacent, strides=(1,))[sep]
+        bits = bits.view(np.uint64)
+        bits &= np.uint64(0x0000FFFFFFFFFFFF)
+        bits *= np.uint64(sum(1 << (61 - 9 * j) for j in range(6)))
+        bits >>= np.uint64(56)
+        bits &= np.uint64(63)
+        if not (np.take(t.valid, shape) >> bits & np.uint64(1)).all():
+            return False
+        cells = sep.size
+        newline = np.flatnonzero(byte[sep] == ord("\n"))
+        if not np.array_equal(newline, np.arange((self.width - 1 - self.cells) % self.width, cells, self.width)):
+            return False
+        end = pos[sep]
+        mantissa_end = pos[sep - t.off_e[shape]]
+        point = pos[sep - t.off_p[shape]]  # the mantissa's end when it has none
+        flags = t.flags[shape]
+        start = np.empty(cells, dtype=np.intp)
+        start[0] = _PAD
+        start[1:] = end[:-1] + 1
+        fraction = mantissa_end - point
+        fraction -= (flags & _HAS_POINT) > 0
+        digits = point - start
+        digits -= flags & _SIGNED
+        digits += fraction
+        # W1: the 24 bytes before the point's slot plus the fraction; the
+        # digits before the point come from W0, W1 moved up one byte
+        words = self.window24[point + fraction + 1 - 24]
+        np.subtract(words.view(np.uint8), np.uint8(ord("0")), out=words.view(np.uint8))
+        w1 = words.view(np.uint64)
+        w0 = w1 << np.uint64(8)
+        w0[1:] |= w1[:-1] >> np.uint64(56)
+        which = 24 - np.minimum(digits, 24)
+        which *= 25
+        which += 24 - np.minimum(fraction, 24)
+        w0 &= np.take(t.shifted, which, axis=0).ravel()
+        w1 &= np.take(t.unshifted, which, axis=0).ravel()
+        w0 |= w1
+        eights = _eight_digits(w0).reshape(-1, 3)
+        m = eights[:, 0] * np.uint64(10**16)
+        m += eights[:, 1] * np.uint64(10**8)
+        m += eights[:, 2]
+        sure = (digits <= 23) & (eights[:, 0] < 1000)
+        exp_digits = end - mantissa_end
+        exp_digits -= 1 + ((flags & _EXP_SIGNED) > 0)  # -1 without an exponent
+        sure &= exp_digits <= 8
+        words = self.window8[end - 8]
+        np.subtract(words.view(np.uint8), np.uint8(ord("0")), out=words.view(np.uint8))
+        exponent = words.view(np.uint64)
+        exponent &= np.take(t.keep_last, 24 - exp_digits, mode="clip")
+        k = _eight_digits(exponent).astype(np.intp)
+        np.negative(k, out=k, where=(flags & _EXP_NEGATIVE) > 0)
+        k -= fraction
+        k -= _K_LO
+        sure &= (k >= 0) & (k <= _K_HI - _K_LO)
+        r = m.astype(np.longdouble)
+        r *= np.take(t.pow10, k, mode="clip")
+        with np.errstate(all="ignore"):
+            x = r.astype(np.float64)
+            slack = r * t.slack
+            sure &= (r + slack).astype(np.float64) == x
+            r -= slack
+            sure &= r.astype(np.float64) == x
+            sure &= (x >= np.finfo(np.float64).smallest_normal) | (m == 0)
+        np.negative(x, out=x, where=(flags & _NEGATIVE) > 0)
+        out = self.out[self.cells : self.cells + cells]
+        out[...] = x
+        for i in np.flatnonzero(~sure).tolist():
+            out[i] = float(buf[start[i] : end[i]].tobytes())
+        used = int(end[-1]) + 1 - _PAD
+        buf[_PAD : _PAD + n - used] = buf[_PAD + used : _PAD + n]
+        self.size = n - used
+        self.cells += cells
+        return True
+
+
+def _table_shape(fh, head):
+    """The rows of the text head plus the rest of fh, a last line without
+    a newline included, and the cells of its first line, or None when a
+    table that wide would need more bytes than there are; reads fh to its
+    end and rewinds it."""
+    at = fh.tell()
+    rows = commas = size = 0
+    first_line, last = True, ord("\n")
+    chunk = np.empty(_PIECE_BYTES, dtype=np.uint8)
+    text = np.frombuffer(head, dtype=np.uint8)
+    while text.size:
+        newline = text == ord("\n")
+        count = np.count_nonzero(newline)
+        if first_line:
+            eol = int(newline.argmax()) if count else text.size
+            commas += np.count_nonzero(text[:eol] == ord(","))
+            first_line = not count
+        rows, size, last = rows + count, size + text.size, text[-1]
+        text = chunk[: fh.readinto(chunk)]
+    fh.seek(at)
+    rows += last != ord("\n")
+    return None if 2 * rows * (commas + 1) > size + 1 else (rows, commas + 1)  # 2 bytes a cell at least
+
+
+def _read_table(fh, head):
+    """The N x d table in the binary file fh, whose text from the first
+    data row on starts with head (at most _PIECE_BYTES) and goes on at fh's
+    position; None when a piece is outside the grammar or there is no
+    cell."""
+    shape = _table_shape(fh, head)
+    if shape is None:
+        return None
+    table = np.empty(shape)
+    reader = _DecimalReader(fh, head, table.reshape(-1), shape[1])
+    while True:
+        ended = reader.fill()
+        if ended and not reader.size:
+            break
+        if not reader.read(ended):
+            return None
+    return table if 0 < reader.cells == table.size else None

@@ -33,12 +33,14 @@ KSPC that KernelSpec accepts.
 import csv
 import gzip
 import io
+import re
 import struct
 import sys
 import zlib
 
 import numpy as np
 
+from ._decimal_reader import _PIECE_BYTES, _read_table
 from .dual import DualModel
 from .errors import (
     BadMagic,
@@ -95,21 +97,41 @@ def _parse_cells(lines, path, first_row):
     for i, row in enumerate(data):
         if len(row) != width:
             raise RaggedRows(f"{path}: row {first_row + i} has {len(row)} fields, expected {width}")
-    return np.asarray(data, dtype=float).T
+    return np.asarray(data, dtype=float)
 
 
-def load_csv(path) -> np.ndarray:
-    """Read a numeric table with one sample per row; returns samples as the
-    columns of a d x N matrix.
+# load_csv reads a well-formed decimal table (an optional header line, then
+# rows of plain decimal cells) in whole-array steps with _decimal_reader,
+# which says which cells it certifies and which it hands to float(). Every
+# other file, a pipe, and every file where _DIGIT_PATH is false take the
+# text path below.
 
-    Blank lines are skipped. The first non-blank row is a header, and is
-    skipped, when none of its cells is a number; a row that holds a number
-    is data, so a bad cell in it is reported. A cell is a number when
-    Python's float() accepts it, also inside csv quotes ("1.5"). Raises
-    ParseError with the row (counting non-blank rows from 1) and column of
-    the first cell that is not a number, RaggedRows when the rows differ in
-    width, and ParseError for a file that is not UTF-8 or has no data row.
-    """
+_FIRST_CELL = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:[,\n]|\Z)")
+
+
+def _body_start(head):
+    # where the rows start in the file's first bytes: 0 when the first line
+    # opens with a decimal cell, after it when it is a header (in csv
+    # syntax, without a number); None when it holds a CR or is neither
+    eol = head.find(b"\n")
+    if b"\r" in (head if eol < 0 else head[:eol]):
+        return None
+    if _FIRST_CELL.match(head):
+        return 0
+    if eol <= 0:
+        return None
+    try:
+        reader = csv.reader([head[:eol].decode("utf-8") + "\n", "\n"])
+        header = next(reader)
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if reader.line_num != 1 or any(map(_is_number, header)):
+        return None
+    return eol + 1
+
+
+def _read_text(path):
+    # the text path: csv syntax, numpy's C tokenizer, the reference parser
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -127,12 +149,36 @@ def load_csv(path) -> np.ndarray:
             # a well-formed table parses in numpy's C tokenizer; anything it
             # refuses gets the reference parser, which accepts or locates it
             try:
-                return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float).T
+                return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
             except ValueError:
                 pass
         return _parse_cells(body, path, first_row=2 if header else 1)
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def load_csv(path) -> np.ndarray:
+    """Read a numeric table with one sample per row; returns samples as the
+    columns of a d x N matrix.
+
+    Blank lines are skipped. The first non-blank row is a header, and is
+    skipped, when none of its cells is a number; a row that holds a number
+    is data, so a bad cell in it is reported. A cell is a number when
+    Python's float() accepts it, also inside csv quotes ("1.5"), and reads
+    as float() reads it. Raises ParseError with the row (counting non-blank
+    rows from 1) and column of the first cell that is not a number,
+    RaggedRows when the rows differ in width, and ParseError for a file that
+    is not UTF-8 or has no data row.
+    """
+    if _DIGIT_PATH:
+        with open(path, "rb") as fh:
+            # the reader reads a file twice, which a pipe does not allow
+            head = fh.read(_PIECE_BYTES) if fh.seekable() else b""
+            start = _body_start(head)
+            table = None if start is None else _read_table(fh, head[start:])
+        if table is not None:
+            return table.T
+    return _read_text(path).T
 
 
 # save_csv writes each float as repr does: the shortest decimal that reads
@@ -169,6 +215,7 @@ _DIGIT_PATH = np.finfo(np.longdouble).nmant >= 63 and sys.byteorder == "little"
 _MAX_SCALE = 27  # 10**27 = 2**27 * 5**27 and 5**27 < 2**63
 _SLACK = 2.0**-8 + 2.0**-40  # Y's error, and the half-widths' (< 1e-14)
 _POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_POW5 = np.array([5**k for k in range(_MAX_SCALE + 1)], dtype=np.uint64)
 _POW10_LD = np.multiply.accumulate(np.r_[1, np.full(_MAX_SCALE, 10)].astype(np.longdouble))
 # Y = |x| * _SCALE_UP[s + 27] / _SCALE_DOWN[s + 27]: one factor is 1
 _SCALE_UP = np.r_[np.ones(_MAX_SCALE, np.longdouble), _POW10_LD]
@@ -247,6 +294,19 @@ def _shortest_digits(ax, work):
     # to Y is inside; only a tie at .5 is left open
     certain = work & (yi >= 9 * _POW10[15])
     c = yi + (f > 0.5)
+    # A tie is exact arithmetic for |x| < 1e16 (s >= 1): Y = m 5**s 2**-t
+    # for the 53-bit significand m and 0 < t < 64, so the low t bits of
+    # m 5**s, which its low 64 bits in uint64 hold, are Y's fraction
+    tie = np.abs(f - 0.5) <= _SLACK
+    at = np.flatnonzero(tie & work & (s >= 1))
+    if at.size:
+        m, e = np.frexp(ax[at])
+        t = (53 - e - s[at]).astype(np.uint64)
+        frac = (m * 2.0**53).astype(np.uint64) * _POW5[s[at]]
+        half = np.uint64(1) << (t - np.uint64(1))
+        frac &= (half << np.uint64(1)) - np.uint64(1)
+        c[at] = yi[at] + (frac > half)
+        tie[at] = frac == half
     # p = 1: the multiples of 10 either side of Y, which the interval (up
     # to 2 * 11.1 wide) may both hold; the nearer one wins when inside
     q = yi // 10
@@ -258,7 +318,7 @@ def _shortest_digits(ax, work):
     other_sure = np.abs(other) > _SLACK
     certain &= (np.abs(near) > _SLACK) & np.where(
         tens, ((near < 0.0) | other_sure) & (np.abs(up - down) > 2 * _SLACK),
-        other_sure & (np.abs(f - 0.5) > _SLACK))
+        other_sure & ~tie)
     c = np.where(tens, q + (above == (near < 0.0)), c)
     p = tens.astype(np.intp)
     # p >= 2: at most one multiple of 100 fits, and only when Y mod 100 is

@@ -5,6 +5,7 @@ import struct
 import tracemalloc
 import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -27,7 +28,7 @@ from kppca import (
     save_model,
     two_arcs,
 )
-from kppca import __version__, io_datasets
+from kppca import __version__, _decimal_reader, io_datasets
 from kppca.cli import main
 from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
@@ -164,10 +165,16 @@ NUMBER_CELLS = st.one_of(
     st.floats(width=64).map(repr),
     st.sampled_from(["inf", "-inf", "nan", "-nan", "-0.0", "5e-324", "1e16", "1E3", "+.5",
                      " 2.5 ", "\t7", "-Infinity", "1.7976931348623157e308"]),
+    # the decimal reader's edges: a tie, a 25-digit mantissa, out-of-range exponents
+    st.sampled_from(["1.", ".5", "-.5", "+1e+5", "1E-0", "007", "9007199254740993",
+                     "1234567890123456789012345", "1e400", "1e-400", "-0"]),
 )
 # cells float() takes and numpy's tokenizer refuses, or the reverse
 FALLBACK_CELLS = st.sampled_from(['"1.5"', '" 2 "', "1_0", "\uff11\uff12", "\u0663", "1\x1c", "\x1f2"])
-BAD_CELLS = st.sampled_from(["", " ", "#", "#1", "x", "--1", "0x10", '"', "1 2", "nan0", "1e"])
+BAD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "#", "#1", "x", "--1", "0x10", '"', "1 2", "nan0", "1e"]),
+    st.sampled_from(["1.2.3", "1e5e5", "-+1"]),
+)
 CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, FALLBACK_CELLS, BAD_CELLS)
 
 
@@ -221,6 +228,87 @@ def test_load_csv_well_formed_table_skips_cell_parser(tmp_path, monkeypatch, tex
 
     monkeypatch.setattr(io_datasets, "_parse_cells", refuse)
     npt.assert_array_equal(load_csv(p), expected)
+
+
+@given(csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_without_the_digit_path_matches(tmp_path_factory, text):
+    # where np.longdouble has no 64-bit significand, or words are not
+    # little-endian, every file takes the text path: same bits, layout or error
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = csv_outcome(load_csv, path)
+    with mock.patch.object(io_datasets, "_DIGIT_PATH", False):
+        assert csv_outcome(load_csv, path) == outcome == csv_outcome(reference_load_csv, path)
+
+
+def refuse_text_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed numeric table left the decimal reader")
+
+    monkeypatch.setattr(io_datasets, "_read_text", refuse)
+
+
+def test_load_csv_reads_a_million_values_as_float(tmp_path, monkeypatch):
+    # every finite cell of the corpus, written as repr, as %.17g and as %.6e,
+    # in rows of 7 and in one row wider than a piece, reads back with
+    # float()'s bits and today's layout, a d x N view of an N x d array
+    refuse_text_path(monkeypatch)
+    x = repr_corpus()
+    x = x[np.isfinite(x)]
+    wide = _decimal_reader._PIECE_BYTES // 8 + 3  # more cells and bytes than a piece holds
+    for fmt in (repr, "%.17g".__mod__, "%.6e".__mod__):
+        cells = list(map(fmt, x.tolist()))
+        expected = np.array(list(map(float, cells)))
+        for width, count in ((7, x.size // 7 * 7), (wide, wide)):
+            text = "".join(",".join(cells[i : i + width]) + "\n" for i in range(0, count, width))
+            (tmp_path / "t.csv").write_text(text)
+            got = load_csv(tmp_path / "t.csv")
+            assert got.shape == (width, count // width) and got.strides == (8, 8 * width)
+            assert got.T.flags.c_contiguous
+            assert np.array_equal(got.T.ravel().view(np.uint64), expected[:count].view(np.uint64))
+
+
+def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch):
+    # the way perfbench writes its inputs: a header, then %.17g cells; fewer
+    # than 1% of them reach float(), and neither np.loadtxt nor the cell
+    # parser runs
+    images = bump_images(100, side=28, seed=4)
+    p = tmp_path / "t.csv"
+    header = ",".join(f"x{j + 1}" for j in range(images.shape[1]))
+    np.savetxt(p, images, fmt="%.17g", delimiter=",", header=header, comments="")
+    expected = reference_load_csv(p)
+    calls = []
+
+    def counting_float(value):
+        calls.append(value)
+        return float(value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed numeric table reached the text path")
+
+    monkeypatch.setattr(io_datasets.np, "loadtxt", refuse)
+    monkeypatch.setattr(io_datasets, "_parse_cells", refuse)
+    monkeypatch.setattr(_decimal_reader, "float", counting_float, raising=False)
+    got = load_csv(p)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert len(calls) < 0.01 * images.size
+
+
+def test_load_csv_working_set_is_one_piece(tmp_path):
+    # the traced peak of reading a 500 x 500 table is the file, the result
+    # and one piece's buffers and temporaries, whatever the table's size
+    x = np.random.default_rng(5).standard_normal((500, 500))
+    save_csv(tmp_path / "t.csv", x)
+    size = (tmp_path / "t.csv").stat().st_size
+    load_csv(tmp_path / "t.csv")  # the reader's tables, built once
+    tracemalloc.start()
+    try:
+        load_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + x.nbytes + _decimal_reader._READ_BYTES
 
 
 def test_load_csv_rejects_undecodable_bytes(tmp_path):
@@ -289,10 +377,9 @@ def test_save_csv_without_the_digit_path_is_all_repr(tmp_path, monkeypatch):
     assert (tmp_path / "t.csv").read_bytes() == repr_lines(x)
 
 
-def test_save_csv_formats_reconstructions_without_repr(tmp_path, monkeypatch):
-    # on a fitted bumps model's reconstruction table fewer than 5% of the
-    # cells take repr: a formatter that always fell back would pass every
-    # byte test and lose its speed
+def save_reconstructions(path, monkeypatch):
+    """Writes a fitted bumps model's reconstruction table with save_csv;
+    returns the table and the cells save_csv handed to repr."""
     m = bumps_model(n=60, q=5)
     points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3)), PreimageConfig(epsilon=0.06))
     calls = []
@@ -302,8 +389,24 @@ def test_save_csv_formats_reconstructions_without_repr(tmp_path, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(io_datasets, "repr", counting_repr, raising=False)
-    save_csv(tmp_path / "t.csv", points)
+    save_csv(path, points)
+    return points, calls
+
+
+def test_save_csv_formats_reconstructions_without_repr(tmp_path, monkeypatch):
+    # on a fitted bumps model's reconstruction table fewer than 5% of the
+    # cells take repr: a formatter that always fell back would pass every
+    # byte test and lose its speed
+    points, calls = save_reconstructions(tmp_path / "t.csv", monkeypatch)
     assert len(calls) < 0.05 * points.size
+    assert (tmp_path / "t.csv").read_bytes() == repr_lines(points.T)
+
+
+def test_save_csv_settles_ties_exactly(tmp_path, monkeypatch):
+    # an apparent tie at the last digit is settled in exact integer
+    # arithmetic, so fewer than 0.3% of the same table's cells take repr
+    points, calls = save_reconstructions(tmp_path / "t.csv", monkeypatch)
+    assert len(calls) < 0.003 * points.size
     assert (tmp_path / "t.csv").read_bytes() == repr_lines(points.T)
 
 
