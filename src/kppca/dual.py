@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     LatentExceedsRank,
     NotCentered,
     RankDeficient,
@@ -233,8 +232,11 @@ def tail_factor(m: DualModel) -> np.ndarray:
     r is its numerical rank), so that the factor's outer product is
     sigma2 P K_c P = sigma2 sum_{p>q} lambda_p e_p e_p^T.
     """
+    # in place: the N x r temporaries are the factor and one product
     jl = _centered_gram_factor(m)
-    return np.sqrt(m.sigma2) * (jl - m.e @ (m.e.T @ jl))
+    jl -= m.e @ (m.e.T @ jl)
+    jl *= np.sqrt(m.sigma2)
+    return jl
 
 
 def samples_from_noise(m: DualModel, u, tail=None) -> np.ndarray:
@@ -250,10 +252,7 @@ def samples_from_noise(m: DualModel, u, tail=None) -> np.ndarray:
     and sigma sqrt(lambda_p) over the discarded ones. Exposed so callers can
     pin the noise, e.g. for grid sweeps or tests.
     """
-    u = np.asarray(u, dtype=float)
-    rows = m.q + (0 if tail is None else tail.shape[1])
-    if u.ndim != 2 or u.shape[0] != rows:
-        raise DimensionMismatch(f"noise must be a {rows} x M matrix, got shape {u.shape}")
+    u = _as_columns(u, m.q + (0 if tail is None else tail.shape[1]), "noise")
     k = m.e @ ((m.eigenvalues / np.sqrt(m.n))[:, None] * u[: m.q])
     if tail is not None:
         k += tail @ u[m.q :]

@@ -1,39 +1,31 @@
 """Data ingestion (CSV tables, MNIST IDX files) and model serialization.
 
-Model container layout (version 2, all integers and floats little-endian):
-
-    magic   6 bytes   b"KPPCA\\0"
-    version u32       2
-    kind    1 byte    b"D" (the dual model, the only kind)
-    then a sequence of sections, each
-        tag     4 ascii bytes
-        length  u64, payload byte count
-        payload
-        crc32   u32, zlib.crc32 of tag, length and payload
-
-    vector payload:  u32 length, then that many f64
-    matrix payload:  u32 rows, u32 cols, then rows*cols f64 row-major
-
-    sections: HYPR (u32 q, f64 sigma2, f64 tail: the discarded spectrum's
-              sum), KSPC (u8 family: 0 linear 1 rbf, f64 gamma, 0.0 when
-              unused), EVAL (vector, the q leading eigenvalues), EVEC
-              (matrix, their N x q eigenvectors), GMNS (vector, the
-              training Gram matrix's N column means then its grand mean),
-              TSET (matrix training points, one per row)
+Model container, version 2, all integers and floats little-endian: the
+magic b"KPPCA\\0", a u32 version (2) and a kind byte b"D" (the dual model,
+the only kind), then the six sections of the table _SECTIONS, each exactly
+once and in its order. A section is a 4-byte ascii tag, a u64 payload byte
+count, the payload (the section's fixed fields, then its f64 array in row
+order) and a u32 zlib.crc32 of tag, count and payload. save_model writes
+each array from its own buffer and load_model reads each into the array the
+model keeps, so neither holds a second copy of a payload.
 
 A file holds O(N (d_in + q)) numbers. A file of any other version,
 version 1 included, raises VersionMismatch: re-fit it with `kppca fit`.
 
-Loading checks every CRC32 and that the sections agree with each other:
-shapes against N, d_in and q, 1 <= q <= N, finite sigma2 and tail >= 0, a
-finite, nonnegative, descending EVAL, EVEC entries within [-1, 1], and a
-KSPC that KernelSpec accepts.
+Loading refuses, as CorruptFile, a section that is missing, repeated, out
+of order or unknown, a length that disagrees with the section's shape or
+exceeds the file, bytes after the last section and a failed CRC32. It then
+checks that the sections agree with each other: shapes against N, d_in and
+q, 1 <= q <= N, finite sigma2 and tail >= 0, a finite, nonnegative,
+descending EVAL, EVEC entries within [-1, 1], and a KSPC that KernelSpec
+accepts.
 """
 
 import csv
 import gzip
 import io
-import re
+import math
+import os
 import struct
 import sys
 import zlib
@@ -106,28 +98,29 @@ def _parse_cells(lines, path, first_row):
 # other file, a pipe, and every file where _DIGIT_PATH is false take the
 # text path below.
 
-_FIRST_CELL = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:[,\n]|\Z)")
+
+def _is_header(cells):
+    # the first non-blank row is a header, and skipped, when none of its
+    # cells is a number
+    return not any(map(_is_number, cells))
 
 
 def _body_start(head):
     # where the rows start in the file's first bytes: 0 when the first line
-    # opens with a decimal cell, after it when it is a header (in csv
-    # syntax, without a number); None when it holds a CR or is neither
+    # (as far as head holds it) has a number, after it when it is a header
+    # (in csv syntax); None when it holds a CR, is blank, or is neither
     eol = head.find(b"\n")
-    if b"\r" in (head if eol < 0 else head[:eol]):
-        return None
-    if _FIRST_CELL.match(head):
-        return 0
-    if eol <= 0:
+    line = head if eol < 0 else head[:eol]
+    if not line or b"\r" in line:
         return None
     try:
-        reader = csv.reader([head[:eol].decode("utf-8") + "\n", "\n"])
-        header = next(reader)
+        reader = csv.reader([line.decode("utf-8") + "\n", "\n"])
+        header = _is_header(next(reader))
     except (UnicodeDecodeError, csv.Error):
         return None
-    if reader.line_num != 1 or any(map(_is_number, header)):
+    if reader.line_num != 1 or (header and eol < 0):
         return None
-    return eol + 1
+    return eol + 1 if header else 0
 
 
 def _read_text(path):
@@ -142,7 +135,7 @@ def _read_text(path):
         first = next(filter(None, rows), None)
         if first is None:
             raise ParseError(f"{path}: empty file")
-        header = not any(map(_is_number, first))
+        header = _is_header(first)
         body = lines[rows.line_num:] if header else lines
         has_data = not header or next(filter(None, rows), None) is not None
         if has_data and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE):
@@ -510,99 +503,62 @@ def load_mnist_idx(images_path, labels_path, label_filter=None, limit=None):
 # --- model container ----------------------------------------------------
 
 
-def _pack_vec(v):
-    v = np.asarray(v, dtype=float)
-    return struct.pack("<I", v.size) + v.astype("<f8").tobytes()
-
-
-def _pack_mat(m):
-    m = np.asarray(m, dtype=float)
-    return struct.pack("<II", m.shape[0], m.shape[1]) + m.astype("<f8").tobytes()
-
-
-def _section(tag, payload):
-    head = tag.encode("ascii") + struct.pack("<Q", len(payload))
-    return head + payload + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
+# The model file's sections, each exactly once and in this order: the tag,
+# the struct format of the fixed fields, and the rank of the f64 array that
+# follows them, whose shape is the fields' last `rank` values.
+_SECTIONS = (
+    ("HYPR", "<Idd", 0),  # q, sigma2, tail: the discarded spectrum's sum
+    ("KSPC", "<Bd", 0),  # kernel family (0 linear, 1 rbf), gamma (0.0 when unused)
+    ("EVAL", "<I", 1),  # the q leading eigenvalues
+    ("EVEC", "<II", 2),  # their N x q eigenvectors
+    ("GMNS", "<I", 1),  # the training Gram matrix's N column means, then its grand mean
+    ("TSET", "<II", 2),  # the training points, one per row
+)
 
 
 def save_model(path, model):
+    """Write a DualModel as a version 2 model file, each array straight
+    from its own buffer (one copy only for an array not in C order)."""
     if not isinstance(model, DualModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    family = 0 if model.spec.family == "linear" else 1
-    gamma = model.spec.gamma if model.spec.gamma is not None else 0.0
-    sections = [
-        _section("HYPR", struct.pack("<Idd", model.q, model.sigma2, model.tail)),
-        _section("KSPC", struct.pack("<Bd", family, gamma)),
-        _section("EVAL", _pack_vec(model.eigenvalues)),
-        _section("EVEC", _pack_mat(model.e)),
-        _section("GMNS", _pack_vec(model.means)),
-        _section("TSET", _pack_mat(model.ts.points)),
-    ]
+    spec = model.spec
+    payloads = ((model.q, model.sigma2, model.tail), (0 if spec.family == "linear" else 1, spec.gamma or 0.0),
+                model.eigenvalues, model.e, model.means, model.ts.points)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(b"D")
-        for sec in sections:
-            fh.write(sec)
+        fh.write(MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + b"D")
+        for (tag, fmt, rank), payload in zip(_SECTIONS, payloads):
+            array = np.ascontiguousarray(payload if rank else (), dtype="<f8")
+            fields = struct.pack(fmt, *(array.shape if rank else payload))
+            head = tag.encode("ascii") + struct.pack("<Q", len(fields) + array.nbytes)
+            crc = zlib.crc32(array, zlib.crc32(fields, zlib.crc32(head)))
+            for part in (head, fields, array, struct.pack("<I", crc)):
+                fh.write(part)
 
 
-class _Cursor:
-    def __init__(self, data, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, count):
-        if self.pos + count > len(self.data):
-            raise CorruptFile(f"{self.path}: section payload ends prematurely")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _unpack_vec(cur):
-    # astype makes the array's one copy; a frombuffer view would pin the file
-    (size,) = cur.unpack("<I")
-    return np.frombuffer(cur.take(8 * size), dtype="<f8").astype(float)
-
-
-def _unpack_mat(cur):
-    rows, cols = cur.unpack("<II")
-    flat = np.frombuffer(cur.take(8 * rows * cols), dtype="<f8").astype(float)
-    return flat.reshape(rows, cols)
-
-
-def _read_sections(blob, pos, path):
-    # payloads are slices of the caller's memoryview, not copies; a section
-    # ends in the CRC32 of its tag, length and payload
-    sections = {}
-    while pos < len(blob):
-        if pos + 12 > len(blob):
-            raise CorruptFile(f"{path}: dangling bytes after last section")
-        tag = bytes(blob[pos : pos + 4])
-        (length,) = struct.unpack_from("<Q", blob, pos + 4)
-        end = pos + 12 + length
-        if end + 4 > len(blob):
-            raise CorruptFile(f"{path}: section {tag!r} longer than file")
-        (crc,) = struct.unpack_from("<I", blob, end)
-        if zlib.crc32(blob[pos:end]) != crc:
-            raise CorruptFile(f"{path}: section {tag!r} fails its CRC32 check")
-        try:
-            name = tag.decode("ascii")
-        except UnicodeDecodeError:
-            raise CorruptFile(f"{path}: bad section tag {tag!r}") from None
-        sections[name] = blob[pos + 12 : end]
-        pos = end + 4
-    return sections
-
-
-def _need(sections, name, path):
-    if name not in sections:
-        raise CorruptFile(f"{path}: missing section {name}")
-    return _Cursor(sections[name], path)
+def _read_section(fh, path, tag, fmt, rank):
+    # the fields as a tuple, or for rank > 0 the array, read into its own
+    # memory once its declared length, shape and the bytes left agree
+    head = fh.read(12)
+    _check(len(head) == 12, path, f"file ends before section {tag}")
+    _check(head[:4] == tag.encode("ascii"), path, f"section {head[:4]!r} where section {tag} belongs")
+    (length,) = struct.unpack_from("<Q", head, 4)
+    size = struct.calcsize(fmt)
+    _check(length >= size, path, f"section {tag} payload ends prematurely")
+    # a pipe has no size to compare with: there a length that no memory
+    # holds fails in np.empty, as a MemoryError
+    left = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else sys.maxsize
+    _check(length + 4 <= left, path, f"section {tag} longer than file")
+    fields = fh.read(size)
+    _check(len(fields) == size, path, f"section {tag} payload ends prematurely")
+    values = struct.unpack(fmt, fields)
+    shape = values[len(values) - rank :] if rank else (0,)
+    _check(length == size + 8 * math.prod(shape), path,
+           f"section {tag} length {length} disagrees with its shape {shape}")
+    array = np.empty(shape, dtype="<f8")
+    _check(fh.readinto(array) == array.nbytes, path, f"section {tag} payload ends prematurely")
+    crc = zlib.crc32(array, zlib.crc32(fields, zlib.crc32(head)))
+    _check(fh.read(4) == struct.pack("<I", crc), path, f"section {tag!r} fails its CRC32 check")
+    return array if rank else values
 
 
 def _check(ok, path, what):
@@ -615,8 +571,7 @@ def _check_shape(path, name, arr, shape):
     _check(bool(np.all(np.isfinite(arr))), path, f"section {name} holds NaN or Inf entries")
 
 
-def _kernel_spec(sections, path):
-    family, gamma = _need(sections, "KSPC", path).unpack("<Bd")
+def _kernel_spec(family, gamma, path):
     _check(family in (0, 1), path, f"unknown kernel family code {family}")
     try:
         # a linear kernel's gamma is stored as 0.0
@@ -625,13 +580,29 @@ def _kernel_spec(sections, path):
         raise CorruptFile(f"{path}: {exc}") from None
 
 
-def _load_dual(sections, path):
-    q, sigma2, tail = _need(sections, "HYPR", path).unpack("<Idd")
-    spec = _kernel_spec(sections, path)
-    lam = _unpack_vec(_need(sections, "EVAL", path))
-    e = _unpack_mat(_need(sections, "EVEC", path))
-    means = _unpack_vec(_need(sections, "GMNS", path))
-    points = _unpack_mat(_need(sections, "TSET", path))
+def load_model(path):
+    """Read back a DualModel written by save_model; the round trip is
+    lossless.
+
+    The file is read one section at a time, each array into its own memory,
+    which becomes the model's. Raises VersionMismatch when the file is not
+    version 2, and CorruptFile when it is damaged: a section fails its
+    CRC32, the kind byte is not b"D", a section is missing, repeated, out
+    of order or unknown, its length disagrees with its shape or the file,
+    bytes follow the last section, or the sections disagree.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(len(MODEL_MAGIC) + 5)
+        if len(head) < len(MODEL_MAGIC) + 5 or head[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+            raise CorruptFile(f"{path}: not a model file")
+        (version,) = struct.unpack_from("<I", head, 6)
+        if version != MODEL_VERSION:
+            raise VersionMismatch(f"{path}: version {version}, this build reads only version {MODEL_VERSION}; "
+                                  "re-fit the model with `kppca fit`")
+        _check(head[10:] == b"D", path, f"unknown model kind {head[10:]!r}")
+        (q, sigma2, tail), kspc, lam, e, means, points = (_read_section(fh, path, *sec) for sec in _SECTIONS)
+        _check(not fh.read(1), path, "bytes after the last section")
+    spec = _kernel_spec(*kspc, path)
     n = points.shape[0]
     _check(1 <= q <= n, path, f"q={q} outside 1..N={n}")
     _check(np.isfinite(sigma2) and sigma2 >= 0.0, path, f"sigma2={sigma2} is not a finite value >= 0")
@@ -646,29 +617,3 @@ def _load_dual(sections, path):
     _check(float(np.max(np.abs(e), initial=0.0)) <= 1.0 + 1e-9, path, "EVEC has an entry beyond 1")
     return DualModel(sigma2=sigma2, eigenvalues=lam, e=e, tail=tail, means=means, spec=spec,
                      ts=TrainingSet(points))
-
-
-def load_model(path):
-    """Read back a DualModel written by save_model; the round trip is
-    lossless.
-
-    Raises VersionMismatch when the file is not version 2, and CorruptFile
-    when it is damaged (a section fails its CRC32), its kind byte is not
-    b"D", or its sections disagree.
-    """
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    if len(blob) < len(MODEL_MAGIC) + 5 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise CorruptFile(f"{path}: not a model file")
-    (version,) = struct.unpack_from("<I", blob, 6)
-    if version != MODEL_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, this build reads only version {MODEL_VERSION}; "
-                              "re-fit the model with `kppca fit`")
-    kind = bytes(blob[10:11])
-    sections = _read_sections(blob, 11, path)
-    if kind != b"D":
-        raise CorruptFile(f"{path}: unknown model kind {kind!r}")
-    try:
-        return _load_dual(sections, path)
-    except struct.error as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNormalizer, DimensionMismatch
+from .errors import DegenerateNormalizer
 from .kernels import TrainingSet, column_blocks
+from .primal import _as_columns
 
 _NORMALIZER_FLOOR = 1e-12
 
@@ -37,9 +38,7 @@ def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) 
     stabilized weight sum of any column is within 1e-12 of zero, which is
     the typical fate of centered weights with epsilon = 0.
     """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != ts.n:
-        raise DimensionMismatch(f"weights must be a {ts.n} x M matrix, got shape {k.shape}")
+    k = _as_columns(k, ts.n, "weights")
     points = np.empty((ts.d_in, k.shape[1]))
     for cols, block in column_blocks(ts.n, k.shape[1]):
         block[...] = k[:, cols]

@@ -102,19 +102,33 @@ def kpca_oracle_reconstruct(kc_entries, q, kvec):
     return lead @ (lead.T @ kvec)
 
 
+def model_sections(blob):
+    """[tag, payload] of each section of a (version 2) model file, in file
+    order."""
+    out, pos = [], 11
+    while pos < len(blob):
+        (length,) = struct.unpack("<Q", blob[pos + 4 : pos + 12])
+        out.append([blob[pos : pos + 4], blob[pos + 12 : pos + 12 + length]])
+        pos += 12 + length + 4
+    return out
+
+
+def framed(sections):
+    """The bytes of a sequence of [tag, payload] sections, each with its
+    length and the CRC32 of tag, length and payload."""
+    out = b""
+    for tag, payload in sections:
+        head = tag + struct.pack("<Q", len(payload))
+        out += head + payload + struct.pack("<I", zlib.crc32(head + payload))
+    return out
+
+
 def rewrite_section(path, tag, payload):
     """Replace the payload of one section of a saved (version 2) model file,
     keeping the container framing and the CRC32 of every section intact."""
     blob = path.read_bytes()
-    out, pos = bytearray(blob[:11]), 11
-    while pos < len(blob):
-        name = blob[pos : pos + 4]
-        (length,) = struct.unpack("<Q", blob[pos + 4 : pos + 12])
-        body = payload if name == tag.encode("ascii") else blob[pos + 12 : pos + 12 + length]
-        head = name + struct.pack("<Q", len(body))
-        out += head + body + struct.pack("<I", zlib.crc32(head + body))
-        pos += 12 + length + 4
-    path.write_bytes(bytes(out))
+    sections = [[name, payload if name == tag.encode("ascii") else body] for name, body in model_sections(blob)]
+    path.write_bytes(blob[:11] + framed(sections))
 
 
 def pack_matrix(m):

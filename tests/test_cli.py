@@ -1,3 +1,4 @@
+import os
 import struct
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from kppca import dual, kernels
 from kppca.cli import main
 from kppca.preimage import PreimageConfig
 
-from conftest import arcs_model, bump_images, bumps_model, rewrite_section
+from conftest import arcs_model, bump_images, bumps_model, framed, model_sections, rewrite_section
 
 
 @pytest.fixture
@@ -419,6 +420,24 @@ def test_console_entry_point(tmp_path, toy_csv):
                            str(out / "model.kppca")], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "kind: dual" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_report_reads_a_model_from_a_pipe(tmp_path, toy_csv):
+    # the model file is read front to back, so a pipe serves as well as a
+    # file: the same lines from both. A pipe has no size to hold a declared
+    # length against; a TSET of 2**59 values fails to allocate, exit 3
+    model_path = run_fit(tmp_path, toy_csv, "--q", "2")
+    blob = model_path.read_bytes()
+    huge = b"TSET" + struct.pack("<QII", 8 + 8 * (1 << 59), 1 << 31, 1 << 28)
+    out = str(tmp_path / "rep")
+    runs = [subprocess.run([sys.executable, "-m", "kppca.cli", "report", "--model", model, "--out", out],
+                           input=stdin, capture_output=True, timeout=120)
+            for model, stdin in ((str(model_path), None), ("/dev/stdin", blob),
+                                 ("/dev/stdin", blob[:11] + framed(model_sections(blob)[:5]) + huge))]
+    assert [proc.returncode for proc in runs] == [0, 0, 3], runs[2].stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert b"kind: dual" in runs[0].stdout
 
 
 CLEAN_EXITS = {0, 2, 3, 4}

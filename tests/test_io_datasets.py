@@ -42,7 +42,15 @@ from kppca.errors import (
 )
 from kppca.io_datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
-from conftest import bump_images, bumps_model, pack_matrix, pack_vector, rewrite_section
+from conftest import (
+    bump_images,
+    bumps_model,
+    framed,
+    model_sections,
+    pack_matrix,
+    pack_vector,
+    rewrite_section,
+)
 
 # --- CSV -----------------------------------------------------------------
 
@@ -605,6 +613,71 @@ def test_model_sections_must_agree(tmp_path):
         rewrite_section(path, tag, payload)
         with pytest.raises(CorruptFile, match=re.escape(msg)):
             load_model(path)
+
+
+def _layout_faults(blob):
+    # (file, message) pairs: a model file whose sections are framed and
+    # checksummed but not laid out as the one fixed order of the six sections
+    top, secs = blob[:11], model_sections(blob)
+    hypr, kspc, evals, evec, gmns, tset = secs
+    huge = struct.pack("<II", 1 << 20, 1 << 10)  # 8 GiB of training points
+    return [
+        (top + framed([hypr, kspc, evec, evals, gmns, tset]), "section b'EVEC' where section EVAL belongs"),
+        (top + framed([hypr, [b"NOTE", b"x"], *secs[1:]]), "section b'NOTE' where section KSPC belongs"),
+        (top + framed([hypr, hypr, *secs[1:]]), "section b'HYPR' where section KSPC belongs"),
+        (top + framed(secs[:5]), "file ends before section TSET"),
+        (blob + b"\0", "bytes after the last section"),
+        (top + framed([hypr, kspc, [b"EVAL", evals[1] + bytes(8)], *secs[3:]]),
+         "section EVAL length 36 disagrees with its shape (3,)"),
+        (top + framed([hypr, kspc, [b"EVAL", evals[1][:-8]], *secs[3:]]),
+         "section EVAL length 20 disagrees with its shape (3,)"),
+        (top + framed(secs[:5]) + b"TSET" + struct.pack("<Q", 8 + 8 * (1 << 30)) + huge + bytes(64),
+         "section TSET longer than file"),
+    ]
+
+
+def test_model_sections_come_in_one_order(tmp_path):
+    # each of the six sections exactly once, in the order save_model writes;
+    # a file that differs from it is refused, and the CLI exits 3 on it
+    path, data, out = tmp_path / "m.kppca", tmp_path / "x.csv", str(tmp_path / "out")
+    save_model(path, fitted_model())
+    save_csv(data, two_arcs(7, seed=11))
+    for blob, msg in _layout_faults(path.read_bytes()):
+        path.write_bytes(blob)
+        with pytest.raises(CorruptFile, match=re.escape(msg)):
+            load_model(path)
+        assert main(["project", "--model", str(path), "--data", str(data), "--out", out]) == 3
+        assert main(["report", "--model", str(path), "--out", out]) == 3
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_writes_arrays_from_their_buffers(tmp_path):
+    # no copy of a payload: the traced peak is the file object's buffers,
+    # whatever the model's size (a 96 KB file here)
+    path, model = tmp_path / "m.kppca", bumps_model(n=300)
+    save_model(path, model)  # warm-up: first-call caches are not the container's
+    peak, _ = _traced_peak(lambda: save_model(path, model))
+    assert peak <= 64 << 10, f"save_model traced {peak} bytes for a {path.stat().st_size}-byte file"
+
+
+def test_load_model_reads_each_payload_once(tmp_path):
+    # each array is read into the memory the model keeps: the traced peak
+    # is the model and the checks' temporaries
+    path, model = tmp_path / "m.kppca", bumps_model(n=300)
+    save_model(path, model)
+    load_model(path)  # warm-up
+    peak, back = _traced_peak(lambda: load_model(path))
+    size = path.stat().st_size
+    assert peak <= 1.25 * size, f"load_model traced {peak} bytes for a {size}-byte file"
+    npt.assert_array_equal(back.ts.points, model.ts.points)
 
 
 def test_every_section_carries_a_crc32(tmp_path):

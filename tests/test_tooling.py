@@ -46,6 +46,21 @@ def test_mnist_demo_runs_on_synthetic_idx(tmp_path):
         assert (tmp_path / "output" / name).read_bytes().startswith(b"P5")
 
 
+def test_package_imports_numpy_alone():
+    # numpy is the one dependency: importing the package and its CLI in a
+    # fresh interpreter loads no other top-level module outside the
+    # standard library (scipy and hypothesis, which the tests use, are
+    # installed too; site's .pth hooks load theirs before the import)
+    code = ("import sys; before = set(sys.modules); import kppca, kppca.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "numpy" in added and "kppca" in added
+    assert added - set(sys.stdlib_module_names) - {"numpy", "kppca"} == set()
+
+
 def test_benchmark_smoke():
     # the benchmark's numpy-only reference checks and its layer-trace name
     # contract, on both workloads at N=50
