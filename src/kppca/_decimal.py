@@ -1,7 +1,14 @@
-"""Vectorized reader for the body of a well-formed decimal CSV table, the
-fast path of io_datasets.load_csv.
+"""Decimal text of CSV tables in whole-array numpy steps: _read_table reads
+the body of a well-formed decimal table for io_datasets.load_csv, and
+_write_table writes a table's cells as repr writes them for
+io_datasets.save_csv.
 
-It takes rows of ASCII cells
+Both need words that are little-endian and an np.longdouble with a 64-bit
+significand, which _DIGIT_PATH tells. Where it is false, _read_table
+returns None, so that load_csv reads the file on its text path, and
+_write_table hands every cell to repr.
+
+The reader takes rows of ASCII cells
 
     [+-] digits [. digits] [(e|E) [+-] digits]   (at least one mantissa digit)
 
@@ -38,17 +45,15 @@ digits, m >= 10**19, subnormal results and exponents outside [_K_LO, _K_HI].
 
 A piece outside the grammar (a blank line, CR line ends, quotes, spaces,
 inf or nan, a non-ASCII byte, a ragged row) stops the reader, and load_csv
-reads the file on its text path. The reader needs words that are
-little-endian and an np.longdouble with a 64-bit significand, which
-io_datasets._DIGIT_PATH tells. It lives in its own module because the
-compiler's memory for one module grows with its source, and every command
-compiles io_datasets (bytecode is not always cached): merged into it, the
-reader raised a command's peak RSS by up to 1.2 MiB.
+reads the file on its text path.
 """
 
 import functools
+import sys
 
 import numpy as np
+
+_DIGIT_PATH = np.finfo(np.longdouble).nmant >= 63 and sys.byteorder == "little"
 
 _PIECE_BYTES = 1 << 17
 _PIECE_CELLS = 1 << 13
@@ -320,9 +325,9 @@ def _table_shape(fh, head):
 def _read_table(fh, head):
     """The N x d table in the binary file fh, whose text from the first
     data row on starts with head (at most _PIECE_BYTES) and goes on at fh's
-    position; None when a piece is outside the grammar or there is no
-    cell."""
-    shape = _table_shape(fh, head)
+    position; None without the digit path, when a piece is outside the
+    grammar, or when there is no cell."""
+    shape = _table_shape(fh, head) if _DIGIT_PATH else None
     if shape is None:
         return None
     table = np.empty(shape)
@@ -334,3 +339,251 @@ def _read_table(fh, head):
         if not reader.read(ended):
             return None
     return table if 0 < reader.cells == table.size else None
+
+
+# _write_table writes each float as repr does: the shortest decimal that
+# reads back to the same float and, of several that short, the one nearest
+# to it, laid out by Python's 'r' rules. It formats a chunk of cells at a
+# time in whole-array steps, and hands repr each cell whose digits those
+# steps cannot certify.
+#
+# Digits. For finite x != 0 whose scale 10**s is exact in np.longdouble
+# (|s| <= 27 with a 64-bit significand, so |x| in about [1e-11, 1e43]),
+# Y = |x| 10**s lies in [1e16, 1e17) up to np.log10's error, after one
+# rounding of at most 2**-8 (Y < 2**57). The floats that read back as x
+# fill the rounding interval around it, of half-widths spacing(x)/2 (the
+# lower one halved at a power of two), which scale by 10**s the same way.
+# The answer is the multiple of 10**p strictly inside the interval for the
+# largest p that has one, the one nearer to Y if two are; its digits are
+# that multiple over 10**p. Each comparison that settles p or the choice
+# must clear the interval's edge by _SLACK, and a tie (two distances) by
+# twice that, or the cell goes to repr, as do non-finite cells, cells out
+# of range, and every cell on a platform where np.longdouble has fewer than
+# 63 mantissa bits or words are not little-endian.
+#
+# Layout. A cell's 17 digits, left-aligned, sit at bytes 7..23 of a
+# 40-byte source row padded with '0'. Its text is that row shifted so the
+# digits start at the cell's digit offset, except that the bytes before
+# the decimal point come from the row shifted one byte less, which opens
+# the point's slot; both shifts work on whole 64-bit words. The sign, the
+# point, an exponent "e+dd" and the separator are then set byte by byte,
+# and a boolean index keeps each row's text. Offset and columns come from
+# tables indexed by the decimal point decpt (x = 0.ddd * 10**decpt) and
+# the digit count nd.
+
+_MAX_SCALE = 27  # 10**27 = 2**27 * 5**27 and 5**27 < 2**63
+_SLACK = 2.0**-8 + 2.0**-40  # Y's error, and the half-widths' (< 1e-14)
+_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_POW10_LD = np.multiply.accumulate(np.r_[1, np.full(_MAX_SCALE, 10)].astype(np.longdouble))
+# Y = |x| * _SCALE_UP[s + 27] / _SCALE_DOWN[s + 27]: one factor is 1
+_SCALE_UP = np.r_[np.ones(_MAX_SCALE, np.longdouble), _POW10_LD]
+_SCALE_DOWN = np.r_[_POW10_LD[:0:-1], np.ones(_MAX_SCALE + 1, np.longdouble)]
+_SCALE_F64 = np.power(10.0, np.arange(-_MAX_SCALE, _MAX_SCALE + 1))
+_MANTISSA = np.uint64((1 << 52) - 1)
+_LARGEST = np.float64(np.finfo(float).max).view(np.uint64)
+
+_WIDTH = 32  # bytes of a cell's text: a 24-byte repr and its separator fit
+_DEC_LO, _DEC_HI = -12, 47  # holds every decpt the digit path gives
+
+
+def _layout_tables():
+    # _DIGITS[g]: the four digits of g as 4 bytes. _BEFORE[:, k]: the text
+    # words with bytes 0..k-1 set. _UPTO[k]: text bytes 0..k. Indexed by
+    # (decpt - _DEC_LO) * 18 + nd, for a cell without a sign: the digits'
+    # offset and the columns of the point, the exponent and the separator.
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + ord("0")
+    col = np.arange(_WIDTH)
+    before = (col < np.arange(_WIDTH + 1)[:, None]).astype(np.uint8) * np.uint8(255)
+    d = np.arange(_DEC_LO, _DEC_HI)[:, None]
+    nd = np.arange(18)
+    fixed = (d > -4) & (d <= 16)  # else d[.ddd]e+XX
+    offset = np.where(fixed & (d <= 0), 1 - d, 0) + 0 * nd  # "0.000" before the digits
+    point = np.where(fixed & (d > 0), d, 1) + 0 * nd
+    exponent = np.where(fixed, np.maximum(nd, d + 1) + 1 + np.maximum(0, 1 - d), nd + (nd > 1))
+    sep = np.where(fixed, exponent, exponent + 4)
+    return (digits.view(np.uint32).ravel(),
+            np.ascontiguousarray(before.view(np.uint64).T), col <= col[:, None],
+            *(a.ravel() for a in (offset, point, exponent, sep)))
+
+
+_DIGITS, _BEFORE, _UPTO, _OFFSET, _POINT, _EXPONENT_AT, _SEP_AT = _layout_tables()
+
+# The cells per chunk: at most _CELL_BYTES of buffers and temporaries a
+# cell (measured peak: about 280), so that a chunk stays within
+# _FORMAT_BYTES.
+_FORMAT_BYTES = 3 << 20
+_CELL_BYTES = 320
+_CHUNK_CELLS = _FORMAT_BYTES // _CELL_BYTES
+
+
+def _gaps(down, up, lo, hi):
+    # Candidates at distance down below and up above Y, for an interval of
+    # half-widths lo (below) and hi (above): is the nearer one above, and
+    # how far inside the edge (< 0) or outside (> 0) are the nearer and the
+    # other one? A gap within _SLACK of 0 is not sure.
+    above = up < down
+    return above, np.where(above, up - hi, down - lo), np.where(above, down - lo, up - hi)
+
+
+def _shortest_digits(ax, work):
+    """Digits of the finite |x| in ax where work holds: returns (c, decpt,
+    nd, certain), c the nd-digit integer with x = 0.c * 10**decpt. ax must
+    be 1.0 where work does not hold."""
+    s = 16 - np.floor(np.log10(ax)).astype(np.intp)
+    work &= np.abs(s) <= _MAX_SCALE
+    s[~work] = 16
+    ax[~work] = 1.0
+    s += _MAX_SCALE
+    y = ax.astype(np.longdouble)
+    y *= _SCALE_UP[s]
+    if s.min() < _MAX_SCALE:  # |x| >= 1e16 somewhere
+        y /= _SCALE_DOWN[s]
+    yi = y.astype(np.int64)
+    y -= yi
+    f = y.astype(np.float64)  # exact: Y >= 2**53 keeps at most 11 fraction bits
+    del y
+    hi = np.spacing(ax)
+    hi *= _SCALE_F64[s]
+    hi *= 0.5
+    lo = hi * np.where((ax.view(np.uint64) & _MANTISSA) == 0, 0.5, 1.0)
+    s -= _MAX_SCALE
+    # p = 0: both half-widths exceed Y 2**-54 > 0.55, so the integer nearer
+    # to Y is inside; only a tie at .5 is left open, and repr settles it
+    certain = work & (yi >= 9 * _POW10[15])
+    c = yi + (f > 0.5)
+    tie = np.abs(f - 0.5) <= _SLACK
+    # p = 1: the multiples of 10 either side of Y, which the interval (up
+    # to 2 * 11.1 wide) may both hold; the nearer one wins when inside
+    q = yi // 10
+    r = (yi - 10 * q).astype(np.float64)
+    down = r + f
+    up = (10.0 - r) - f
+    above, near, other = _gaps(down, up, lo, hi)
+    tens = (near < 0.0) | (other < 0.0)
+    other_sure = np.abs(other) > _SLACK
+    certain &= (np.abs(near) > _SLACK) & np.where(
+        tens, ((near < 0.0) | other_sure) & (np.abs(up - down) > 2 * _SLACK),
+        other_sure & ~tie)
+    c = np.where(tens, q + (above == (near < 0.0)), c)
+    p = tens.astype(np.intp)
+    # p >= 2: at most one multiple of 100 fits, and only when Y mod 100 is
+    # within 11.1 of it; the largest power of 10 dividing it is 10**p
+    q = yi // 100
+    r = yi - 100 * q
+    at = np.flatnonzero((r <= 11) | (r >= 88))
+    ra = r[at].astype(np.float64)
+    above, near, _ = _gaps(ra + f[at], (100.0 - ra) - f[at], lo[at], hi[at])
+    certain[at] &= np.abs(near) > _SLACK
+    at, above = at[near < 0.0], above[near < 0.0]
+    m = q[at] + above
+    k = np.full(at.size, 2)
+    for z in (8, 4, 2, 1):
+        whole = m % _POW10[z] == 0
+        m = np.where(whole, m // _POW10[z], m)
+        k += z * whole
+    c[at] = m
+    p[at] = k
+    nd = 16 + (yi >= _POW10[16]) + (yi >= _POW10[17]) - p
+    nd += c >= _POW10[nd]  # Y below 1e16 rounding up to 10**16
+    return c, nd + p - s, nd, certain
+
+
+class _CsvCells:
+    """Formats float cells for _write_table, one chunk of at most _CHUNK_CELLS
+    at a time, in buffers that every chunk reuses."""
+
+    def __init__(self, cells):
+        # word-major: row k holds word k of every cell, so that each
+        # word-wide step runs along the cells
+        self.source = np.full((5, cells), int.from_bytes(b"0" * 8, "little"), dtype=np.uint64)
+        self.words = np.empty((3, _WIDTH // 8, cells), dtype=np.uint64)
+
+    def format(self, block, row_ends):
+        """The bytes of the 2-D float array block, row by row: cells joined
+        by ',' and a row ended by '\\n' when row_ends, else by ','."""
+        n, shape = block.size, block.shape
+        source = self.source[:, :n]
+        text, shifted, spill = self.words[:, :, :n]
+        neg = np.signbit(block, out=np.empty(shape, dtype=bool)).ravel()
+        ax = np.abs(block, out=np.empty(shape)).ravel()
+        # classified by their bits: a float comparison with a signaling NaN
+        # would raise the invalid-operation flag
+        zero = ax.view(np.uint64) == 0
+        work = (ax.view(np.uint64) - np.uint64(1) < _LARGEST) & _DIGIT_PATH  # finite, not 0
+        ax[~work] = 1.0
+        c, decpt, nd, certain = _shortest_digits(ax, work)
+        c[~certain] = 0  # zero, and a placeholder for the cells repr writes
+        nd[~certain] = 1
+        decpt[~certain] = 1
+        c *= _POW10[17 - nd]  # left-aligned in 17 digits
+        top = c // _POW10[8]
+        low = (c - top * _POW10[8]).astype(np.uint32)
+        top = top.astype(np.uint32)
+        halves = source.view(np.uint32)  # bytes 4k..4k+3 of a cell: halves[k // 2, k % 2::2]
+        np.take(_DIGITS, top // 100000000, out=halves[0, 1::2], mode="clip")
+        top %= 100000000
+        np.take(_DIGITS, top // 10000, out=halves[1, 0::2], mode="clip")
+        np.take(_DIGITS, top % 10000, out=halves[1, 1::2], mode="clip")
+        np.take(_DIGITS, low // 10000, out=halves[2, 0::2], mode="clip")
+        np.take(_DIGITS, low % 10000, out=halves[2, 1::2], mode="clip")
+        key = (decpt - _DEC_LO) * 18 + nd
+        lead = neg.view(np.uint8)
+        point = _POINT[key] + lead
+        end = _SEP_AT[key] + lead
+        bits = (8 * (7 - lead - _OFFSET[key])).astype(np.uint64)
+        np.right_shift(source[:4], bits, out=shifted)
+        shifted |= np.left_shift(source[1:], 64 - bits, out=spill)
+        bits -= 8
+        np.right_shift(source[:4], bits, out=text)
+        text |= np.left_shift(source[1:], 64 - bits, out=spill)
+        shifted ^= text
+        shifted &= np.take(_BEFORE, point, axis=1, out=spill, mode="clip")
+        text ^= shifted
+        chars = self.words[1].reshape(-1)[: 4 * n].reshape(n, 4).view(np.uint8)  # shifted's memory
+        chars.view(np.uint64)[...] = text.T
+        chars[:, 0] -= lead * np.uint8(ord("0") - ord("-"))
+        flat = chars.ravel()
+        base = np.arange(0, n * _WIDTH, _WIDTH)
+        flat[base + point] = ord(".")
+        sci = np.flatnonzero((decpt <= -4) | (decpt > 16))
+        if sci.size:
+            e = decpt[sci] - 1
+            at = base[sci] + lead[sci] + _EXPONENT_AT[key[sci]]
+            flat[at] = ord("e")
+            flat[at + 1] = np.where(e < 0, ord("-"), ord("+"))
+            e = np.abs(e)
+            flat[at + 2] = ord("0") + e // 10
+            flat[at + 3] = ord("0") + e % 10
+        todo = np.flatnonzero(~(certain | zero))
+        if todo.size:
+            texts = list(map(repr, block[np.unravel_index(todo, shape)].tolist()))
+            lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+            starts = np.repeat(base[todo] - (np.cumsum(lens) - lens), lens)
+            blob = "".join(texts).encode("ascii")
+            flat[starts + np.arange(starts.size)] = np.frombuffer(blob, dtype=np.uint8)
+            end[todo] = lens
+        end += base
+        flat[end] = ord(",")
+        if row_ends:
+            flat[end.reshape(shape)[:, -1]] = ord("\n")
+        end -= base
+        keep = self.words[2].reshape(-1).view(bool)[: n * _WIDTH].reshape(n, _WIDTH)  # spill's memory
+        return chars[np.take(_UPTO, end, axis=0, out=keep, mode="clip")]
+
+
+def _write_table(fh, matrix):
+    """Writes the d x N float matrix to the binary file fh as N rows of d
+    cells, the bytes of ",".join(map(repr, row)) + "\n" for each row."""
+    d, n = matrix.shape
+    if d == 0:
+        fh.write(b"\n" * n)
+        return
+    cells = _CsvCells(min(d * n, _CHUNK_CELLS))
+    # pieces of matrix.T in row-major order, each of at most _CHUNK_CELLS
+    # cells; a row wider than that comes in pieces
+    per = max(1, _CHUNK_CELLS // d)
+    width = min(d, _CHUNK_CELLS)
+    for r0 in range(0, n, per):
+        for c0 in range(0, d, width):
+            fh.write(cells.format(matrix[c0 : c0 + width, r0 : r0 + per].T, c0 + width >= d))

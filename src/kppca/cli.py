@@ -4,8 +4,11 @@ project, reconstruct, generate and report read it.
 Exit codes: 0 success, 2 usage error, 3 data/IO error (an allocation that
 fails included), 4 numeric error.
 Numeric output files are byte-identical across re-runs with the same flags
-and seed; run metadata (which carries a timestamp) lives in a .meta.json
-sidecar next to each output set.
+and seed at a fixed BLAS build and thread count; across thread counts they
+agree to rounding level, except the kernel samples and generated points of
+a rank-deficient model, whose pivot order follows the rounding. Run
+metadata (which carries a timestamp) lives in a .meta.json sidecar next to
+each output set.
 """
 
 import argparse
@@ -88,7 +91,8 @@ def build_parser():
 
     p_rep = sub.add_parser("report", help="print hyperparameters and spectrum of a model")
     p_rep.add_argument("--model", required=True)
-    p_rep.add_argument("--out", help="directory for spectrum.csv (default: next to the model)")
+    p_rep.add_argument("--out", help="directory for spectrum.csv (default: next to the model; "
+                       "required when the model is not a regular file, say a pipe)")
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -283,6 +287,9 @@ def cmd_generate(args):
 
 
 def cmd_report(args):
+    if args.out is None and os.path.exists(args.model) and not os.path.isfile(args.model):
+        raise _UsageError(f"--model {args.model} is not a regular file: "
+                          "name a directory for spectrum.csv with --out")
     model = load_model(args.model)
     lam = model.eigenvalues
     ev = explained_variance(model)

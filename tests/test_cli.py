@@ -426,18 +426,24 @@ def test_console_entry_point(tmp_path, toy_csv):
 def test_report_reads_a_model_from_a_pipe(tmp_path, toy_csv):
     # the model file is read front to back, so a pipe serves as well as a
     # file: the same lines from both. A pipe has no size to hold a declared
-    # length against; a TSET of 2**59 values fails to allocate, exit 3
+    # length against; a TSET of 2**59 values fails to allocate, exit 3. A
+    # pipe has no directory for spectrum.csv either: without --out it is a
+    # usage error, exit 2, before the model is read
     model_path = run_fit(tmp_path, toy_csv, "--q", "2")
     blob = model_path.read_bytes()
     huge = b"TSET" + struct.pack("<QII", 8 + 8 * (1 << 59), 1 << 31, 1 << 28)
-    out = str(tmp_path / "rep")
-    runs = [subprocess.run([sys.executable, "-m", "kppca.cli", "report", "--model", model, "--out", out],
+    out = ["--out", str(tmp_path / "rep")]
+    runs = [subprocess.run([sys.executable, "-m", "kppca.cli", "report", "--model", model, *flags],
                            input=stdin, capture_output=True, timeout=120)
-            for model, stdin in ((str(model_path), None), ("/dev/stdin", blob),
-                                 ("/dev/stdin", blob[:11] + framed(model_sections(blob)[:5]) + huge))]
-    assert [proc.returncode for proc in runs] == [0, 0, 3], runs[2].stderr
+            for model, stdin, flags in ((str(model_path), None, out), ("/dev/stdin", blob, out),
+                                        ("/dev/stdin", blob[:11] + framed(model_sections(blob)[:5]) + huge, out),
+                                        ("/dev/stdin", blob, []))]
+    assert [proc.returncode for proc in runs] == [0, 0, 3, 2], runs[2].stderr
     assert runs[1].stdout == runs[0].stdout
     assert b"kind: dual" in runs[0].stdout
+    assert runs[3].stdout == b"" and b"--out" in runs[3].stderr
+    # a missing path stays a data error
+    assert main(["report", "--model", str(tmp_path / "missing.kppca")]) == 3
 
 
 CLEAN_EXITS = {0, 2, 3, 4}

@@ -61,6 +61,17 @@ def test_package_imports_numpy_alone():
     assert added - set(sys.stdlib_module_names) - {"numpy", "kppca"} == set()
 
 
+def test_every_module_is_imported():
+    # a module that a fresh import of the package and its CLI does not
+    # load is a stale file, say one left behind by a rename
+    code = "import sys, kppca, kppca.cli; print(*(name for name in sys.modules if name.startswith('kppca.')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = {f"kppca.{path.stem}" for path in (ROOT / "src" / "kppca").glob("*.py")} - {"kppca.__init__"}
+    assert modules - set(proc.stdout.split()) == set()
+
+
 def test_benchmark_smoke():
     # the benchmark's numpy-only reference checks and its layer-trace name
     # contract, on both workloads at N=50
