@@ -46,9 +46,8 @@ signs = np.sign(np.sum(w_from_dual * primal.w, axis=0))
 print("loading identity |W - X_c A|:", np.abs(primal.w - w_from_dual * signs).max())
 
 # And both sides project any point (seen or new) to the same latent code.
-# Points are columns on the primal side; their centered kernel vectors are
-# columns on the dual side.
+# Points are columns on both sides, and so are their centered kernel vectors.
 probes = rng.standard_normal((d, 25))
 h_primal = latent_map(primal, probes)
-h_dual = signs[:, None] * dual_latent_map(dual, centered_kernel_vectors(spec, ts, dual.means, probes.T))
+h_dual = signs[:, None] * dual_latent_map(dual, centered_kernel_vectors(spec, ts, dual.means, probes))
 print("largest latent-code difference over 25 new points:", np.abs(h_primal - h_dual).max())

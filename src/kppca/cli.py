@@ -92,7 +92,7 @@ def build_parser():
     p_rep = sub.add_parser("report", help="print hyperparameters and spectrum of a model")
     p_rep.add_argument("--model", required=True)
     p_rep.add_argument("--out", help="directory for spectrum.csv (default: next to the model; "
-                       "required when the model is not a regular file, say a pipe)")
+                       "required for a pipe or a path under /dev or /proc)")
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -163,7 +163,7 @@ def cmd_fit(args):
 
 def cmd_project(args):
     model = load_model(args.model)
-    h = project_inputs(model, load_csv(args.data).T)
+    h = project_inputs(model, load_csv(args.data))
     out = _ensure_out(args.out)
     latent_path = os.path.join(out, "latent.csv")
     save_csv(latent_path, h, header=[f"h{p + 1}" for p in range(h.shape[0])])
@@ -174,8 +174,7 @@ def cmd_project(args):
 
 def cmd_reconstruct(args):
     model, cfg = _model_and_preimage_cfg(args)
-    x = load_csv(args.data)
-    points = preimage_codes(model, project_inputs(model, x.T), cfg)
+    points = preimage_codes(model, project_inputs(model, load_csv(args.data)), cfg)
     extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
              "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
     out = _ensure_out(args.out)
@@ -287,9 +286,14 @@ def cmd_generate(args):
 
 
 def cmd_report(args):
-    if args.out is None and os.path.exists(args.model) and not os.path.isfile(args.model):
-        raise _UsageError(f"--model {args.model} is not a regular file: "
-                          "name a directory for spectrum.csv with --out")
+    # spectrum.csv goes next to the model unless it is a pipe or lies under
+    # /dev or /proc (/dev/stdin fed from a file is a regular file in /dev)
+    path = os.path.abspath(args.model)
+    if args.out is None and ((os.path.exists(path) and not os.path.isfile(path))
+                             or path.startswith(("/dev/", "/proc/"))):
+        raise _UsageError(f"--model {args.model} has no directory for spectrum.csv "
+                          "(a pipe, or a path under /dev or /proc): name one with --out")
+    out = args.out if args.out is not None else os.path.dirname(path)
     model = load_model(args.model)
     lam = model.eigenvalues
     ev = explained_variance(model)
@@ -304,7 +308,6 @@ def cmd_report(args):
     print(f"explained_variance: {ev!r}")
     shown = lam[: min(10, lam.size)]
     print("leading eigenvalues: " + ", ".join(f"{v:.6g}" for v in shown))
-    out = args.out if args.out is not None else (os.path.dirname(os.path.abspath(args.model)) or ".")
     _ensure_out(out)
     spec_path = os.path.join(out, "spectrum.csv")
     table = np.stack([np.arange(1, lam.size + 1, dtype=float), lam])

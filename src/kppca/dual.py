@@ -2,11 +2,12 @@
 projection and reconstruction in kernel space, and probabilistic generation
 of kernel representations.
 
-The query functions work on batches, one query per column: N x M centered
-kernel columns in, q x M latent codes out, and back. A single query is the
-batch with one column. The loadings are a = E_q diag(s), so the latent
-normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda + sigma2) and K_c a is
-E_q diag(lambda s); projecting or reconstructing M columns costs O(N q M).
+The query functions work on batches, one query per column: d_in x M inputs
+or N x M centered kernel columns in, q x M latent codes out, and back. A
+single query is the batch with one column. The loadings are a = E_q diag(s),
+so the latent normal matrix a^T K_c a + sigma2 I is diag(s^2 lambda +
+sigma2) and K_c a is E_q diag(lambda s); projecting or reconstructing M
+columns costs O(N q M).
 
 Those functions take and return whole N x M blocks and are the reference.
 project_inputs and preimage_codes run the same steps from inputs or latent
@@ -40,7 +41,6 @@ from .errors import (
 from .kernels import (
     KernelSpec,
     TrainingSet,
-    _check_inputs,
     centered_kernel_block,
     column_blocks,
     gram,
@@ -194,14 +194,14 @@ def _reconstruct_into(m, h, out):
     return np.matmul(m.e, (m.eigenvalues * m.s)[:, None] * h, out=out)
 
 
-def project_inputs(m: DualModel, xs) -> np.ndarray:
-    """MAP latent codes (q x M) of the inputs xs (M x d_in, one per row):
+def project_inputs(m: DualModel, x) -> np.ndarray:
+    """MAP latent codes (q x M) of the inputs x (d_in x M, one per column):
     dual_latent_map of their centered_kernel_vectors, one column block at
     a time."""
-    xs = _check_inputs(m.ts, xs)
-    h = np.empty((m.q, xs.shape[0]))
-    for cols, block in column_blocks(m.n, xs.shape[0]):
-        centered_kernel_block(m.spec, m.ts, m.means, xs[cols], block)
+    x = _as_columns(x, m.ts.d_in, "inputs")
+    h = np.empty((m.q, x.shape[1]))
+    for cols, block in column_blocks(m.n, x.shape[1]):
+        centered_kernel_block(m.spec, m.ts, m.means, x[:, cols], block)
         _latent_into(m, block, h[:, cols])
     return h
 

@@ -8,6 +8,9 @@ one preallocated array: the product, the squared distances, the
 exponential and the centering all overwrite the same buffer. Queries cut
 their columns into blocks of about _BLOCK_BYTES (column_blocks), so a
 query's working memory is O(N block_width(N)) however many columns it has.
+
+A TrainingSet stores its points as rows; queries are d_in x M, one input
+per column, and the kernel blocks read them as rows through the view x.T.
 """
 
 import math
@@ -16,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import NonFinite
+from .primal import _as_columns
 from .spectral import center_in_place
 
 FAMILIES = ("linear", "rbf")
@@ -160,33 +164,25 @@ def gram(spec: KernelSpec, ts: TrainingSet) -> np.ndarray:
     return k
 
 
-def centered_kernel_block(spec: KernelSpec, ts: TrainingSet, means, xs, out) -> np.ndarray:
-    """Fill out (N x M) with the centered kernel vectors of the rows of xs
-    (M x d_in), in place, and return it: the kernel values, then
+def centered_kernel_block(spec: KernelSpec, ts: TrainingSet, means, x, out) -> np.ndarray:
+    """Fill out (N x M) with the centered kernel vectors of the columns of
+    x (d_in x M), in place, and return it: the kernel values, then
     k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
-    xs is not checked; centered_kernel_vectors is the checked entry."""
-    return center_in_place(_kernel_into(spec, ts, xs, out), means)
+    x is not checked; centered_kernel_vectors is the checked entry."""
+    return center_in_place(_kernel_into(spec, ts, x.T, out), means)
 
 
-def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, xs) -> np.ndarray:
+def centered_kernel_vectors(spec: KernelSpec, ts: TrainingSet, means, x) -> np.ndarray:
     """Out-of-sample centered kernel vectors, as an N x M matrix.
 
     means is the training Gram matrix's gram_means (its N column means m,
     then its grand mean g), which the model keeps from fit, so a query
-    costs O(N d_in) and never the N x N Gram matrix. xs is (M, d_in), one
-    input per row; column j of the result is the centered kernel vector of
-    xs[j], entry i
+    costs O(N d_in) and never the N x N Gram matrix. x is d_in x M, one
+    input per column; column j of the result is the centered kernel vector
+    of x[:, j], entry i
     k_c(x, x_i) = k(x, x_i) - mean_l k(x, x_l) - m_i + g.
-    A single input is the (1, d_in) batch. This builds the whole N x M
+    A single input is the d_in x 1 batch. This builds the whole N x M
     block at once; the CLI's queries go through column_blocks instead.
     """
-    xs = _check_inputs(ts, xs)
-    return centered_kernel_block(spec, ts, means, xs, np.empty((ts.n, xs.shape[0])))
-
-
-def _check_inputs(ts: TrainingSet, xs) -> np.ndarray:
-    """xs as a float (M, d_in) array, or DimensionMismatch."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != ts.d_in:
-        raise DimensionMismatch(f"inputs must be (M, {ts.d_in}), got shape {xs.shape}")
-    return xs
+    x = _as_columns(x, ts.d_in, "inputs")
+    return centered_kernel_block(spec, ts, means, x, np.empty((ts.n, x.shape[1])))

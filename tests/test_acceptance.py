@@ -80,7 +80,7 @@ def test_criterion_2_map_equivalence():
         _, signs = align_columns(pm.w, xc @ dm.a)
         probes = np.concatenate([x, rng.standard_normal((d, 10))], axis=1)
         h_primal = latent_map(pm, probes)
-        h_dual = signs[:, None] * dual_latent_map(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probes.T))
+        h_dual = signs[:, None] * dual_latent_map(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probes))
         worst = max(worst, float(np.abs(h_primal - h_dual).max()))
     elapsed = time.perf_counter() - start
     report(2, "primal-dual MAP equivalence", worst <= 1e-8 and elapsed < 5.0,
@@ -141,7 +141,7 @@ def test_criterion_5_kpca_limit():
         rank = sym_eig(kc).rank()
         q = int(rng.integers(1, rank + 1))
         model = kpca_limit(fit_dual(spec, ts, q=q))
-        new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((5, d_in)))
+        new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((d_in, 5)))
         probes = np.concatenate([kc, new], axis=1)
         ours = dual_reconstruct(model, dual_latent_map(model, probes))
         oracle = kpca_oracle_reconstruct(kc, q, probes)
@@ -161,7 +161,7 @@ def test_criterion_6_identity_limit():
         ts = TrainingSet(rng.standard_normal((n, 2)))
         kc = center_gram(gram(spec, ts))
         model = fit_dual(spec, ts, sigma2=0.0)  # q resolves to the full rank
-        new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((3, 2)))
+        new = centered_kernel_vectors(spec, ts, model.means, rng.standard_normal((2, 3)))
         probes = np.concatenate([kc, new], axis=1)
         rec = dual_reconstruct(model, dual_latent_map(model, probes))
         worst = max(worst, float(np.abs(rec - probes).max()))

@@ -338,11 +338,11 @@ WIDTH = kernels.block_width(BLOCKED_N)
 
 
 def blocked_case(tmp_path, data):
-    """A saved N = 300 model and 3B + 7 held-out inputs (one per row)."""
+    """A saved N = 300 model and 3B + 7 held-out inputs (one per column)."""
     if data == "arcs":
-        m, queries = arcs_model(n=BLOCKED_N), two_arcs(3 * WIDTH + 7, seed=1).T
+        m, queries = arcs_model(n=BLOCKED_N), two_arcs(3 * WIDTH + 7, seed=1)
     else:
-        m, queries = bumps_model(n=BLOCKED_N), bump_images(3 * WIDTH + 7, seed=1)
+        m, queries = bumps_model(n=BLOCKED_N), bump_images(3 * WIDTH + 7, seed=1).T
     model_path = tmp_path / f"{data}.kppca"
     save_model(model_path, m)
     return m, model_path, queries
@@ -356,10 +356,10 @@ def test_blocked_queries_match_the_one_shot_library(tmp_path, data, capsys):
     m, model_path, queries = blocked_case(tmp_path, data)
     cfg = PreimageConfig(epsilon=1e-3 * m.n, clip_negative=True)
     for count in (1, WIDTH, WIDTH + 1, 3 * WIDTH + 7):
-        xs = queries[:count]
+        x = queries[:, :count]
         csv = tmp_path / f"q{count}.csv"
-        save_csv(csv, xs.T)
-        h = dual_latent_map(m, centered_kernel_vectors(m.spec, m.ts, m.means, xs))
+        save_csv(csv, x)
+        h = dual_latent_map(m, centered_kernel_vectors(m.spec, m.ts, m.means, x))
         points = kernel_smoother(m.ts, dual_reconstruct(m, h), cfg)
         for cmd, name, expected in (("project", "latent.csv", h),
                                     ("reconstruct", "reconstructed.csv", points)):
@@ -380,9 +380,9 @@ def test_query_memory_is_one_column_block(tmp_path, capsys):
     # most a few N x B blocks on top of their q x M and d_in x M results;
     # building the whole N x M block at once takes at least twice N M 8 bytes
     m, model_path, queries = blocked_case(tmp_path, "arcs")
-    count, d_in = queries.shape
+    d_in, count = queries.shape
     csv = tmp_path / "queries.csv"
-    save_csv(csv, queries.T)
+    save_csv(csv, queries)
     bound = 3 * BLOCKED_N * WIDTH * 8 + (m.q + d_in) * count * 8
     assert bound < 2 * BLOCKED_N * count * 8
     for cmd in ("project", "reconstruct"):
@@ -444,6 +444,38 @@ def test_report_reads_a_model_from_a_pipe(tmp_path, toy_csv):
     assert runs[3].stdout == b"" and b"--out" in runs[3].stderr
     # a missing path stays a data error
     assert main(["report", "--model", str(tmp_path / "missing.kppca")]) == 3
+
+
+# the CLI in a child process that refuses, exit 1, any output file under
+# /dev or /proc, so that a report run as root cannot create one there
+GUARDED_CLI = """
+import os, sys
+from kppca import cli
+
+def guarded(write):
+    def refuse(path, *args, **kwargs):
+        if os.path.abspath(path).startswith(("/dev/", "/proc/")):
+            raise SystemExit(f"refused a write to {path}")
+        return write(path, *args, **kwargs)
+    return refuse
+
+cli.save_csv, cli._write_sidecar = guarded(cli.save_csv), guarded(cli._write_sidecar)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("model", ["/dev/stdin", "/proc/self/fd/0"])
+def test_report_never_writes_into_dev(tmp_path, toy_csv, model):
+    # redirected from a model file, /dev/stdin is a regular file whose
+    # directory is /dev: without --out that is a usage error, exit 2, before
+    # the model is read or anything is written
+    model_path = run_fit(tmp_path, toy_csv, "--q", "2")
+    with open(model_path, "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-c", GUARDED_CLI, "report", "--model", model],
+                              stdin=stdin, capture_output=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"" and b"--out" in proc.stderr
 
 
 CLEAN_EXITS = {0, 2, 3, 4}

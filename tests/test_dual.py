@@ -35,6 +35,7 @@ from kppca import (
     tail_factor,
 )
 from kppca import dual, kernels
+from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
     DegenerateNormalizer,
     DimensionMismatch,
@@ -243,7 +244,7 @@ def test_noiseless_full_rank_roundtrip_identity(rng):
     spec = KernelSpec("rbf", 1.2)
     kc = center_gram(gram(spec, ts))
     m = fit_dual(spec, ts, sigma2=0.0)
-    probes = centered_kernel_vectors(spec, ts, m.means, rng.standard_normal((1, 2)))
+    probes = centered_kernel_vectors(spec, ts, m.means, rng.standard_normal((2, 1)))
     for k in (kc, probes):
         rec = dual_reconstruct(m, dual_latent_map(m, k))
         assert np.abs(rec - k).max() <= 1e-8
@@ -397,7 +398,7 @@ def test_posterior_mean_matches_primal(rng):
     _, signs = align_columns(pm.w, xc @ dm.a)
     probe = rng.standard_normal((3, 1))
     post_p = latent_posterior(pm, probe)
-    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probe.T))
+    post_d = dual_latent_posterior(dm, centered_kernel_vectors(dm.spec, dm.ts, dm.means, probe))
     assert np.abs(post_p.mean - signs[:, None] * post_d.mean).max() <= 1e-8
     flip = np.outer(signs, signs)
     cov_p, cov_d = post_p.covariance(), flip * post_d.covariance()
@@ -443,7 +444,7 @@ def test_marginal_loglik_on_fitted_model_matches_singular_oracle(rng):
     m = fitted_rbf_model(rng, n=10, q=2, gamma=0.3)
     assert rank(m) == m.n - 1
     oracle = multivariate_normal(mean=np.zeros(m.n), cov=marginal_covariance(m), allow_singular=True)
-    queries = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((3, 2)))
+    queries = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((2, 3)))
     k = np.hstack([dual_sample(m, 5, 3), queries])
     assert np.abs(k.sum(axis=0)).max() <= 1e-12
     assert np.abs(dual_marginal_loglik(m, k) - oracle.logpdf(k.T)).max() <= 1e-8
@@ -505,10 +506,15 @@ def _query_batches():
     rng = np.random.default_rng(21)
     dm = fitted_rbf_model(rng, n=9, q=3)
     pm = fit_primal(rng.standard_normal((4, 9)), q=2)
-    kc = centered_kernel_vectors(dm.spec, dm.ts, dm.means, rng.standard_normal((5, 2)))
+    inputs = rng.standard_normal((dm.ts.d_in, 5))
+    kc = centered_kernel_vectors(dm.spec, dm.ts, dm.means, inputs)
     codes = rng.standard_normal((dm.q, 5))
     feats = rng.standard_normal((pm.d, 5))
+    cfg = PreimageConfig(epsilon=1e-3 * dm.n, clip_negative=True)
     return {
+        "project_inputs": (lambda b: project_inputs(dm, b), inputs),
+        "centered_kernel_vectors": (lambda b: centered_kernel_vectors(dm.spec, dm.ts, dm.means, b), inputs),
+        "preimage_codes": (lambda b: preimage_codes(dm, b, cfg), codes),
         "dual_latent_map": (lambda b: dual_latent_map(dm, b), kc),
         "dual_reconstruct": (lambda b: dual_reconstruct(dm, b), codes),
         "latent_map": (lambda b: latent_map(pm, b), feats),
@@ -541,12 +547,27 @@ def test_query_takes_one_query_per_column(name):
         run(batch[:, 0])
 
 
+def test_a_square_batch_is_read_by_columns():
+    # with d_in = M = 2, as in README's quickstart, a batch read by rows
+    # passes every shape check: each column must be its own input
+    m = arcs_model(n=20)
+    x = np.array([[0.5, 1.0], [0.3, -0.2]])  # the inputs (0.5, 0.3) and (1.0, -0.2)
+    for run in (lambda b: project_inputs(m, b), lambda b: centered_kernel_vectors(m.spec, m.ts, m.means, b)):
+        out = run(x)
+        for j in range(2):
+            want = run(x[:, j : j + 1])[:, 0]
+            assert np.abs(out[:, j] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(run(x.T) - out).max() > 1e-3 * np.abs(out).max()
+        with pytest.raises(DimensionMismatch):
+            run(np.ones((3, 2)))  # three inputs, one per row
+
+
 def test_marginal_loglik_builds_the_spectrum_once(rng, monkeypatch):
     m = fitted_rbf_model(rng, n=8, q=2)
     calls = []
     for name in ("gram", "top_eig"):
         real = getattr(dual, name)
         monkeypatch.setattr(dual, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    k = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((7, 2)))
+    k = centered_kernel_vectors(m.spec, m.ts, m.means, rng.standard_normal((2, 7)))
     assert dual_marginal_loglik(m, k).shape == (7,)
     assert calls == ["gram", "top_eig"]

@@ -242,11 +242,15 @@ def test_load_csv_well_formed_table_skips_cell_parser(tmp_path, monkeypatch, tex
 @settings(max_examples=300, deadline=None)
 def test_load_csv_without_the_digit_path_matches(tmp_path_factory, text):
     # where np.longdouble has no 64-bit significand, or words are not
-    # little-endian, every file takes the text path: same bits, layout or error
+    # little-endian, every file takes the text path: same bits, layout or
+    # error, and the decimal reader never runs
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
     outcome = csv_outcome(load_csv, path)
-    with mock.patch.object(_decimal, "_DIGIT_PATH", False):
+    refuse = mock.Mock(side_effect=AssertionError("the decimal reader ran with _DIGIT_PATH off"))
+    with (mock.patch.object(_decimal, "_DIGIT_PATH", False),
+          mock.patch.object(_decimal, "_table_shape", refuse),
+          mock.patch.object(_decimal, "_DecimalReader", refuse)):
         assert csv_outcome(load_csv, path) == outcome == csv_outcome(reference_load_csv, path)
 
 
@@ -376,20 +380,8 @@ def test_save_csv_is_repr_on_a_million_values(tmp_path):
         assert (tmp_path / "t.csv").read_bytes() == repr_lines(table)
 
 
-def test_save_csv_without_the_digit_path_is_all_repr(tmp_path, monkeypatch):
-    # where np.longdouble has no 64-bit significand, or words are not
-    # little-endian, every cell is repr's
-    x = repr_corpus(seed=1)[::50][: 3 * 6000].reshape(-1, 3)
-    monkeypatch.setattr(_decimal, "_DIGIT_PATH", False)
-    save_csv(tmp_path / "t.csv", x.T)
-    assert (tmp_path / "t.csv").read_bytes() == repr_lines(x)
-
-
-def save_reconstructions(path, monkeypatch):
-    """Writes a fitted bumps model's reconstruction table with save_csv;
-    returns the table and the cells save_csv handed to repr."""
-    m = bumps_model(n=60, q=5)
-    points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3)), PreimageConfig(epsilon=0.06))
+def count_repr_calls(monkeypatch):
+    """The list of the cells that _decimal hands to repr from now on."""
     calls = []
 
     def counting_repr(value):
@@ -397,6 +389,27 @@ def save_reconstructions(path, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(_decimal, "repr", counting_repr, raising=False)
+    return calls
+
+
+def test_save_csv_without_the_digit_path_is_all_repr(tmp_path, monkeypatch):
+    # where np.longdouble has no 64-bit significand, or words are not
+    # little-endian, every cell is repr's: repr writes each one but the
+    # zeros, whose bytes need no digits
+    x = repr_corpus(seed=1)[::50][: 3 * 6000].reshape(-1, 3)
+    monkeypatch.setattr(_decimal, "_DIGIT_PATH", False)
+    calls = count_repr_calls(monkeypatch)
+    save_csv(tmp_path / "t.csv", x.T)
+    assert (tmp_path / "t.csv").read_bytes() == repr_lines(x)
+    assert len(calls) == np.count_nonzero(x)
+
+
+def save_reconstructions(path, monkeypatch):
+    """Writes a fitted bumps model's reconstruction table with save_csv;
+    returns the table and the cells save_csv handed to repr."""
+    m = bumps_model(n=60, q=5)
+    points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3).T), PreimageConfig(epsilon=0.06))
+    calls = count_repr_calls(monkeypatch)
     save_csv(path, points)
     return points, calls
 

@@ -19,9 +19,9 @@ from kppca.errors import DimensionMismatch
 from conftest import bump_images
 
 
-def centered_vectors(spec, ts, xs):
+def centered_vectors(spec, ts, x):
     """centered_kernel_vectors with the Gram means that a fitted model keeps."""
-    return centered_kernel_vectors(spec, ts, gram_means(gram(spec, ts)), xs)
+    return centered_kernel_vectors(spec, ts, gram_means(gram(spec, ts)), x)
 
 
 def kernel_eval(spec, x, y):
@@ -83,7 +83,7 @@ def test_kernel_eval_linear_dot():
 def test_kernel_eval_dimension_mismatch():
     # a 2-wide input against 1-wide training points
     with pytest.raises(DimensionMismatch):
-        centered_vectors(KernelSpec("linear"), TrainingSet(np.ones((2, 1))), np.ones((1, 2)))
+        centered_vectors(KernelSpec("linear"), TrainingSet(np.ones((2, 1))), np.ones((2, 1)))
 
 
 @given(
@@ -115,7 +115,7 @@ def test_rbf_precision_independent_of_offset(offset, angle, seed):
     assert np.abs(gram(spec, ts) - direct).max() <= 1e-12
     cross = np.exp(-np.sum((points[:, None, :] - queries[None, :, :]) ** 2, axis=2) / 2.0)
     centered = cross - cross.mean(axis=0) - direct.mean(axis=0)[:, None] + direct.mean()
-    assert np.abs(centered_vectors(spec, ts, queries) - centered).max() <= 1e-12
+    assert np.abs(centered_vectors(spec, ts, queries.T) - centered).max() <= 1e-12
 
 
 def test_gram_single_point_rbf():
@@ -178,7 +178,7 @@ def test_in_place_kernels_keep_the_expression_bits(spec):
         means = gram_means(k)
         xs = points[::7] + 0.01
         kv = expression_block(spec, ts, xs)
-        npt.assert_array_equal(centered_kernel_vectors(spec, ts, means, xs),
+        npt.assert_array_equal(centered_kernel_vectors(spec, ts, means, xs.T),
                                kv - kv.mean(axis=0, keepdims=True) - means[:-1, None] + means[-1])
 
 
@@ -190,20 +190,20 @@ def test_kernel_vector_matches_pointwise_eval(rng):
         k_train = np.array([[kernel_eval(spec, x, y) for y in ts.points] for x in ts.points])
         npt.assert_allclose(gram(spec, ts), k_train, atol=1e-14)
         oracle = k - k.mean(axis=0) - k_train.mean(axis=0)[:, None] + k_train.mean()
-        npt.assert_allclose(centered_vectors(spec, ts, probes), oracle, atol=1e-14)
+        npt.assert_allclose(centered_vectors(spec, ts, probes.T), oracle, atol=1e-14)
 
 
 def test_centered_vector_matches_gram_columns(rng):
     for spec in (KernelSpec("linear"), KernelSpec("rbf", 1.3)):
         ts = TrainingSet(rng.standard_normal((7, 3)))
         kc = center_gram(gram(spec, ts))
-        vecs = centered_vectors(spec, ts, ts.points)
+        vecs = centered_vectors(spec, ts, ts.points.T)
         assert np.abs(vecs - kc).max() <= 1e-12
 
 
 def test_centered_vector_single_point_linear():
     ts = TrainingSet(np.array([[2.0, -1.0]]))
-    vec = centered_vectors(KernelSpec("linear"), ts, np.array([[5.0, 5.0]]))
+    vec = centered_vectors(KernelSpec("linear"), ts, np.array([[5.0], [5.0]]))
     npt.assert_allclose(vec, [[0.0]], atol=1e-14)
 
 
@@ -212,7 +212,7 @@ def test_centered_vector_linear_feature_oracle(rng):
     ts = TrainingSet.from_columns(x)
     xc, mean = center_columns(x)
     probes = rng.standard_normal((4, 5))
-    vecs = centered_vectors(KernelSpec("linear"), ts, probes.T)
+    vecs = centered_vectors(KernelSpec("linear"), ts, probes)
     oracle = xc.T @ (probes - mean[:, None])
     assert np.abs(vecs - oracle).max() <= 1e-10
 
@@ -220,19 +220,19 @@ def test_centered_vector_linear_feature_oracle(rng):
 def test_centered_vectors_batch_matches_single(rng):
     spec = KernelSpec("rbf", 0.9)
     ts = TrainingSet(rng.standard_normal((6, 2)))
-    probes = rng.standard_normal((4, 2))
+    probes = rng.standard_normal((2, 4))
     batch = centered_vectors(spec, ts, probes)
     for i in range(4):
-        single = centered_vectors(spec, ts, probes[i : i + 1])
+        single = centered_vectors(spec, ts, probes[:, i : i + 1])
         npt.assert_allclose(batch[:, i : i + 1], single, atol=1e-14)
 
 
 def test_centered_vector_dimension_mismatch(rng):
     ts = TrainingSet(rng.standard_normal((5, 3)))
     with pytest.raises(DimensionMismatch):
-        centered_vectors(KernelSpec("linear"), ts, np.zeros((1, 2)))
+        centered_vectors(KernelSpec("linear"), ts, np.zeros((2, 1)))
     with pytest.raises(DimensionMismatch):
-        centered_vectors(KernelSpec("linear"), ts, np.zeros(3))  # one input is a 1 x d_in row
+        centered_vectors(KernelSpec("linear"), ts, np.zeros(3))  # one input is a d_in x 1 column
 
 
 def test_centered_vectors_use_cached_means(rng, monkeypatch):
@@ -240,7 +240,7 @@ def test_centered_vectors_use_cached_means(rng, monkeypatch):
     # never builds
     spec = KernelSpec("rbf", 1.1)
     ts = TrainingSet(rng.standard_normal((8, 3)))
-    probes = rng.standard_normal((4, 3))
+    probes = rng.standard_normal((3, 4))
     means = gram_means(gram(spec, ts))
     expected = centered_kernel_vectors(spec, ts, means, probes)
 
