@@ -287,10 +287,11 @@ def cmd_generate(args):
 
 def cmd_report(args):
     # spectrum.csv goes next to the model unless it is a pipe or lies under
-    # /dev or /proc (/dev/stdin fed from a file is a regular file in /dev)
+    # /dev or /proc (/dev/stdin fed from a file is a regular file in /dev);
+    # a directory is refused by load_model, as in every other command
     path = os.path.abspath(args.model)
-    if args.out is None and ((os.path.exists(path) and not os.path.isfile(path))
-                             or path.startswith(("/dev/", "/proc/"))):
+    special = os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path))
+    if args.out is None and (special or path.startswith(("/dev/", "/proc/"))):
         raise _UsageError(f"--model {args.model} has no directory for spectrum.csv "
                           "(a pipe, or a path under /dev or /proc): name one with --out")
     out = args.out if args.out is not None else os.path.dirname(path)

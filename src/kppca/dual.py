@@ -31,13 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    LatentExceedsRank,
-    NotCentered,
-    RankDeficient,
-    SigmaZero,
-    ZeroSpectrum,
-)
+from .errors import LatentExceedsRank, NotCentered, RankDeficient, SigmaZero
 from .kernels import (
     KernelSpec,
     TrainingSet,
@@ -51,9 +45,8 @@ from .primal import (
     GaussianSpec,
     _as_columns,
     _check_choice,
-    _latent_for_sigma2,
     _posterior_factor,
-    _sigma2_from_tail,
+    _resolve,
 )
 from .spectral import center_in_place, cholesky_factor, gram_means, top_eig
 
@@ -115,7 +108,8 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     kc = gram(spec, ts)
     means = gram_means(kc)
     center_in_place(kc, means)
-    trace = float(np.trace(kc))
+    # rounding can leave the trace below 0 when every eigenvalue is 0
+    trace = max(float(np.trace(kc)), 0.0)
     if q is not None:
         count = min(q + 1, n)
     elif trace >= (n - 2) * n * sigma2:
@@ -126,20 +120,9 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
         # keeps a tie at the threshold on the computed side
         count = int(trace / (n * sigma2)) + 2
     eig = top_eig(kc, count)
-    lam = eig.eigenvalues
-    rank = eig.rank()  # exact when lam ends at the clamp floor, else a lower bound
-    if rank == 0:
-        raise ZeroSpectrum("centered Gram matrix has no positive eigenvalues")
-    if q is None:
-        q = _latent_for_sigma2(lam, sigma2, rank, n)
-    elif q > rank:
-        raise LatentExceedsRank(f"q={q} outside 1..rank={rank}")
-    tail = 0.0
-    if q < lam.size and lam[q] > 0.0:
-        tail = max(trace - float(lam[:q].sum()), 0.0)
-    s2 = _sigma2_from_tail(tail, n, q) if sigma2 is None else float(sigma2)
-    return DualModel(sigma2=s2, eigenvalues=lam[:q].copy(), e=eig.eigenvectors[:, :q].copy(),
-                     tail=tail, means=means, spec=spec, ts=ts)
+    q, s2, tail = _resolve(eig.eigenvalues, trace, n, q, sigma2)
+    return DualModel(sigma2=s2, eigenvalues=eig.eigenvalues[:q].copy(),
+                     e=eig.eigenvectors[:, :q].copy(), tail=tail, means=means, spec=spec, ts=ts)
 
 
 def kpca_limit(m: DualModel) -> DualModel:
@@ -278,7 +261,7 @@ def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use dual_latent_map")
     return GaussianSpec(mean=dual_latent_map(m, k),
-                        cov_factor=_posterior_factor(np.diag(_normal_diagonal(m)), m.sigma2))
+                        cov_factor=_posterior_factor(_normal_diagonal(m), np.eye(m.q), m.sigma2))
 
 
 def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:

@@ -109,11 +109,13 @@ def _is_header(cells):
 
 
 def _body_start(head):
-    # where the rows start in the file's first bytes: 0 when the first line
-    # (as far as head holds it) has a number, after it when it is a header
-    # (in csv syntax); None when it holds a CR, is blank, or is neither
-    eol = head.find(b"\n")
-    line = head if eol < 0 else head[:eol]
+    # where the rows start in the file's first bytes, which may open with
+    # one UTF-8 byte-order mark: at the first line (as far as head holds it)
+    # when it has a number, after it when it is a header (in csv syntax);
+    # None when it holds a CR, is blank, or is neither
+    bom = 3 if head.startswith(b"\xef\xbb\xbf") else 0
+    eol = head.find(b"\n", bom)
+    line = head[bom:] if eol < 0 else head[bom:eol]
     if not line or b"\r" in line:
         return None
     try:
@@ -123,13 +125,13 @@ def _body_start(head):
         return None
     if reader.line_num != 1 or (header and eol < 0):
         return None
-    return eol + 1 if header else 0
+    return eol + 1 if header else bom
 
 
 def _read_text(path):
     # the text path: csv syntax, numpy's C tokenizer, the reference parser
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
@@ -164,7 +166,8 @@ def load_csv(path) -> np.ndarray:
     as float() reads it. Raises ParseError with the row (counting non-blank
     rows from 1) and column of the first cell that is not a number,
     RaggedRows when the rows differ in width, and ParseError for a file that
-    is not UTF-8 or has no data row.
+    is not UTF-8 or has no data row. A leading UTF-8 byte-order mark is
+    not part of the first cell.
     """
     with open(path, "rb") as fh:
         # the reader reads a file twice, which a pipe does not allow

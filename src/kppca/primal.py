@@ -6,8 +6,10 @@ explained variance; the CLI and the model file know only the dual model.
 
 Conventions: data matrices are d x N with one sample per column, the centered
 covariance is the unnormalized X_c X_c^T (the 1/N lives inside the loading
-formula), and the latent basis is fixed to the canonical one so that latent
-codes are reproducible up to the documented sign convention.
+formula), and q is at most its numerical rank, in both fits. The loadings
+are defined only up to a rotation (Tipping and Bishop, JRSS-B 1999), so
+every formula reads them alone, through their thin SVD w = U diag(s) V^T:
+loadings w R give the same density and codes rotated by R^T.
 """
 
 import warnings
@@ -43,25 +45,25 @@ class GaussianSpec:
 class PrimalModel:
     """Trained feature-space model.
 
-    w holds the loadings, column p = sqrt(lambda_p / N - sigma2) * v_p;
+    w holds the d x q loadings; fit_primal's column p is
+    sqrt(lambda_p / N - sigma2) v_p, with v_p the p-th eigenvector of the
+    centered covariance, and any w R with R orthogonal is the same model.
     eigenvalues is the full length-N spectrum of the centered covariance
-    (padded with zeros when d < N), which the noise estimator needs.
+    (padded with zeros when d < N), which explained_variance needs.
     """
 
     mu: np.ndarray
     w: np.ndarray
     sigma2: float
-    q: int
     eigenvalues: np.ndarray
-    v: np.ndarray
 
     @property
     def d(self):
         return self.mu.shape[0]
 
     @property
-    def n(self):
-        return self.eigenvalues.shape[0]
+    def q(self):
+        return self.w.shape[1]
 
     @property
     def tail(self):
@@ -69,8 +71,8 @@ class PrimalModel:
         return float(self.eigenvalues[self.q :].sum())
 
     def singular_values(self):
-        """Loading scales s_p = ||w_p||, descending."""
-        return np.sqrt(np.sum(self.w**2, axis=0))
+        """The singular values of w, descending."""
+        return np.linalg.svd(self.w, compute_uv=False)
 
 
 def sigma2_ml(eigenvalues, q: int, n: int) -> float:
@@ -105,12 +107,26 @@ def _check_choice(q, sigma2):
         raise ValueError(f"sigma2 must be a finite value >= 0, got {sigma2}")
 
 
-def _latent_for_sigma2(lam, sigma2, q_cap, n):
-    """The latent dimension a noise variance implies: the number of the
-    first q_cap eigenvalues (descending) with lambda_p / N >= sigma2."""
-    if sigma2 > lam[0] / n:
-        raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam[0] / n}")
-    return int(np.count_nonzero(lam[:q_cap] / n >= sigma2))
+def _resolve(lam, trace, n, q, sigma2):
+    """(q, sigma2, tail) of a fit on N samples from one of q and sigma2, the
+    trace of the centered covariance or Gram matrix and its leading clamped
+    eigenvalues lam: one beyond q, or with sigma2 all N or until one has
+    lambda / N < sigma2. q is at most the rank, the count of positive lam;
+    sigma2 implies the count with lambda / N >= sigma2. The tail,
+    trace - sum lambda_q, is 0 when lambda_{q+1} is at the clamp floor."""
+    rank = int(np.count_nonzero(lam > 0.0))
+    if rank == 0:
+        raise ZeroSpectrum("every eigenvalue of the centered data is 0")
+    if q is None:
+        if sigma2 > lam[0] / n:
+            raise SigmaTooLarge(f"sigma2={sigma2} exceeds lambda_1/N={lam[0] / n}")
+        q = int(np.count_nonzero(lam[:rank] / n >= sigma2))
+    elif q > rank:
+        raise LatentExceedsRank(f"q={q} outside 1..rank={rank}")
+    tail = 0.0
+    if q < lam.size and lam[q] > 0.0:
+        tail = max(trace - float(lam[:q].sum()), 0.0)
+    return q, _sigma2_from_tail(tail, n, q) if sigma2 is None else float(sigma2), tail
 
 
 def explained_variance(m) -> float:
@@ -128,26 +144,22 @@ def fit_primal(x, q: int | None = None, sigma2: float | None = None) -> PrimalMo
 
     Exactly one of q (latent dimension, noise deduced) and sigma2 (noise,
     latent dimension deduced as the largest p with lambda_p / N >= sigma2)
-    must be supplied.
+    must be supplied; q may not exceed the numerical rank of the centered
+    data, as in fit_dual.
     """
     _check_choice(q, sigma2)
     xc, mu = center_columns(x)
     d, n = xc.shape
-    eig = sym_eig(xc @ xc.T)
+    cov = xc @ xc.T
+    eig = sym_eig(cov)
     # The model keeps the length-N spectrum: the d x d covariance and the
     # N x N Gram share their nonzero eigenvalues, everything further is 0.
     lam = np.zeros(n)
     m = min(d, n)
     lam[:m] = eig.eigenvalues[:m]
-    if q is None:
-        q, s2 = _latent_for_sigma2(lam, sigma2, m, n), float(sigma2)
-    else:
-        if q > m:
-            raise LatentExceedsRank(f"q={q} outside 1..{m}")
-        s2 = _sigma2_from_tail(float(lam[q:].sum()), n, q)
-    v = eig.eigenvectors[:, :q]
+    q, s2, _ = _resolve(lam, float(np.trace(cov)), n, q, sigma2)
     scales = np.sqrt(np.maximum(lam[:q] / n - s2, 0.0))
-    return PrimalModel(mu=mu, w=v * scales, sigma2=s2, q=q, eigenvalues=lam, v=v)
+    return PrimalModel(mu=mu, w=eig.eigenvectors[:, :q] * scales, sigma2=s2, eigenvalues=lam)
 
 
 def _as_columns(x, rows, what):
@@ -159,14 +171,10 @@ def _as_columns(x, rows, what):
     return x
 
 
-def _normal_matrix(m):
-    return m.w.T @ m.w + m.sigma2 * np.eye(m.q)
-
-
-def _posterior_factor(g, sigma2):
+def _posterior_factor(vals, vecs, sigma2):
     """Symmetric factor of the latent posterior covariance sigma2 g^-1,
-    where g is the q x q normal matrix of the latent map."""
-    vals, vecs = np.linalg.eigh(g)
+    where g = vecs diag(vals) vecs^T is the q x q normal matrix of the
+    latent map."""
     return np.sqrt(sigma2) * (vecs / np.sqrt(vals)) @ vecs.T
 
 
@@ -178,24 +186,24 @@ def latent_posterior(m: PrimalModel, phi) -> GaussianSpec:
     the right tool."""
     if m.sigma2 <= 0.0:
         raise SigmaZero("posterior is degenerate at sigma2 == 0; use latent_map")
-    return GaussianSpec(mean=latent_map(m, phi),
-                        cov_factor=_posterior_factor(_normal_matrix(m), m.sigma2))
+    # all q right singular vectors: the full SVD adds w's null directions when q > d
+    _, s, vt = np.linalg.svd(m.w)
+    vals = np.append(s * s, np.zeros(m.q - s.size)) + m.sigma2
+    return GaussianSpec(mean=latent_map(m, phi), cov_factor=_posterior_factor(vals, vt.T, m.sigma2))
 
 
 def latent_map(m: PrimalModel, phi) -> np.ndarray:
     """MAP latent codes (q x M) of the feature vectors in the columns of phi
-    (d x M); the posterior mean when sigma2 > 0 and the pseudo-inverse
-    projection in the noiseless limit."""
+    (d x M): (w^T w + sigma2 I)^-1 w^T (phi - mu) = V diag(s / (s^2 +
+    sigma2)) U^T (phi - mu), the posterior mean when sigma2 > 0 and the
+    pseudo-inverse projection in the noiseless limit. A component whose
+    sqrt(s^2 + sigma2) is at most 1e-10 s_1 maps to 0."""
     resid = _as_columns(phi, m.d, "feature vectors") - m.mu[:, None]
-    if m.sigma2 > 0.0:
-        return np.linalg.solve(_normal_matrix(m), m.w.T @ resid)
-    s = m.singular_values()
-    cutoff = 1e-10 * (s[0] if s.size else 0.0)
-    coords = m.v.T @ resid
-    out = np.zeros_like(coords)
-    keep = s > cutoff
-    out[keep] = coords[keep] / s[keep, None]
-    return out
+    u, s, vt = np.linalg.svd(m.w, full_matrices=False)
+    g = s * s + m.sigma2
+    cutoff = (1e-10 * s[0]) ** 2 if s.size else 0.0
+    scale = np.divide(s, g, out=np.zeros_like(s), where=g > cutoff)
+    return vt.T @ (scale[:, None] * (u.T @ resid))
 
 
 def feature_reconstruct(m: PrimalModel, h) -> np.ndarray:
@@ -208,17 +216,17 @@ def marginal_loglik(m: PrimalModel, x) -> np.ndarray:
     marginal N(mu, w w^T + sigma2 I); a data set's log-likelihood is their
     sum.
 
-    Evaluated through the spectrum of w w^T (loadings contribute
-    s_p^2 + sigma2, the remaining d - q directions contribute sigma2), so no
-    dense d x d inverse is ever formed.
+    Evaluated through the thin SVD w = U diag(s) V^T (the directions of U
+    contribute s_p^2 + sigma2, the remaining ones sigma2), so no dense
+    d x d inverse is ever formed.
     """
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
     resid = _as_columns(x, m.d, "data") - m.mu[:, None]
-    coords = m.v.T @ resid
-    s2 = np.sum(m.w**2, axis=0)
-    denom = s2 + m.sigma2
+    u, s, _ = np.linalg.svd(m.w, full_matrices=False)
+    coords = u.T @ resid
+    denom = s * s + m.sigma2
     quad = np.sum(coords**2 / denom[:, None], axis=0)
     quad += (np.sum(resid**2, axis=0) - np.sum(coords**2, axis=0)) / m.sigma2
-    logdet = float(np.sum(np.log(denom)) + (m.d - m.q) * np.log(m.sigma2))
+    logdet = float(np.sum(np.log(denom)) + (m.d - s.size) * np.log(m.sigma2))
     return -0.5 * (m.d * _LOG_2PI + logdet + quad)

@@ -32,6 +32,7 @@ from kppca import (
     two_arcs,
 )
 from kppca.cli import main as cli_main
+from kppca.errors import LatentExceedsRank
 from kppca.io_datasets import save_csv
 
 from conftest import align_columns, bumps_model, kpca_oracle_reconstruct, marginal_covariance, sampler_map
@@ -195,6 +196,10 @@ def test_criterion_8_loglik_oracle():
         n = int(rng.integers(3, 9))
         q = int(rng.integers(1, min(d, n) + 1))
         x = rng.standard_normal((d, n))
+        if q > min(d, n - 1):  # the centered rank of generic data
+            with pytest.raises(LatentExceedsRank):
+                fit_primal(x, q=q)
+            continue
         m = fit_primal(x, q=q)
         if m.sigma2 <= 1e-10:
             continue

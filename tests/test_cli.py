@@ -25,9 +25,18 @@ from kppca import (
 )
 from kppca import dual, kernels
 from kppca.cli import main
+from kppca.plots import scatter_svg
 from kppca.preimage import PreimageConfig
 
-from conftest import arcs_model, bump_images, bumps_model, framed, model_sections, rewrite_section
+from conftest import (
+    arcs_model,
+    bump_images,
+    bumps_model,
+    framed,
+    model_sections,
+    pack_vector,
+    rewrite_section,
+)
 
 
 @pytest.fixture
@@ -73,6 +82,9 @@ def test_fit_writes_model_and_metadata(tmp_path, toy_csv):
     ["generate", "--seed", "-1"],
     ["fit", "--kernel", "rbf", "--gamma", "1e300", "--q", "2"],
     ["fit", "--kernel", "rbf", "--gamma", "1e-300", "--q", "2"],
+    ["generate", "--grid", "0x3"],
+    ["generate", "--grid", "2x2", "--latent-range=a:1"],
+    ["generate", "--count", "-1"],
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, toy_csv, capsys, args):
     model_path = run_fit(tmp_path, toy_csv, "--q", "2")
@@ -96,6 +108,18 @@ def test_fit_missing_data_is_data_error(tmp_path):
     code = main(["fit", "--data", str(tmp_path / "nope.csv"), "--kernel", "linear",
                  "--q", "1", "--out", str(tmp_path / "m")])
     assert code == 3
+
+
+def test_project_on_a_zero_retained_eigenvalue_is_numeric_error(tmp_path, toy_csv, capsys):
+    # a model file whose last retained eigenvalue is at the clamp floor has
+    # no latent map for that direction: RankDeficient, exit 4
+    model_path = run_fit(tmp_path, toy_csv, "--q", "3")
+    lam = load_model(model_path).eigenvalues.copy()
+    lam[-1] = 0.0
+    rewrite_section(model_path, "EVAL", pack_vector(lam))
+    assert main(["project", "--model", str(model_path), "--data", str(toy_csv),
+                 "--out", str(tmp_path / "proj")]) == 4
+    assert "clamp floor" in capsys.readouterr().err
 
 
 def test_fit_bad_latent_is_numeric_error(tmp_path, toy_csv):
@@ -173,6 +197,15 @@ def test_generate_outputs(tmp_path, toy_csv):
     svg = (out / "scatter.svg").read_text()
     for color in ("black", "blue", "red", "grey"):
         assert color in svg
+
+
+def test_scatter_svg_with_every_layer_empty(tmp_path):
+    path = tmp_path / "empty.svg"
+    scatter_svg(path, [("original", "black", np.zeros((2, 0))), ("generated", "grey", np.zeros((2, 0)))])
+    svg = path.read_text()
+    # no points, one legend entry per layer, on the unit square's frame
+    assert svg.startswith("<svg") and 'r="3"' not in svg and svg.count('r="4"') == 2
+    assert ">original</text>" in svg and ">generated</text>" in svg
 
 
 def test_generate_count_zero(tmp_path, toy_csv):
@@ -446,6 +479,45 @@ def test_report_reads_a_model_from_a_pipe(tmp_path, toy_csv):
     assert main(["report", "--model", str(tmp_path / "missing.kppca")]) == 3
 
 
+def test_outputs_agree_across_blas_thread_counts(tmp_path):
+    # the documented contract for a positive-definite model: fit, project
+    # and generate at one and two OpenBLAS threads write numbers that agree
+    # within 1e-11 of each output's largest entry
+    train, queries = tmp_path / "train.csv", tmp_path / "queries.csv"
+    save_csv(train, bump_images(400, side=12, seed=3).T)
+    save_csv(queries, bump_images(50, side=12, seed=4).T)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        model_path = str(out / "fit" / "model.kppca")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        for args in (["fit", "--data", str(train), "--kernel", "rbf", "--gamma", "3", "--q", "5"],
+                     ["project", "--model", model_path, "--data", str(queries)],
+                     ["generate", "--model", model_path, "--count", "20", "--seed", "3"]):
+            subprocess.run([sys.executable, "-m", "kppca.cli", *args, "--out", str(out / args[0])],
+                           env=env, check=True, capture_output=True, timeout=300)
+        m = load_model(model_path)
+        np.linalg.cholesky(gram(m.spec, m.ts))  # positive definite: LAPACK's factor samples
+        outputs.append({"eigenvalues": m.eigenvalues, "e": m.e, "sigma2": m.sigma2, "tail": m.tail,
+                        "means": m.means, "latent": load_csv(out / "project" / "latent.csv"),
+                        "kernel_samples": load_csv(out / "generate" / "kernel_samples.csv"),
+                        "generated": load_csv(out / "generate" / "generated.csv")})
+    for name, one in outputs[0].items():
+        gap = np.abs(np.subtract(one, outputs[1][name])).max()
+        assert gap <= 1e-11 * np.abs(one).max(), name
+
+
+def test_report_on_a_directory_is_a_data_error(tmp_path, toy_csv, capsys):
+    # a directory as --model is a data error, exit 3, as in every other
+    # command, with or without --out, and nothing is written
+    run_fit(tmp_path, toy_csv, "--q", "2")
+    before = sorted(tmp_path.rglob("*"))
+    for flags in ([], ["--out", str(tmp_path / "rep")]):
+        assert main(["report", "--model", str(tmp_path / "model"), *flags]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # the CLI in a child process that refuses, exit 1, any output file under
 # /dev or /proc, so that a report run as root cannot create one there
 GUARDED_CLI = """
@@ -542,6 +614,8 @@ def test_every_byte_flip_is_a_data_error(tmp_path, capsys):
     (b"inf,1\n", 4),
     (b"0,nan\n", 4),
     (b"1e308,1e308\n", 4),  # squared distance overflows float64
+    pytest.param(b"1.5,2.5\n3.5\n", 3, id="ragged_rows_in_the_decimal_reader"),
+    pytest.param(b"1," + b"1" * 131_073 + b"\n", 3, id="cell_over_the_csv_field_limit"),
 ])
 def test_malformed_csv_exits_cleanly(tmp_path, toy_csv, capsys, data, code):
     model_path = run_fit(tmp_path, toy_csv, "--q", "3")

@@ -1,8 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from kppca import (
@@ -39,6 +42,7 @@ from kppca.dual import preimage_codes, project_inputs
 from kppca.errors import (
     DegenerateNormalizer,
     DimensionMismatch,
+    KppcaError,
     LatentExceedsRank,
     NotCentered,
     RankDeficient,
@@ -98,6 +102,52 @@ def test_fit_matches_primal_through_weight_identity(rng):
     aligned, _ = align_columns(pm.w, w_from_dual)
     assert np.abs(pm.w - aligned).max() <= 1e-10
     assert abs(pm.sigma2 - dm.sigma2) <= 1e-12
+
+
+def _resolution(fit, **choice):
+    # the (q, sigma2) a fit resolves, or the class of the error it raises
+    try:
+        m = fit(**choice)
+    except KppcaError as exc:
+        return type(exc)
+    return m.q, m.sigma2
+
+
+@pytest.mark.parametrize("data", ["wide", "repeated"])
+@given(n=st.integers(3, 9), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_primal_and_linear_dual_resolve_alike(data, n, extra, seed):
+    # one (q | sigma2) rule for both fits, on data with d >= N and on
+    # repeated points (identical ones included), for every q and sigma2 = 0
+    rng = np.random.default_rng(seed)
+    if data == "wide":
+        x = rng.standard_normal((n + extra, n))
+    else:
+        distinct = rng.standard_normal((2 + extra, int(rng.integers(1, n + 1))))
+        x = distinct[:, rng.integers(0, distinct.shape[1], n)]
+    ts = TrainingSet.from_columns(x)
+    lam1 = float(np.linalg.svd(x - x.mean(axis=1, keepdims=True), compute_uv=False)[0] ** 2)
+    for choice in [{"q": q} for q in range(1, min(x.shape) + 1)] + [{"sigma2": 0.0}]:
+        primal = _resolution(partial(fit_primal, x), **choice)
+        dual = _resolution(partial(fit_dual, KernelSpec("linear"), ts), **choice)
+        if isinstance(primal, type) or isinstance(dual, type):
+            assert primal == dual, choice
+            continue
+        assert primal[0] == dual[0], choice
+        # an eigensolver fixes each eigenvalue, and so sigma2, to about eps lambda_1
+        assert abs(primal[1] - dual[1]) <= 1e-12 * lam1 / n, choice
+
+
+def test_fit_identical_points_has_zero_spectrum():
+    # the centered Gram matrix of identical points is 0 up to rounding,
+    # which can leave its trace below 0
+    x = np.repeat([[-0.109290919821088], [0.5230815980385289], [-0.31328872960146675]], 7, axis=1)
+    ts = TrainingSet.from_columns(x)
+    for choice in ({"q": 1}, {"sigma2": 0.0}, {"sigma2": 0.1}):
+        with pytest.raises(ZeroSpectrum):
+            fit_dual(KernelSpec("linear"), ts, **choice)
+        with pytest.raises(ZeroSpectrum):
+            fit_primal(x, **choice)
 
 
 def test_fit_shares_noise_estimator_with_primal(rng):

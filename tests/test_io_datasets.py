@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import re
 import struct
@@ -96,6 +97,19 @@ def test_load_csv_first_row_with_a_number_is_data(tmp_path, text, col):
     with pytest.raises(ParseError) as err:
         load_csv(p)
     assert err.value.row == 1 and err.value.col == col
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1.5,2\n3,4\n", [[1.5, 3.0], [2.0, 4.0]]),
+    ("1.5\n3.0\n4.0\n", [[1.5, 3.0, 4.0]]),
+    ("x,y\n1.5,2\n", [[1.5], [2.0]]),
+], ids=["two_columns", "one_column", "header"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["decimal_reader", "text_path"])
+def test_load_csv_ignores_a_byte_order_mark(tmp_path, text, expected, end):
+    # spreadsheet "CSV UTF-8" exports start with one
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", end).encode("ascii"))
+    npt.assert_array_equal(load_csv(p), expected)
 
 
 def test_load_csv_ragged(tmp_path):
@@ -467,6 +481,19 @@ def test_idx_load_scale_filter_limit(tmp_path, rng):
     npt.assert_allclose(full[:, 1], images[1].ravel() / 255.0)
 
 
+def test_idx_gzip_pair(tmp_path, rng):
+    images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, images, [0, 1, 2])
+    packed = []
+    for path in (img, lab):
+        packed.append(path.with_name(path.name + ".gz"))
+        packed[-1].write_bytes(gzip.compress(path.read_bytes()))
+    x, y = load_mnist_idx(*packed)
+    x_raw, y_raw = load_mnist_idx(img, lab)
+    npt.assert_array_equal(x, x_raw)
+    npt.assert_array_equal(y, y_raw)
+
+
 def test_idx_bad_magic(tmp_path, rng):
     images = rng.integers(0, 256, size=(2, 3, 3), dtype=np.uint8)
     img, lab = write_idx_pair(tmp_path, images, [0, 1], label_magic=1234)
@@ -545,7 +572,7 @@ def write_primal_file(path, pm, version):
     version 2."""
     sections = [("HYPR", struct.pack("<Id", pm.q, pm.sigma2)), ("MEAN", pack_vector(pm.mu)),
                 ("WMAT", pack_matrix(pm.w)), ("EVAL", pack_vector(pm.eigenvalues)),
-                ("VMAT", pack_matrix(pm.v))]
+                ("VMAT", pack_matrix(pm.w / pm.singular_values()))]
     blob = b"KPPCA\x00" + struct.pack("<I", version) + b"P"
     for tag, payload in sections:
         head = tag.encode("ascii") + struct.pack("<Q", len(payload))

@@ -56,6 +56,10 @@ def test_training_set_shapes(rng):
     npt.assert_array_equal(TrainingSet.from_columns(x).points, x.T)
     with pytest.raises(ValueError):
         TrainingSet(np.empty((0, 2)))
+    with pytest.raises(ValueError):
+        TrainingSet(np.zeros(3))  # one point is a 1 x d_in array
+    with pytest.raises(ValueError):
+        two_arcs(0)
 
 
 def pair(x, y):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import multivariate_normal
 from kppca import (
     PrimalModel,
     center_columns,
+    explained_variance,
     feature_reconstruct,
     fit_primal,
     latent_map,
@@ -100,8 +103,10 @@ def test_fit_full_latent_dimension_recovers_whole_spectrum(rng):
     x = rng.standard_normal((3, 7))
     m = fit_primal(x, q=3)
     assert m.sigma2 == 0.0
-    expected = m.v * np.sqrt(m.eigenvalues[:3] / 7.0)
-    npt.assert_allclose(m.w, expected, atol=1e-12)
+    # at full rank the loadings carry the whole sample covariance
+    xc, _ = center_columns(x)
+    npt.assert_allclose(m.w @ m.w.T, xc @ xc.T / 7.0, atol=1e-12)
+    npt.assert_allclose(m.singular_values(), np.sqrt(m.eigenvalues[:3] / 7.0), atol=1e-12)
 
 
 def test_fit_matches_svd_oracle(rng):
@@ -120,7 +125,12 @@ def test_fit_sigma2_constraint_holds(rng):
         d = int(rng.integers(2, 6))
         n = int(rng.integers(3, 10))
         q = int(rng.integers(1, min(d, n) + 1))
-        m = fit_primal(rng.standard_normal((d, n)), q=q)
+        x = rng.standard_normal((d, n))
+        if q > min(d, n - 1):  # the centered rank of generic data
+            with pytest.raises(LatentExceedsRank):
+                fit_primal(x, q=q)
+            continue
+        m = fit_primal(x, q=q)
         assert m.sigma2 <= m.eigenvalues[q - 1] / n + 1e-12
 
 
@@ -156,6 +166,15 @@ def test_fit_given_sigma2_deduces_q(rng):
     assert m_edge.q == 3
 
 
+def test_explained_variance_of_a_primal_model(rng):
+    x = rng.standard_normal((4, 9))
+    m = fit_primal(x, q=2)
+    xc, _ = center_columns(x)
+    lam = np.linalg.svd(xc, compute_uv=False) ** 2
+    assert abs(m.tail - lam[2:].sum()) <= 1e-12
+    assert abs(explained_variance(m) - lam[:2].sum() / lam.sum()) <= 1e-12
+
+
 def test_fit_error_paths(rng):
     x = rng.standard_normal((3, 5))
     with pytest.raises(LatentExceedsRank):
@@ -188,7 +207,7 @@ def test_posterior_one_dimensional_closed_form(rng):
     m = fit_primal(x, q=1)
     phi = rng.standard_normal((4, 1))
     s1 = m.singular_values()[0]
-    v1 = m.v[:, 0]
+    v1 = m.w[:, 0] / s1
     expected = s1 * (v1 @ (phi[:, 0] - m.mu)) / (s1**2 + m.sigma2)
     post = latent_posterior(m, phi)
     assert abs(post.mean[0, 0] - expected) <= 1e-12
@@ -251,7 +270,7 @@ def test_noiseless_full_rank_roundtrip_is_projection(rng):
 def test_latent_roundtrip_identity_noiseless(rng):
     x = rng.standard_normal((4, 10))
     m = fit_primal(x, q=3)
-    m = PrimalModel(mu=m.mu, w=m.w, sigma2=0.0, q=m.q, eigenvalues=m.eigenvalues, v=m.v)
+    m = replace(m, sigma2=0.0)
     h = rng.standard_normal((3, 4))
     npt.assert_allclose(latent_map(m, feature_reconstruct(m, h)), h, atol=1e-10)
 
@@ -274,20 +293,74 @@ def test_reconstruction_rotation_invariant(rng):
     theta = 0.7
     r = np.eye(3)
     r[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    rotated = PrimalModel(mu=m.mu, w=m.w @ r, sigma2=m.sigma2, q=m.q,
-                          eigenvalues=m.eigenvalues, v=m.v)
+    rotated = replace(m, w=m.w @ r)
     h = rng.standard_normal((3, 1))
     a = feature_reconstruct(m, h)
     b = feature_reconstruct(rotated, r.T @ h)
     assert np.abs(a - b).max() <= 1e-12
 
 
+def _loadings(m, change):
+    # the fitted loadings rotated by 0.7 rad (the same model), or with one
+    # entry perturbed (another model)
+    if change == "rotated":
+        c, s = np.cos(0.7), np.sin(0.7)
+        return m.w @ np.array([[c, -s], [s, c]])
+    w = m.w.copy()
+    w[1, 0] += 0.3
+    return w
+
+
+def _map_oracle(m, phi):
+    g = m.w.T @ m.w + m.sigma2 * np.eye(m.q)
+    return np.linalg.solve(g, m.w.T @ (phi - m.mu[:, None]))
+
+
+# each formula against its dense oracle, as (result, oracle, atol)
+_DENSE_ORACLES = {
+    "noiseless_map": lambda m, phi, x: (latent_map(replace(m, sigma2=0.0), phi),
+                                        np.linalg.pinv(m.w) @ (phi - m.mu[:, None]), 1e-10),
+    "map": lambda m, phi, x: (latent_map(m, phi), _map_oracle(m, phi), 1e-10),
+    "posterior_mean": lambda m, phi, x: (latent_posterior(m, phi).mean, _map_oracle(m, phi), 1e-10),
+    "posterior_covariance": lambda m, phi, x: (
+        latent_posterior(m, phi).covariance(),
+        m.sigma2 * np.linalg.inv(m.w.T @ m.w + m.sigma2 * np.eye(m.q)), 1e-12),
+    "loglik": lambda m, phi, x: (
+        marginal_loglik(m, x),
+        multivariate_normal(mean=m.mu, cov=m.w @ m.w.T + m.sigma2 * np.eye(m.d)).logpdf(x.T), 1e-10),
+    "singular_values": lambda m, phi, x: (m.singular_values(), np.linalg.svd(m.w, compute_uv=False),
+                                          1e-14),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(_DENSE_ORACLES))
+@pytest.mark.parametrize("change", ["rotated", "perturbed"])
+def test_formulas_read_the_loadings_alone(rng, change, formula):
+    x = rng.standard_normal((4, 12))
+    m = fit_primal(x, q=2)
+    m = replace(m, w=_loadings(m, change))
+    got, want, atol = _DENSE_ORACLES[formula](m, rng.standard_normal((4, 5)), x)
+    npt.assert_allclose(got, want, atol=atol)
+
+
+def test_posterior_with_more_latent_than_feature_dimensions(rng):
+    # q > d: the normal matrix has w's null directions at eigenvalue sigma2
+    w = rng.standard_normal((2, 3))
+    m = PrimalModel(mu=np.zeros(2), w=w, sigma2=0.4, eigenvalues=np.zeros(4))
+    g = w.T @ w + 0.4 * np.eye(3)
+    phi = rng.standard_normal((2, 2))
+    post = latent_posterior(m, phi)
+    npt.assert_allclose(post.mean, np.linalg.solve(g, w.T @ phi), atol=1e-12)
+    npt.assert_allclose(post.covariance(), 0.4 * np.linalg.inv(g), atol=1e-12)
+    oracle = multivariate_normal(mean=m.mu, cov=w @ w.T + 0.4 * np.eye(2)).logpdf(phi.T)
+    npt.assert_allclose(marginal_loglik(m, phi), oracle, atol=1e-12)
+
+
 # --- marginal log-likelihood --------------------------------------------
 
 
 def test_loglik_scalar_gaussian_at_mean():
-    m = PrimalModel(mu=np.array([2.0]), w=np.zeros((1, 1)), sigma2=0.3, q=1,
-                    eigenvalues=np.array([0.0]), v=np.ones((1, 1)))
+    m = PrimalModel(mu=np.array([2.0]), w=np.zeros((1, 1)), sigma2=0.3, eigenvalues=np.array([0.0]))
     got = marginal_loglik(m, np.array([[2.0]]))
     assert got.shape == (1,) and abs(got[0] - (-0.5 * np.log(2 * np.pi * 0.3))) <= 1e-12
 
@@ -298,6 +371,10 @@ def test_loglik_matches_dense_oracle(rng):
         n = int(rng.integers(3, 9))
         q = int(rng.integers(1, min(d, n) + 1))
         x = rng.standard_normal((d, n))
+        if q > min(d, n - 1):  # the centered rank of generic data
+            with pytest.raises(LatentExceedsRank):
+                fit_primal(x, q=q)
+            continue
         m = fit_primal(x, q=q)
         if m.sigma2 <= 1e-12:
             continue
@@ -333,10 +410,6 @@ def test_fitted_loadings_are_local_likelihood_maximum(rng):
         for delta in (1e-3, -1e-3):
             w = m.w.copy()
             w[i, 0] += delta
-            perturbed = PrimalModel(mu=m.mu, w=w, sigma2=m.sigma2, q=1,
-                                    eigenvalues=m.eigenvalues, v=m.v)
-            # the shortcut needs the model structure; use the dense density here
-            cov = perturbed.w @ perturbed.w.T + m.sigma2 * np.eye(3)
-            perturbed_ll = multivariate_normal(mean=m.mu, cov=cov).logpdf(x.T).sum()
+            perturbed_ll = marginal_loglik(replace(m, w=w), x).sum()
             assert perturbed_ll <= base + 1e-9 * abs(base)
 

@@ -4,7 +4,7 @@ import pytest
 
 from kppca import center_columns, center_gram, sym_eig, top_eig
 from kppca.errors import NoConvergence, NonFinite
-from kppca.spectral import cholesky_factor
+from kppca.spectral import _pivoted_cholesky, cholesky_factor
 
 from conftest import arcs_model, bumps_model, centered_gram, random_psd
 
@@ -115,6 +115,11 @@ def test_center_columns_identical_columns():
     centered, mean = center_columns(x)
     npt.assert_allclose(centered, 0.0)
     npt.assert_allclose(mean, [1.0, 2.0])
+
+
+def test_center_columns_rejects_a_vector():
+    with pytest.raises(ValueError):
+        center_columns(np.ones(3))
 
 
 def test_center_columns_already_centered():
@@ -255,6 +260,9 @@ def test_cholesky_factor_both_branches(rng):
     full = random_psd(rng, 8)
     f = cholesky_factor(full)
     npt.assert_array_equal(f, np.linalg.cholesky(full))  # positive definite: LAPACK
+    f = _pivoted_cholesky(full)  # the pivoted factor runs to all N columns
+    assert f.shape == (8, 8)
+    assert np.abs(f @ f.T - full).max() <= 1e-12 * np.abs(full).max()
     low = random_psd(rng, 8, rank=3)
     f = cholesky_factor(low)  # singular: pivoted, one column per rank direction
     assert f.shape == (8, 3)
