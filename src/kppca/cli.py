@@ -71,9 +71,7 @@ def build_parser():
     p_rec = sub.add_parser("reconstruct", help="project, reconstruct, and preimage a dataset")
     p_rec.add_argument("--model", required=True)
     p_rec.add_argument("--data", required=True)
-    p_rec.add_argument("--epsilon", type=float, help="preimage normalizer stabilizer (default 1e-3 * N)")
-    p_rec.add_argument("--clip-negative", action=argparse.BooleanOptionalAction, default=True,
-                       help="clamp negative smoother weights to zero (default on)")
+    _add_preimage_flags(p_rec)
     p_rec.add_argument("--out", required=True)
     p_rec.set_defaults(func=cmd_reconstruct)
 
@@ -81,9 +79,7 @@ def build_parser():
     p_gen.add_argument("--model", required=True)
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--epsilon", type=float, help="preimage normalizer stabilizer (default 1e-3 * N)")
-    p_gen.add_argument("--clip-negative", action=argparse.BooleanOptionalAction, default=True,
-                       help="clamp negative smoother weights to zero (default on)")
+    _add_preimage_flags(p_gen)
     p_gen.add_argument("--grid", help="AxB sweep of the two leading noise components instead of random draws")
     p_gen.add_argument("--latent-range", default="-1:1", help="LO:HI range for --grid (default -1:1)")
     p_gen.add_argument("--out", required=True)
@@ -91,11 +87,18 @@ def build_parser():
 
     p_rep = sub.add_parser("report", help="print hyperparameters and spectrum of a model")
     p_rep.add_argument("--model", required=True)
-    p_rep.add_argument("--out", help="directory for spectrum.csv (default: next to the model; "
-                       "required for a pipe or a path under /dev or /proc)")
+    p_rep.add_argument("--out", help="directory for spectrum.csv (default: print only, write nothing)")
     p_rep.set_defaults(func=cmd_report)
 
     return parser
+
+
+def _add_preimage_flags(p):
+    p.add_argument("--epsilon", type=float, help="preimage normalizer stabilizer (default 1e-3 * N)")
+    # centered kernel columns sum to about 0, so the smoother always clips
+    # their negative weights; the flag is kept for scripts that pass it
+    p.add_argument("--clip-negative", action="store_true",
+                   help="no effect: negative smoother weights are always clipped to zero")
 
 
 # --- shared helpers -----------------------------------------------------
@@ -132,8 +135,7 @@ def _model_and_preimage_cfg(args):
     # the config is built, and so checked, before the model file is read;
     # the default epsilon is 1e-3 * N
     with _flag_values():
-        cfg = PreimageConfig(epsilon=0.0 if args.epsilon is None else args.epsilon,
-                             clip_negative=args.clip_negative)
+        cfg = PreimageConfig(epsilon=0.0 if args.epsilon is None else args.epsilon, clip_negative=True)
     model = load_model(args.model)
     if args.epsilon is None:
         cfg = replace(cfg, epsilon=1e-3 * model.n)
@@ -175,8 +177,7 @@ def cmd_project(args):
 def cmd_reconstruct(args):
     model, cfg = _model_and_preimage_cfg(args)
     points = preimage_codes(model, project_inputs(model, load_csv(args.data)), cfg)
-    extra = {"command": "reconstruct", "data": args.data, "weights": "centered",
-             "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative}}
+    extra = {"command": "reconstruct", "data": args.data, "preimage": {"epsilon": cfg.epsilon}}
     out = _ensure_out(args.out)
     rec_path = os.path.join(out, "reconstructed.csv")
     save_csv(rec_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
@@ -274,8 +275,7 @@ def cmd_generate(args):
         ])
         written.append(svg_path)
 
-    extra = {"command": "generate", "weights": "centered",
-             "preimage": {"epsilon": cfg.epsilon, "clip_negative": cfg.clip_negative},
+    extra = {"command": "generate", "preimage": {"epsilon": cfg.epsilon},
              "files": [os.path.basename(p) for p in written]}
     if grid is not None:
         extra["grid"] = {"cols": grid[0], "rows": grid[1], "range": [grid[2], grid[3]]}
@@ -286,15 +286,6 @@ def cmd_generate(args):
 
 
 def cmd_report(args):
-    # spectrum.csv goes next to the model unless it is a pipe or lies under
-    # /dev or /proc (/dev/stdin fed from a file is a regular file in /dev);
-    # a directory is refused by load_model, as in every other command
-    path = os.path.abspath(args.model)
-    special = os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path))
-    if args.out is None and (special or path.startswith(("/dev/", "/proc/"))):
-        raise _UsageError(f"--model {args.model} has no directory for spectrum.csv "
-                          "(a pipe, or a path under /dev or /proc): name one with --out")
-    out = args.out if args.out is not None else os.path.dirname(path)
     model = load_model(args.model)
     lam = model.eigenvalues
     ev = explained_variance(model)
@@ -309,7 +300,9 @@ def cmd_report(args):
     print(f"explained_variance: {ev!r}")
     shown = lam[: min(10, lam.size)]
     print("leading eigenvalues: " + ", ".join(f"{v:.6g}" for v in shown))
-    _ensure_out(out)
+    if args.out is None:
+        return 0
+    out = _ensure_out(args.out)
     spec_path = os.path.join(out, "spectrum.csv")
     table = np.stack([np.arange(1, lam.size + 1, dtype=float), lam])
     save_csv(spec_path, table, header=["index", "eigenvalue"])

@@ -130,11 +130,14 @@ def _body_start(head):
 
 def _read_text(path):
     # the text path: csv syntax, numpy's C tokenizer, the reference parser
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
             lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the start of the chunk being decoded,
+            # which ends where the file now stands; a pipe cannot say where
+            where = f" (byte {fh.buffer.tell() - len(exc.object) + exc.start})" if fh.seekable() else ""
+            raise ParseError(f"{path}: not UTF-8 text{where}") from None
     try:
         rows = csv.reader(lines)
         first = next(filter(None, rows), None)
@@ -143,9 +146,11 @@ def _read_text(path):
         header = _is_header(first)
         body = lines[rows.line_num:] if header else lines
         has_data = not header or next(filter(None, rows), None) is not None
-        if has_data and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE):
+        if (has_data and max(map(len, body)) <= csv.field_size_limit()
+                and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE)):
             # a well-formed table parses in numpy's C tokenizer; anything it
-            # refuses gets the reference parser, which accepts or locates it
+            # refuses, and a line that may hold a cell over csv's field
+            # limit, gets the reference parser, which accepts or locates it
             try:
                 return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
             except ValueError:

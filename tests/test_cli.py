@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -459,22 +460,17 @@ def test_console_entry_point(tmp_path, toy_csv):
 def test_report_reads_a_model_from_a_pipe(tmp_path, toy_csv):
     # the model file is read front to back, so a pipe serves as well as a
     # file: the same lines from both. A pipe has no size to hold a declared
-    # length against; a TSET of 2**59 values fails to allocate, exit 3. A
-    # pipe has no directory for spectrum.csv either: without --out it is a
-    # usage error, exit 2, before the model is read
+    # length against; a TSET of 2**59 values fails to allocate, exit 3
     model_path = run_fit(tmp_path, toy_csv, "--q", "2")
     blob = model_path.read_bytes()
     huge = b"TSET" + struct.pack("<QII", 8 + 8 * (1 << 59), 1 << 31, 1 << 28)
-    out = ["--out", str(tmp_path / "rep")]
-    runs = [subprocess.run([sys.executable, "-m", "kppca.cli", "report", "--model", model, *flags],
-                           input=stdin, capture_output=True, timeout=120)
-            for model, stdin, flags in ((str(model_path), None, out), ("/dev/stdin", blob, out),
-                                        ("/dev/stdin", blob[:11] + framed(model_sections(blob)[:5]) + huge, out),
-                                        ("/dev/stdin", blob, []))]
-    assert [proc.returncode for proc in runs] == [0, 0, 3, 2], runs[2].stderr
+    runs = [subprocess.run([sys.executable, "-m", "kppca.cli", "report", "--model", model,
+                            "--out", str(tmp_path / "rep")], input=stdin, capture_output=True, timeout=120)
+            for model, stdin in ((str(model_path), None), ("/dev/stdin", blob),
+                                 ("/dev/stdin", blob[:11] + framed(model_sections(blob)[:5]) + huge))]
+    assert [proc.returncode for proc in runs] == [0, 0, 3], runs[2].stderr
     assert runs[1].stdout == runs[0].stdout
     assert b"kind: dual" in runs[0].stdout
-    assert runs[3].stdout == b"" and b"--out" in runs[3].stderr
     # a missing path stays a data error
     assert main(["report", "--model", str(tmp_path / "missing.kppca")]) == 3
 
@@ -536,18 +532,87 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def written_by(root, run):
+    """run(), its result and the paths it added under root; it must change
+    no file that was there before."""
+    def tree():
+        return {p: p.is_file() and p.stat().st_mtime_ns for p in root.rglob("*")}
+    before = tree()
+    result = run()
+    after = tree()
+    assert {p: after.get(p) for p in before} == before
+    return result, after.keys() - before.keys()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 @pytest.mark.parametrize("model", ["/dev/stdin", "/proc/self/fd/0"])
-def test_report_never_writes_into_dev(tmp_path, toy_csv, model):
+def test_report_never_writes_into_dev(tmp_path, toy_csv, capsys, model):
     # redirected from a model file, /dev/stdin is a regular file whose
-    # directory is /dev: without --out that is a usage error, exit 2, before
-    # the model is read or anything is written
+    # directory is /dev: without --out, report prints what it prints for the
+    # file and writes nothing, under /dev or anywhere else
     model_path = run_fit(tmp_path, toy_csv, "--q", "2")
-    with open(model_path, "rb") as stdin:
-        proc = subprocess.run([sys.executable, "-c", GUARDED_CLI, "report", "--model", model],
-                              stdin=stdin, capture_output=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == b"" and b"--out" in proc.stderr
+    capsys.readouterr()
+    assert main(["report", "--model", str(model_path)]) == 0
+    printed = capsys.readouterr().out
+
+    def report():
+        with open(model_path, "rb") as stdin:
+            return subprocess.run([sys.executable, "-c", GUARDED_CLI, "report", "--model", model],
+                                  stdin=stdin, capture_output=True, timeout=120)
+
+    proc, added = written_by(tmp_path, report)
+    assert proc.returncode == 0 and added == set(), proc.stderr
+    assert proc.stdout.decode() == printed and printed.startswith("kind: dual\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_every_command_writes_only_under_out(tmp_path, monkeypatch, capsys):
+    # the data, the model and the working directory in home/, every --out
+    # under outs/: each command adds files under its --out and changes
+    # nothing else. report without --out prints and writes nothing, whether
+    # its model is a file or a pipe
+    home, outs = tmp_path / "home", tmp_path / "outs"
+    home.mkdir()
+    outs.mkdir()
+    monkeypatch.chdir(home)
+    data, model = home / "data.csv", home / "model.kppca"
+    save_csv(data, two_arcs(20, seed=0), header=["x1", "x2"])
+    fit = ["fit", "--data", str(data), "--kernel", "rbf", "--gamma", "2", "--q", "3"]
+    runs = {"project": ["--data", str(data)], "reconstruct": ["--data", str(data)],
+            "generate": ["--count", "5", "--seed", "3"], "report": []}
+    commands = [(outs / "fit", fit)] + [(outs / cmd, [cmd, "--model", str(model), *flags])
+                                        for cmd, flags in runs.items()]
+    for out, args in commands:
+        code, added = written_by(tmp_path, lambda: main([*args, "--out", str(out)]))
+        assert code == 0 and out in added and all(out in p.parents for p in added - {out}), added
+        if args is fit:
+            model.write_bytes((out / "model.kppca").read_bytes())
+    capsys.readouterr()
+    assert written_by(tmp_path, lambda: main(["report", "--model", str(model)])) == (0, set())
+    printed = capsys.readouterr().out
+    assert printed.startswith("kind: dual\n") and "wrote" not in printed
+
+    def report_from_pipe():
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        return subprocess.run([sys.executable, "-c", GUARDED_CLI, "report", "--model", "/dev/stdin"],
+                              input=model.read_bytes(), capture_output=True, env=env, timeout=120)
+
+    proc, added = written_by(tmp_path, report_from_pipe)
+    assert proc.returncode == 0 and added == set(), proc.stderr
+    assert proc.stdout.decode() == printed
+
+    # negative smoother weights are always clipped: --clip-negative changes
+    # no output byte, and --no-clip-negative is a usage error
+    for cmd in ("reconstruct", "generate"):
+        args = [cmd, "--model", str(model), *runs[cmd]]
+        assert main([*args, "--clip-negative", "--out", str(outs / "clip")]) == 0
+        for name in os.listdir(outs / cmd):
+            if not name.endswith(".meta.json"):
+                assert (outs / "clip" / name).read_bytes() == (outs / cmd / name).read_bytes(), name
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--no-clip-negative", "--out", str(outs / "none")])
+        assert exc.value.code == 2 and not (outs / "none").exists()
+    capsys.readouterr()
 
 
 CLEAN_EXITS = {0, 2, 3, 4}
@@ -616,6 +681,8 @@ def test_every_byte_flip_is_a_data_error(tmp_path, capsys):
     (b"1e308,1e308\n", 4),  # squared distance overflows float64
     pytest.param(b"1.5,2.5\n3.5\n", 3, id="ragged_rows_in_the_decimal_reader"),
     pytest.param(b"1," + b"1" * 131_073 + b"\n", 3, id="cell_over_the_csv_field_limit"),
+    pytest.param(b"1,2\n1," + b"1" * 131_073 + b"\n", 3, id="cell_over_the_csv_field_limit_in_row_2"),
+    pytest.param(b"1,2\n1,0." + b"0" * 131_072 + b"1\n", 3, id="finite_cell_over_the_csv_field_limit_in_row_2"),
 ])
 def test_malformed_csv_exits_cleanly(tmp_path, toy_csv, capsys, data, code):
     model_path = run_fit(tmp_path, toy_csv, "--q", "3")

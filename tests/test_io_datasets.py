@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -342,6 +343,30 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
     p.write_bytes(b"1,2\n3,\xff\n")
     with pytest.raises(ParseError, match="not UTF-8"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("data, offset", [
+    pytest.param(b"1,2\r\n" * 4000 + b"3,\xff\n", 20_002, id="past_the_decoders_first_chunk"),
+    pytest.param(b"\xef\xbb\xbf1,2\n3,\xff\n", 9, id="after_a_byte_order_mark"),
+])
+def test_load_csv_names_the_undecodable_byte_from_the_start_of_the_file(tmp_path, data, offset):
+    p = tmp_path / "t.csv"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"not UTF-8 text \(byte {offset}\)$"):
+        load_csv(p)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_load_csv_from_a_pipe_rejects_undecodable_bytes():
+    # a pipe cannot say where the bad byte lies; the error still says what
+    r, w = os.pipe()
+    os.write(w, b"1,2\n3,\xff\n")
+    os.close(w)
+    try:
+        with pytest.raises(ParseError, match=r"not UTF-8 text$"):
+            load_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 5)),

@@ -1,6 +1,9 @@
-"""The demos and the benchmark's own smoke test, run as subprocesses."""
+"""README's examples, the demos and the benchmark's own smoke test, run as
+subprocesses."""
 
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -10,7 +13,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kppca import save_csv, two_arcs
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_block(section, language):
+    # the first fenced block of that language under the README heading
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
+
+
+def test_readme_examples_run(tmp_path):
+    # the library quickstart, then each line of the command-line block on
+    # 60 two-arcs points
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    save_csv(tmp_path / "points.csv", two_arcs(60, seed=0), header=["x1", "x2"])
+    runs = [[sys.executable, "-c", readme_block("Library quickstart", "python")]]
+    for line in readme_block("Command line", "sh").splitlines():
+        program, *args = shlex.split(line)
+        assert program == "kppca"
+        runs.append([sys.executable, "-m", "kppca.cli", *args])
+    assert len(runs) == 7
+    for cmd in runs:
+        proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (cmd[2:], proc.stderr[-2000:])
 
 
 @pytest.mark.parametrize("demo", ["01_fit_project_reconstruct.py", "02_primal_dual_equivalence.py",
