@@ -11,7 +11,6 @@ import numpy as np
 
 from kppca import (
     KernelSpec,
-    PreimageConfig,
     TrainingSet,
     center_gram,
     dual_latent_map,
@@ -39,7 +38,6 @@ print("N = 20 points, centered Gram matrix has rank", np.linalg.matrix_rank(kc))
 print()
 print("   q   sigma2      explained variance")
 
-cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
 for q in (1, 3, 10):
     model = fit_dual(spec, ts, q=q)
     ev = explained_variance(model)
@@ -50,13 +48,13 @@ for q in (1, 3, 10):
     # The centered kernel vectors of the training points are the columns of
     # kc; every step takes one query per column.
     h = dual_latent_map(model, kc)
-    recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
+    recon = kernel_smoother(ts, dual_reconstruct(model, h))
     # The model needs no Gram matrix for this: E_q^T K_c = Lambda_q E_q^T.
     print(f"       training codes from the identity: max diff {np.abs(dual_training_codes(model) - h).max():.1e}")
 
     # The noiseless limit of the same model is classical kernel PCA.
     limit = kpca_limit(model)
-    classical = kernel_smoother(ts, dual_reconstruct(limit, dual_training_codes(limit)), cfg)
+    classical = kernel_smoother(ts, dual_reconstruct(limit, dual_training_codes(limit)))
 
     path = os.path.join(OUT, f"reconstruction_q{q}.svg")
     scatter_svg(path, [

@@ -23,7 +23,6 @@ import numpy as np
 
 from kppca import (
     KernelSpec,
-    PreimageConfig,
     TrainingSet,
     center_gram,
     dual_sample,
@@ -71,8 +70,7 @@ print(f"sampler covariance against the full spectrum: {np.abs(b @ b.T - target).
 # Draw kernel representations (one per column) and push them back to the
 # input plane.
 samples = dual_sample(model, 2024, 400)
-cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
-points = kernel_smoother(ts, samples, cfg)
+points = kernel_smoother(ts, samples)
 
 path = os.path.join(OUT, "generated.svg")
 scatter_svg(path, [

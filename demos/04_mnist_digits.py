@@ -16,7 +16,6 @@ import numpy as np
 
 from kppca import (
     KernelSpec,
-    PreimageConfig,
     TrainingSet,
     dual_reconstruct,
     dual_training_codes,
@@ -58,12 +57,10 @@ ts = TrainingSet.from_columns(x)
 model = fit_dual(spec, ts, q=2)
 print(f"q=2: sigma2 = {model.sigma2:.6f}, explained variance = {explained_variance(model):.2%}")
 
-cfg = PreimageConfig(epsilon=1e-3 * ts.n, clip_negative=True)
-
 # Originals and their reconstructions through the 2-dimensional bottleneck.
 show = 16
 h = dual_training_codes(model)[:, :show]
-recon = kernel_smoother(ts, dual_reconstruct(model, h), cfg)
+recon = kernel_smoother(ts, dual_reconstruct(model, h))
 pgm_grid(os.path.join(OUT, "mnist_original.pgm"), x[:, :show].T.reshape(-1, 28, 28), 8)
 pgm_grid(os.path.join(OUT, "mnist_reconstructed.pgm"), recon.T.reshape(-1, 28, 28), 8)
 
@@ -73,7 +70,7 @@ pgm_grid(os.path.join(OUT, "mnist_reconstructed.pgm"), recon.T.reshape(-1, 28, 2
 side = 8
 lin = np.linspace(-1.0, 1.0, side)
 u = np.stack([np.tile(lin, side), np.repeat(lin, side)])
-gen = kernel_smoother(ts, samples_from_noise(model, u), cfg)
+gen = kernel_smoother(ts, samples_from_noise(model, u))
 pgm_grid(os.path.join(OUT, "mnist_generated.pgm"), gen.T.reshape(-1, 28, 28), side)
 
 print("wrote mnist_original.pgm, mnist_reconstructed.pgm, mnist_generated.pgm in demos/output/")

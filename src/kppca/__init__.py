@@ -38,7 +38,7 @@ from .kernels import (
     centered_kernel_vectors,
     gram,
 )
-from .preimage import PreimageConfig, kernel_smoother
+from .preimage import kernel_smoother
 from .primal import (
     GaussianSpec,
     PrimalModel,
@@ -65,7 +65,6 @@ __all__ = [
     "EigenDecomposition",
     "GaussianSpec",
     "KernelSpec",
-    "PreimageConfig",
     "PrimalModel",
     "TrainingSet",
     "center_columns",

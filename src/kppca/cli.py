@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import DataError, NonFinite, NumericError
 from .io_datasets import load_csv, load_model, save_csv, save_model
 from .kernels import KernelSpec, TrainingSet
 from .plots import pgm_grid, scatter_svg
-from .preimage import PreimageConfig, kernel_smoother
+from .preimage import _resolve_epsilon, kernel_smoother
 from .primal import _check_choice, explained_variance
 
 
@@ -131,17 +130,6 @@ def _flag_values():
         raise _UsageError(str(exc)) from None
 
 
-def _model_and_preimage_cfg(args):
-    # the config is built, and so checked, before the model file is read;
-    # the default epsilon is 1e-3 * N
-    with _flag_values():
-        cfg = PreimageConfig(epsilon=0.0 if args.epsilon is None else args.epsilon, clip_negative=True)
-    model = load_model(args.model)
-    if args.epsilon is None:
-        cfg = replace(cfg, epsilon=1e-3 * model.n)
-    return model, cfg
-
-
 # --- commands -----------------------------------------------------------
 
 
@@ -175,9 +163,12 @@ def cmd_project(args):
 
 
 def cmd_reconstruct(args):
-    model, cfg = _model_and_preimage_cfg(args)
-    points = preimage_codes(model, project_inputs(model, load_csv(args.data)), cfg)
-    extra = {"command": "reconstruct", "data": args.data, "preimage": {"epsilon": cfg.epsilon}}
+    with _flag_values():
+        _resolve_epsilon(args.epsilon, 0)  # checked before the model file is read
+    model = load_model(args.model)
+    epsilon = _resolve_epsilon(args.epsilon, model.n)
+    points = preimage_codes(model, project_inputs(model, load_csv(args.data)), epsilon)
+    extra = {"command": "reconstruct", "data": args.data, "preimage": {"epsilon": epsilon}}
     out = _ensure_out(args.out)
     rec_path = os.path.join(out, "reconstructed.csv")
     save_csv(rec_path, points, header=[f"x{j + 1}" for j in range(points.shape[0])])
@@ -224,7 +215,10 @@ def cmd_generate(args):
     if args.count < 0:
         raise _UsageError("--count must be nonnegative")
     grid = _parse_grid(args) if args.grid is not None else None
-    model, cfg = _model_and_preimage_cfg(args)
+    with _flag_values():
+        _resolve_epsilon(args.epsilon, 0)  # checked before the model file is read
+    model = load_model(args.model)
+    epsilon = _resolve_epsilon(args.epsilon, model.n)
     columns = args.count if grid is None else grid[0] * grid[1]
     if (model.q + model.n) * columns * 8 > sys.maxsize:
         # numpy refuses with a ValueError an array whose bytes overflow the
@@ -239,7 +233,7 @@ def cmd_generate(args):
             kc_cols = dual_sample(model, args.seed, args.count)
         if not np.isfinite(kc_cols).all():
             raise NonFinite("kernel samples are not finite: the latent noise overflows float64")
-        points = kernel_smoother(model.ts, kc_cols, cfg)
+        points = kernel_smoother(model.ts, kc_cols, epsilon)
         if not np.isfinite(points).all():
             raise NonFinite("generated points are not finite: their preimage overflows float64")
 
@@ -263,9 +257,9 @@ def cmd_generate(args):
             written.append(pgm_path)
     elif d_in >= 2:
         # higher-dimensional points are plotted on their first two coordinates
-        rec_pts = preimage_codes(model, dual_training_codes(model), cfg)
+        rec_pts = preimage_codes(model, dual_training_codes(model), epsilon)
         limit = kpca_limit(model)
-        kpca_pts = preimage_codes(limit, dual_training_codes(limit), cfg)
+        kpca_pts = preimage_codes(limit, dual_training_codes(limit), epsilon)
         svg_path = os.path.join(out, "scatter.svg")
         scatter_svg(svg_path, [
             ("original", "black", model.ts.points.T[:2]),
@@ -275,7 +269,7 @@ def cmd_generate(args):
         ])
         written.append(svg_path)
 
-    extra = {"command": "generate", "preimage": {"epsilon": cfg.epsilon},
+    extra = {"command": "generate", "preimage": {"epsilon": epsilon},
              "files": [os.path.basename(p) for p in written]}
     if grid is not None:
         extra["grid"] = {"cols": grid[0], "rows": grid[1], "range": [grid[2], grid[3]]}

@@ -23,8 +23,8 @@ A fitted DualModel is the dual solution itself: the leading q eigenpairs
 (lambda_q, E_q) of the centered Gram matrix, sigma2, the sum of the
 discarded eigenvalues, the training Gram matrix's column means and grand
 mean (which center new kernel columns), and the training inputs. It holds
-O(N (d_in + q)) numbers and nothing N x N; only sampling rebuilds the Gram
-matrix, to factor the discarded part of the marginal.
+O(N (d_in + q)) numbers and nothing N x N; sampling, dual_conditional_kernel
+and dual_marginal_loglik rebuild the Gram matrix, once per call.
 """
 
 from dataclasses import dataclass, replace
@@ -39,7 +39,7 @@ from .kernels import (
     column_blocks,
     gram,
 )
-from .preimage import PreimageConfig, kernel_smoother_block
+from .preimage import _resolve_epsilon, kernel_smoother_block
 from .primal import (
     _LOG_2PI,
     GaussianSpec,
@@ -189,15 +189,16 @@ def project_inputs(m: DualModel, x) -> np.ndarray:
     return h
 
 
-def preimage_codes(m: DualModel, h, cfg: PreimageConfig) -> np.ndarray:
+def preimage_codes(m: DualModel, h, epsilon: float | None = None) -> np.ndarray:
     """Input-space preimages (d_in x M) of latent codes h (q x M): the
-    kernel_smoother of their dual_reconstruct, one column block at a
-    time."""
+    kernel_smoother of their dual_reconstruct, with its epsilon (default
+    1e-3 N), one column block at a time."""
+    epsilon = _resolve_epsilon(epsilon, m.n)
     h = _as_columns(h, m.q, "latent codes")
     points = np.empty((m.ts.d_in, h.shape[1]))
     for cols, block in column_blocks(m.n, h.shape[1]):
         _reconstruct_into(m, h[:, cols], block)
-        kernel_smoother_block(m.ts, block, cfg, points[:, cols], cols.start)
+        kernel_smoother_block(m.ts, block, epsilon, points[:, cols], cols.start)
     return points
 
 

@@ -59,7 +59,7 @@ class ZeroSpectrum(NumericError):
 
 
 class DegenerateNormalizer(NumericError):
-    """Kernel smoother weights sum to (near) zero and no stabilizer was supplied."""
+    """At epsilon (near) 0, a column has (almost) no positive smoother weight."""
 
 
 # --- data --------------------------------------------------------------

@@ -82,9 +82,21 @@ def _parse_row(fields, path, rownum):
     return out
 
 
+def _csv_rows(reader, path, row):
+    # the non-blank rows of a csv reader, counted from row; a row csv
+    # refuses (a cell over csv.field_size_limit()) is a ParseError at that
+    # row; csv does not say in which column
+    try:
+        for fields in filter(None, reader):
+            yield fields
+            row += 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", row=row) from None
+
+
 def _parse_cells(lines, path, first_row):
-    # cell-by-cell reference parser; the only source of the located errors
-    rows = [row for row in csv.reader(lines) if row]
+    # cell-by-cell reference parser; with _csv_rows it locates bad rows and cells
+    rows = list(_csv_rows(csv.reader(lines), path, first_row))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     data = [_parse_row(row, path, first_row + i) for i, row in enumerate(rows)]
@@ -138,26 +150,24 @@ def _read_text(path):
             # which ends where the file now stands; a pipe cannot say where
             where = f" (byte {fh.buffer.tell() - len(exc.object) + exc.start})" if fh.seekable() else ""
             raise ParseError(f"{path}: not UTF-8 text{where}") from None
-    try:
-        rows = csv.reader(lines)
-        first = next(filter(None, rows), None)
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        header = _is_header(first)
-        body = lines[rows.line_num:] if header else lines
-        has_data = not header or next(filter(None, rows), None) is not None
-        if (has_data and max(map(len, body)) <= csv.field_size_limit()
-                and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE)):
-            # a well-formed table parses in numpy's C tokenizer; anything it
-            # refuses, and a line that may hold a cell over csv's field
-            # limit, gets the reference parser, which accepts or locates it
-            try:
-                return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
-            except ValueError:
-                pass
-        return _parse_cells(body, path, first_row=2 if header else 1)
-    except csv.Error as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    rows = _csv_rows(reader, path, 1)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    header = _is_header(first)
+    body = lines[reader.line_num:] if header else lines
+    has_data = not header or next(rows, None) is not None
+    if (has_data and max(map(len, body)) <= csv.field_size_limit()
+            and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE)):
+        # a well-formed table parses in numpy's C tokenizer; anything it
+        # refuses, and a line that may hold a cell over csv's field limit,
+        # gets the reference parser, which accepts or locates it
+        try:
+            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+    return _parse_cells(body, path, first_row=2 if header else 1)
 
 
 def load_csv(path) -> np.ndarray:
@@ -169,10 +179,11 @@ def load_csv(path) -> np.ndarray:
     is data, so a bad cell in it is reported. A cell is a number when
     Python's float() accepts it, also inside csv quotes ("1.5"), and reads
     as float() reads it. Raises ParseError with the row (counting non-blank
-    rows from 1) and column of the first cell that is not a number,
-    RaggedRows when the rows differ in width, and ParseError for a file that
-    is not UTF-8 or has no data row. A leading UTF-8 byte-order mark is
-    not part of the first cell.
+    rows from 1) and column of the first cell that is not a number, or
+    with the row of a cell over csv.field_size_limit(), RaggedRows when the
+    rows differ in width, and ParseError for a file that is not UTF-8 or
+    has no data row. A leading UTF-8 byte-order mark is not part of the
+    first cell.
     """
     with open(path, "rb") as fh:
         # the reader reads a file twice, which a pipe does not allow

@@ -1,13 +1,9 @@
-"""Kernel-smoother preimaging: map columns of kernel weights back to input
-space as normalized weighted averages of the training points.
-
-The default configuration is the bare smoother x_hat = sum_i k_i x_i / sum_i k_i.
-Centered kernel vectors sum to (near) zero, which makes that normalizer
-blow up; the two stabilizers (an additive epsilon in the denominator and
-clipping negative weights) are opt-in.
+"""Kernel-smoother preimaging: map columns of kernel weights k back to input
+space as weighted averages of the training points, sum_i w_i x_i /
+(sum_i w_i + epsilon) with w_i = max(k_i, 0). Centered kernel vectors sum
+to (near) zero, which makes the bare normalizer sum_i k_i blow up, so the
+negative weights are always clipped and epsilon is 1e-3 N unless given.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,46 +14,44 @@ from .primal import _as_columns
 _NORMALIZER_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PreimageConfig:
-    epsilon: float = 0.0
-    clip_negative: bool = False
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be a finite value >= 0, got {self.epsilon!r}")
+def _resolve_epsilon(epsilon, n) -> float:
+    # epsilon's one rule: 1e-3 N for N training points unless given, and a
+    # given value is finite and >= 0
+    if epsilon is not None and not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite value >= 0, got {epsilon!r}")
+    return 1e-3 * n if epsilon is None else float(epsilon)
 
 
-def kernel_smoother(ts: TrainingSet, k, cfg: PreimageConfig = PreimageConfig()) -> np.ndarray:
-    """Weighted averages of the training points, one per column of the
-    weights k (N x M); returns the d_in x M preimages.
+def kernel_smoother(ts: TrainingSet, k, epsilon: float | None = None) -> np.ndarray:
+    """Clipped weighted averages of the training points at epsilon (default
+    1e-3 N), one per column of the weights k (N x M): d_in x M preimages.
 
     Runs one column block at a time (kernels.column_blocks), so its working
     memory is O(N B) besides k and the result, whatever M is; k is left as
-    it is. Raises DegenerateNormalizer, naming the column, when the
-    stabilized weight sum of any column is within 1e-12 of zero, which is
-    the typical fate of centered weights with epsilon = 0.
+    it is. Raises DegenerateNormalizer, naming the column, when a column's
+    stabilized weight sum is below 1e-12, which needs epsilon (near) 0.
     """
+    epsilon = _resolve_epsilon(epsilon, ts.n)
     k = _as_columns(k, ts.n, "weights")
     points = np.empty((ts.d_in, k.shape[1]))
     for cols, block in column_blocks(ts.n, k.shape[1]):
         block[...] = k[:, cols]
-        kernel_smoother_block(ts, block, cfg, points[:, cols], cols.start)
+        kernel_smoother_block(ts, block, epsilon, points[:, cols], cols.start)
     return points
 
 
-def kernel_smoother_block(ts: TrainingSet, w, cfg: PreimageConfig, out, first: int = 0) -> np.ndarray:
-    """kernel_smoother of the N x B weights w into out (d_in x B), for the
-    columns first, ..., first + B - 1 of a larger batch: clip_negative clips
-    w in place, and an error names the column's index in the batch."""
-    if cfg.clip_negative:
-        np.maximum(w, 0.0, out=w)
-    denom = w.sum(axis=0) + cfg.epsilon
-    degenerate = np.flatnonzero(np.abs(denom) < _NORMALIZER_FLOOR)
+def kernel_smoother_block(ts: TrainingSet, w, epsilon: float, out, first: int) -> np.ndarray:
+    """kernel_smoother of the N x B weights w into out (d_in x B) with a
+    resolved epsilon, for the columns first, ..., first + B - 1 of a larger
+    batch: w is clipped in place, and an error names the column's index in
+    the batch."""
+    np.maximum(w, 0.0, out=w)
+    denom = w.sum(axis=0) + epsilon
+    degenerate = np.flatnonzero(denom < _NORMALIZER_FLOOR)
     if degenerate.size:
         j = degenerate[0]
         raise DegenerateNormalizer(
-            f"weight sum {denom[j]:.3e} of column {first + j} is numerically zero; "
-            "set epsilon > 0 or clip_negative to stabilize"
+            f"clipped weight sum {denom[j]:.3e} of column {first + j} is numerically zero; "
+            "set epsilon > 0 to stabilize"
         )
     return np.divide(ts.points.T @ w, denom, out=out)

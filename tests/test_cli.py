@@ -27,7 +27,6 @@ from kppca import (
 from kppca import dual, kernels
 from kppca.cli import main
 from kppca.plots import scatter_svg
-from kppca.preimage import PreimageConfig
 
 from conftest import (
     arcs_model,
@@ -76,8 +75,10 @@ def test_fit_writes_model_and_metadata(tmp_path, toy_csv):
     ["fit", "--kernel", "linear", "--gamma", "5", "--q", "2"],
     ["reconstruct", "--epsilon", "-1"],
     ["reconstruct", "--epsilon", "nan"],
+    ["reconstruct", "--epsilon", "inf"],
     ["generate", "--epsilon", "-1"],
     ["generate", "--epsilon", "nan"],
+    ["generate", "--epsilon", "inf"],
     ["generate", "--grid", "2x2", "--latent-range=nan:1"],
     ["generate", "--grid", "2x2", "--latent-range=-1:inf"],
     ["generate", "--seed", "-1"],
@@ -161,11 +162,10 @@ def test_reconstruct_matches_library_pipeline(tmp_path, toy_csv):
 
     model = load_model(model_path)
     x = load_csv(toy_csv)
-    cfg = PreimageConfig(epsilon=1e-3 * model.n, clip_negative=True)
     assert x.shape[1] == model.n  # training data: the in-sample columns are the Gram's
     kc = center_gram(gram(model.spec, model.ts))
     rec = dual_reconstruct(model, dual_latent_map(model, kc))
-    npt.assert_allclose(got, kernel_smoother(model.ts, rec, cfg), atol=1e-12)
+    npt.assert_allclose(got, kernel_smoother(model.ts, rec), atol=1e-12)
 
 
 def test_lossless_limit_pipeline_recovers_inputs(tmp_path):
@@ -388,13 +388,12 @@ def test_blocked_queries_match_the_one_shot_library(tmp_path, data, capsys):
     # match the whole-batch library functions at every block boundary and
     # are byte-identical on a re-run
     m, model_path, queries = blocked_case(tmp_path, data)
-    cfg = PreimageConfig(epsilon=1e-3 * m.n, clip_negative=True)
     for count in (1, WIDTH, WIDTH + 1, 3 * WIDTH + 7):
         x = queries[:, :count]
         csv = tmp_path / f"q{count}.csv"
         save_csv(csv, x)
         h = dual_latent_map(m, centered_kernel_vectors(m.spec, m.ts, m.means, x))
-        points = kernel_smoother(m.ts, dual_reconstruct(m, h), cfg)
+        points = kernel_smoother(m.ts, dual_reconstruct(m, h))
         for cmd, name, expected in (("project", "latent.csv", h),
                                     ("reconstruct", "reconstructed.csv", points)):
             runs = []

@@ -11,7 +11,6 @@ from scipy.stats import multivariate_normal
 from kppca import (
     GaussianSpec,
     KernelSpec,
-    PreimageConfig,
     TrainingSet,
     center_columns,
     center_gram,
@@ -529,23 +528,22 @@ def test_dimension_checks(rng):
 
 
 def test_blocked_preimage_names_the_batch_column():
-    # a degenerate column in the second block is reported by its index in
-    # the whole batch; the kernel columns themselves are left as they were,
-    # and the blocked batch equals one-column calls on both sides of the
-    # block boundary
+    # at epsilon = 0 a column in the second block with no positive weight is
+    # reported by its index in the whole batch; the kernel columns
+    # themselves are left as they were, and the blocked batch equals
+    # one-column calls on both sides of the block boundary
     m = arcs_model(n=40)
     width = kernels.block_width(m.n)
     k = np.ones((m.n, width + 5))
-    k[:, width + 2] = centered_gram(m)[:, 0]  # sums to ~0
+    k[:, width + 2] = -np.abs(centered_gram(m)[:, 0])  # clips to all zeros
     with pytest.raises(DegenerateNormalizer, match=f"column {width + 2} "):
-        kernel_smoother(m.ts, k)
+        kernel_smoother(m.ts, k, epsilon=0)
     k += np.random.default_rng(4).uniform(-1.5, 0.5, k.shape)  # some weights to clip
     before = k.copy()
-    cfg = PreimageConfig(epsilon=1e-3, clip_negative=True)
-    batch = kernel_smoother(m.ts, k, cfg)
+    batch = kernel_smoother(m.ts, k)
     npt.assert_array_equal(k, before)
     for j in (0, width - 1, width, width + 4):
-        npt.assert_allclose(batch[:, j], kernel_smoother(m.ts, k[:, [j]], cfg)[:, 0], rtol=1e-13, atol=1e-15)
+        npt.assert_allclose(batch[:, j], kernel_smoother(m.ts, k[:, [j]])[:, 0], rtol=1e-13, atol=1e-15)
 
 
 # --- the batch convention ---------------------------------------------------
@@ -560,11 +558,10 @@ def _query_batches():
     kc = centered_kernel_vectors(dm.spec, dm.ts, dm.means, inputs)
     codes = rng.standard_normal((dm.q, 5))
     feats = rng.standard_normal((pm.d, 5))
-    cfg = PreimageConfig(epsilon=1e-3 * dm.n, clip_negative=True)
     return {
         "project_inputs": (lambda b: project_inputs(dm, b), inputs),
         "centered_kernel_vectors": (lambda b: centered_kernel_vectors(dm.spec, dm.ts, dm.means, b), inputs),
-        "preimage_codes": (lambda b: preimage_codes(dm, b, cfg), codes),
+        "preimage_codes": (lambda b: preimage_codes(dm, b), codes),
         "dual_latent_map": (lambda b: dual_latent_map(dm, b), kc),
         "dual_reconstruct": (lambda b: dual_reconstruct(dm, b), codes),
         "latent_map": (lambda b: latent_map(pm, b), feats),

@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 
 from kppca import (
     KernelSpec,
-    PreimageConfig,
     TrainingSet,
     explained_variance,
     fit_dual,
@@ -111,6 +110,25 @@ def test_load_csv_ignores_a_byte_order_mark(tmp_path, text, expected, end):
     p = tmp_path / "t.csv"
     p.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", end).encode("ascii"))
     npt.assert_array_equal(load_csv(p), expected)
+
+
+LONG_CELL = "1" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, row", [
+    (f"{LONG_CELL},2\n3,4\n", 1),
+    (f"1,2\n3,{LONG_CELL}\n", 2),
+    (f"x,y\n1,{LONG_CELL}\n", 2),
+    (f"1,2\r\n\r\n3,4\r\n{LONG_CELL},6\r\n", 3),
+], ids=["row_1", "row_2", "after_header", "crlf_row_3"])
+def test_load_csv_locates_a_cell_over_the_field_limit(tmp_path, text, row):
+    # csv refuses a cell over csv.field_size_limit() without saying where;
+    # the error names its row, counting non-blank rows as a bad number's does
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("ascii"))
+    with pytest.raises(ParseError, match=rf"field limit \(\d+\) \(row {row}\)$") as err:
+        load_csv(p)
+    assert err.value.row == row
 
 
 def test_load_csv_ragged(tmp_path):
@@ -444,10 +462,10 @@ def test_save_csv_without_the_digit_path_is_all_repr(tmp_path, monkeypatch):
 
 
 def save_reconstructions(path, monkeypatch):
-    """Writes a fitted bumps model's reconstruction table with save_csv;
-    returns the table and the cells save_csv handed to repr."""
+    """Writes a fitted bumps model's reconstruction table, the CLI's
+    clipped one at epsilon 1e-3 N, with save_csv; returns the table and the cells save_csv handed to repr."""
     m = bumps_model(n=60, q=5)
-    points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3).T), PreimageConfig(epsilon=0.06))
+    points = preimage_codes(m, project_inputs(m, bump_images(200, seed=3).T))
     calls = count_repr_calls(monkeypatch)
     save_csv(path, points)
     return points, calls

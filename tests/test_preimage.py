@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kppca import (
-    KernelSpec,
-    PreimageConfig,
     TrainingSet,
-    center_gram,
-    gram,
     kernel_smoother,
     two_arcs,
 )
@@ -22,41 +18,43 @@ def arcs():
 
 
 def test_one_hot_recovers_training_point(arcs):
-    npt.assert_array_equal(kernel_smoother(arcs, np.eye(12)), arcs.points.T)
+    npt.assert_array_equal(kernel_smoother(arcs, np.eye(12), epsilon=0), arcs.points.T)
 
 
 def test_uniform_weights_give_mean(arcs):
-    out = kernel_smoother(arcs, np.ones((12, 1)))
+    out = kernel_smoother(arcs, np.ones((12, 1)), epsilon=0)
     npt.assert_allclose(out[:, 0], arcs.points.mean(axis=0), atol=1e-14)
 
 
-def test_centered_weights_degenerate_without_stabilizer(arcs):
-    # centered Gram columns sum to ~0 by construction; one such column
-    # among good ones is enough to reject the batch
-    kc = center_gram(gram(KernelSpec("rbf", 1.0), arcs))
-    batch = np.concatenate([np.ones((12, 2)), kc[:, :1]], axis=1)
+def test_centered_weights_degenerate_without_stabilizer(arcs, rng):
+    # a column with no positive weight clips to a zero weight sum; at
+    # epsilon = 0 one such column among good ones is enough to reject the
+    # batch, and the default epsilon maps it to the origin
+    batch = np.concatenate([np.ones((12, 2)), -rng.uniform(0.0, 1.0, (12, 1))], axis=1)
     with pytest.raises(DegenerateNormalizer, match="column 2"):
-        kernel_smoother(arcs, batch)
-    out = kernel_smoother(arcs, batch, PreimageConfig(epsilon=1e-3))
+        kernel_smoother(arcs, batch, epsilon=0)
+    out = kernel_smoother(arcs, batch)
     assert np.all(np.isfinite(out))
+    npt.assert_array_equal(out[:, 2], 0.0)
 
 
 def test_output_in_bounding_box_for_nonnegative_weights(arcs, rng):
     k = rng.uniform(0.0, 1.0, (12, 10))
-    out = kernel_smoother(arcs, k)
+    out = kernel_smoother(arcs, k, epsilon=0)
     lo = arcs.points.min(axis=0)[:, None]
     hi = arcs.points.max(axis=0)[:, None]
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def test_batch_matches_column_by_column(arcs, rng):
-    # the weighted average of one column at a time, written out as a loop
+    # the clipped weighted average of one column at a time, written out as
+    # a loop, at a given epsilon and at the default 1e-3 N
     k = rng.standard_normal((12, 7))
-    for cfg in (PreimageConfig(epsilon=0.5), PreimageConfig(epsilon=1e-3, clip_negative=True)):
-        out = kernel_smoother(arcs, k, cfg)
+    for epsilon, added in ((0.5, 0.5), (None, 12e-3)):
+        out = kernel_smoother(arcs, k, epsilon)
         for j in range(7):
-            w = np.maximum(k[:, j], 0.0) if cfg.clip_negative else k[:, j]
-            expected = sum(w[i] * arcs.points[i] for i in range(12)) / (w.sum() + cfg.epsilon)
+            w = np.maximum(k[:, j], 0.0)
+            expected = sum(w[i] * arcs.points[i] for i in range(12)) / (w.sum() + added)
             npt.assert_allclose(out[:, j], expected, rtol=1e-12, atol=1e-12)
 
 
@@ -65,15 +63,17 @@ def test_batch_matches_column_by_column(arcs, rng):
 def test_scale_invariance(c):
     ts = TrainingSet.from_columns(two_arcs(8, seed=4))
     k = np.linspace(0.1, 1.0, 8)[:, None]
-    base = kernel_smoother(ts, k)
-    scaled = kernel_smoother(ts, c * k)
+    base = kernel_smoother(ts, k, epsilon=0)
+    scaled = kernel_smoother(ts, c * k, epsilon=0)
     npt.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
 
 
 def test_clip_negative_stabilizes(arcs, rng):
+    # signed weights are clipped, so even at epsilon = 0 every preimage is
+    # a convex combination of the training points
     k = rng.standard_normal((12, 10))
     k[rng.integers(0, 12, 10), np.arange(10)] = 0.5  # one clearly positive weight per column
-    out = kernel_smoother(arcs, k, PreimageConfig(clip_negative=True))
+    out = kernel_smoother(arcs, k, epsilon=0)
     assert np.all(np.isfinite(out))
     lo = arcs.points.min(axis=0)[:, None]
     hi = arcs.points.max(axis=0)[:, None]
@@ -87,7 +87,7 @@ def test_dimension_mismatch(arcs):
         kernel_smoother(arcs, np.ones(12))  # one weight vector is a 12 x 1 column
 
 
-def test_config_validation():
+def test_config_validation(arcs):
     for eps in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            PreimageConfig(epsilon=eps)
+            kernel_smoother(arcs, np.ones((12, 1)), epsilon=eps)

@@ -100,6 +100,15 @@ def test_every_module_is_imported():
     assert modules - set(proc.stdout.split()) == set()
 
 
+def test_version_lives_in_one_place():
+    # pyproject.toml reads the version from kppca._version, so a release
+    # edits one line
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^version\s*=\s*[\"']", text, re.M) is None
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "kppca._version.__version__"}' in text
+
+
 def test_benchmark_smoke():
     # the benchmark's numpy-only reference checks and its layer-trace name
     # contract, on both workloads at N=50
