@@ -30,8 +30,9 @@ are.
 
 Digits. A mantissa's digits, up to 23, are the 24 bytes before its end with
 the point squeezed out; an exponent's, up to 8, the 8 bytes before the
-separator. Both become integers eight digits at a time in 64-bit words
-(Lemire, "Number parsing at a gigabyte per second", 2021).
+separator, read only in the cells that have an exponent. Both become
+integers eight digits at a time in 64-bit words (Lemire, "Number parsing
+at a gigabyte per second", 2021).
 
 Scaling. With the digits m < 10**19 and the decimal exponent k, the cell is
 r = m * 10**k in np.longdouble: m is exact, 10**k is the nearest longdouble,
@@ -265,16 +266,18 @@ class _DecimalReader:
         m += eights[:, 1] * np.uint64(10**8)
         m += eights[:, 2]
         sure = (digits <= 23) & (eights[:, 0] < 1000)
-        exp_digits = end - mantissa_end
-        exp_digits -= 1 + ((flags & _EXP_SIGNED) > 0)  # -1 without an exponent
-        sure &= exp_digits <= 8
-        words = self.window8[end - 8]
+        k = -fraction
+        e = np.flatnonzero(mantissa_end != end)  # the cells with an exponent
+        exp_digits = end[e] - mantissa_end[e]
+        exp_digits -= 1 + ((flags[e] & _EXP_SIGNED) > 0)
+        sure[e] &= exp_digits <= 8
+        words = self.window8[end[e] - 8]
         np.subtract(words.view(np.uint8), np.uint8(ord("0")), out=words.view(np.uint8))
         exponent = words.view(np.uint64)
         exponent &= np.take(t.keep_last, 24 - exp_digits, mode="clip")
-        k = _eight_digits(exponent).astype(np.intp)
-        np.negative(k, out=k, where=(flags & _EXP_NEGATIVE) > 0)
-        k -= fraction
+        exponent = _eight_digits(exponent).astype(np.intp)
+        np.negative(exponent, out=exponent, where=(flags[e] & _EXP_NEGATIVE) > 0)
+        k[e] += exponent
         k -= _K_LO
         sure &= (k >= 0) & (k <= _K_HI - _K_LO)
         r = m.astype(np.longdouble)
@@ -359,26 +362,31 @@ def _read_table(fh, head):
 # must clear the interval's edge by _SLACK, and a tie (two distances) by
 # twice that, or the cell goes to repr, as do non-finite cells, cells out
 # of range, and every cell on a platform where np.longdouble has fewer than
-# 63 mantissa bits or words are not little-endian.
+# 63 mantissa bits or words are not little-endian. An apparent tie at p = 0
+# is settled exactly from x's bits where s >= 1. The steps for p = 0 and 1
+# are boolean and float passes over every cell; p >= 2 runs only on cells
+# with a multiple of 10 inside and Y within 11.1 of a multiple of 100.
 #
 # Layout. A cell's 17 digits, left-aligned, sit at bytes 7..23 of a
-# 40-byte source row padded with '0'. Its text is that row shifted so the
+# 32-byte source row padded with '0'. Its text is that row shifted so the
 # digits start at the cell's digit offset, except that the bytes before
 # the decimal point come from the row shifted one byte less, which opens
-# the point's slot; both shifts work on whole 64-bit words. The sign, the
-# point, an exponent "e+dd" and the separator are then set byte by byte,
-# and a boolean index keeps each row's text. Offset and columns come from
-# tables indexed by the decimal point decpt (x = 0.ddd * 10**decpt) and
-# the digit count nd.
+# the point's slot; both shifts work on whole 64-bit words, the second only
+# on the words before a point. Each cell's 32 bytes then go, in order, to
+# its place in the output, and the next cell overwrites them past its text;
+# the sign, the point, an exponent "e+dd" and the separator are set after,
+# byte by byte. Shift and columns come from tables indexed by the decimal
+# point decpt (x = 0.ddd * 10**decpt), the digit count nd and the sign.
 
 _MAX_SCALE = 27  # 10**27 = 2**27 * 5**27 and 5**27 < 2**63
 _SLACK = 2.0**-8 + 2.0**-40  # Y's error, and the half-widths' (< 1e-14)
 _POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_POW5 = np.array([5**k for k in range(_MAX_SCALE + 1)], dtype=np.uint64)
 _POW10_LD = np.multiply.accumulate(np.r_[1, np.full(_MAX_SCALE, 10)].astype(np.longdouble))
 # Y = |x| * _SCALE_UP[s + 27] / _SCALE_DOWN[s + 27]: one factor is 1
 _SCALE_UP = np.r_[np.ones(_MAX_SCALE, np.longdouble), _POW10_LD]
 _SCALE_DOWN = np.r_[_POW10_LD[:0:-1], np.ones(_MAX_SCALE + 1, np.longdouble)]
-_SCALE_F64 = np.power(10.0, np.arange(-_MAX_SCALE, _MAX_SCALE + 1))
+_HALF_SCALE = np.power(10.0, np.arange(-_MAX_SCALE, _MAX_SCALE + 1)) / 2
 _MANTISSA = np.uint64((1 << 52) - 1)
 _LARGEST = np.float64(np.finfo(float).max).view(np.uint64)
 
@@ -388,26 +396,30 @@ _DEC_LO, _DEC_HI = -12, 47  # holds every decpt the digit path gives
 
 def _layout_tables():
     # _DIGITS[g]: the four digits of g as 4 bytes. _BEFORE[:, k]: the text
-    # words with bytes 0..k-1 set. _UPTO[k]: text bytes 0..k. Indexed by
-    # (decpt - _DEC_LO) * 18 + nd, for a cell without a sign: the digits'
-    # offset and the columns of the point, the exponent and the separator.
+    # words with bytes 0..k-1 set. _TRAILING[g]: the trailing zeros of g,
+    # 4 for 0. _EXPONENT[decpt - _DEC_LO]: "e+dd" as 4 bytes. Indexed by
+    # ((decpt - _DEC_LO) * 18 + nd) * 2 + lead, lead 1 for a sign: the right
+    # shift that puts the digits at their offset in the text, and the
+    # columns of the point, the exponent and the separator.
     g = np.arange(10000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + ord("0")
+    trailing = sum((g % 10**z == 0).astype(np.intp) for z in range(1, 5))
     col = np.arange(_WIDTH)
     before = (col < np.arange(_WIDTH + 1)[:, None]).astype(np.uint8) * np.uint8(255)
-    d = np.arange(_DEC_LO, _DEC_HI)[:, None]
-    nd = np.arange(18)
+    d = np.arange(_DEC_LO, _DEC_HI)[:, None, None]
+    nd = np.arange(18)[:, None]
+    lead = np.arange(2) + 0 * nd  # 1 for a sign
     fixed = (d > -4) & (d <= 16)  # else d[.ddd]e+XX
-    offset = np.where(fixed & (d <= 0), 1 - d, 0) + 0 * nd  # "0.000" before the digits
-    point = np.where(fixed & (d > 0), d, 1) + 0 * nd
-    exponent = np.where(fixed, np.maximum(nd, d + 1) + 1 + np.maximum(0, 1 - d), nd + (nd > 1))
+    offset = np.where(fixed & (d <= 0), 1 - d, 0) + lead  # "0.000" before the digits
+    point = np.where(fixed & (d > 0), d, 1) + lead
+    exponent = np.where(fixed, np.maximum(nd, d + 1) + 1 + np.maximum(0, 1 - d), nd + (nd > 1)) + lead
     sep = np.where(fixed, exponent, exponent + 4)
-    return (digits.view(np.uint32).ravel(),
-            np.ascontiguousarray(before.view(np.uint64).T), col <= col[:, None],
-            *(a.ravel() for a in (offset, point, exponent, sep)))
+    exponents = np.array([f"e{k - 1:+03d}".encode() for k in range(_DEC_LO, _DEC_HI)]).view(np.uint32)
+    return (digits.view(np.uint32).ravel(), np.ascontiguousarray(before.view(np.uint64).T), trailing, exponents,
+            (8 * (7 - offset)).astype(np.uint64).ravel(), *(a.ravel() for a in (point, exponent, sep)))
 
 
-_DIGITS, _BEFORE, _UPTO, _OFFSET, _POINT, _EXPONENT_AT, _SEP_AT = _layout_tables()
+_DIGITS, _BEFORE, _TRAILING, _EXPONENT, _SHIFT, _POINT, _EXPONENT_AT, _SEP_AT = _layout_tables()
 
 # The cells per chunk: at most _CELL_BYTES of buffers and temporaries a
 # cell (measured peak: about 280), so that a chunk stays within
@@ -417,19 +429,10 @@ _CELL_BYTES = 320
 _CHUNK_CELLS = _FORMAT_BYTES // _CELL_BYTES
 
 
-def _gaps(down, up, lo, hi):
-    # Candidates at distance down below and up above Y, for an interval of
-    # half-widths lo (below) and hi (above): is the nearer one above, and
-    # how far inside the edge (< 0) or outside (> 0) are the nearer and the
-    # other one? A gap within _SLACK of 0 is not sure.
-    above = up < down
-    return above, np.where(above, up - hi, down - lo), np.where(above, down - lo, up - hi)
-
-
 def _shortest_digits(ax, work):
     """Digits of the finite |x| in ax where work holds: returns (c, decpt,
-    nd, certain), c the nd-digit integer with x = 0.c * 10**decpt. ax must
-    be 1.0 where work does not hold."""
+    nd, certain), c the 17-digit integer whose first nd digits are x's, x =
+    0.c * 10**decpt. ax must be 1.0 where work does not hold."""
     s = 16 - np.floor(np.log10(ax)).astype(np.intp)
     work &= np.abs(s) <= _MAX_SCALE
     s[~work] = 16
@@ -443,50 +446,74 @@ def _shortest_digits(ax, work):
     y -= yi
     f = y.astype(np.float64)  # exact: Y >= 2**53 keeps at most 11 fraction bits
     del y
-    hi = np.spacing(ax)
-    hi *= _SCALE_F64[s]
-    hi *= 0.5
-    lo = hi * np.where((ax.view(np.uint64) & _MANTISSA) == 0, 0.5, 1.0)
+    # the half-widths from x's bits: the spacing above, and below the gap
+    # to the next float down
+    bits = ax.view(np.uint64)
+    scale = _HALF_SCALE[s]
+    hi = ((bits & ~_MANTISSA) - np.uint64(52 << 52)).view(np.float64)
+    hi *= scale
+    lo = ax - (bits - np.uint64(1)).view(np.float64)
+    lo *= scale
     s -= _MAX_SCALE
     # p = 0: both half-widths exceed Y 2**-54 > 0.55, so the integer nearer
-    # to Y is inside; only a tie at .5 is left open, and repr settles it
+    # to Y is inside; a tie at .5 is settled exactly where s >= 1: Y's
+    # fraction is the low t bits of m 5**s for x = m 2**-(s + t), which a
+    # wrapping uint64 product holds (1 <= t <= 63) and a shift moves to the top
     certain = work & (yi >= 9 * _POW10[15])
     c = yi + (f > 0.5)
     tie = np.abs(f - 0.5) <= _SLACK
+    at = np.flatnonzero(tie)
+    at = at[s[at] > 0]
+    m = (bits[at] & _MANTISSA) | np.uint64(1 << 52)
+    shift = (bits[at] >> np.uint64(52)) + s[at].astype(np.uint64) - np.uint64(1011)  # 64 - t
+    frac = (m * _POW5[s[at]]) << shift  # Y's fraction times 2**64
+    half = np.uint64(1 << 63)
+    c[at] = yi[at] + ((frac > half) | ((frac == half) & (yi[at] % 2 == 1)))  # to even, as repr
+    tie[at] = False
     # p = 1: the multiples of 10 either side of Y, which the interval (up
     # to 2 * 11.1 wide) may both hold; the nearer one wins when inside
     q = yi // 10
-    r = (yi - 10 * q).astype(np.float64)
-    down = r + f
-    up = (10.0 - r) - f
-    above, near, other = _gaps(down, up, lo, hi)
-    tens = (near < 0.0) | (other < 0.0)
-    other_sure = np.abs(other) > _SLACK
-    certain &= (np.abs(near) > _SLACK) & np.where(
-        tens, ((near < 0.0) | other_sure) & (np.abs(up - down) > 2 * _SLACK),
-        other_sure & ~tie)
-    c = np.where(tens, q + (above == (near < 0.0)), c)
+    r = yi - 10 * q
+    down = r.astype(np.float64)
+    down += f
+    up = 10.0 - down
+    below_gap = down - lo  # how far inside the edge (< 0) or outside (> 0)
+    above_gap = up - hi
+    above = down > 5.0  # the nearer multiple is above Y
+    inside_below, inside_above = below_gap < 0.0, above_gap < 0.0
+    tens = inside_below | inside_above
+    up10 = (above & inside_above) | ~(above | inside_below)
+    near_sure = (above & (above_gap < -_SLACK)) | (~above & (below_gap < -_SLACK))
+    both_sure = np.minimum(np.abs(below_gap), np.abs(above_gap)) > _SLACK
+    tie = (tens & (np.abs(down - 5.0) <= _SLACK)) | (~tens & tie)
+    certain &= (near_sure | both_sure) & ~tie
+    c += tens * ((q + up10) * 10 - c)
     p = tens.astype(np.intp)
     # p >= 2: at most one multiple of 100 fits, and only when Y mod 100 is
     # within 11.1 of it; the largest power of 10 dividing it is 10**p
     q = yi // 100
     r = yi - 100 * q
-    at = np.flatnonzero((r <= 11) | (r >= 88))
-    ra = r[at].astype(np.float64)
-    above, near, _ = _gaps(ra + f[at], (100.0 - ra) - f[at], lo[at], hi[at])
+    at = np.flatnonzero(tens & ((r <= 11) | (r >= 88)))
+    down = r[at] + f[at]
+    above = down > 50.0
+    near = np.where(above, (100.0 - down) - hi[at], down - lo[at])
     certain[at] &= np.abs(near) > _SLACK
-    at, above = at[near < 0.0], above[near < 0.0]
-    m = q[at] + above
-    k = np.full(at.size, 2)
-    for z in (8, 4, 2, 1):
-        whole = m % _POW10[z] == 0
-        m = np.where(whole, m // _POW10[z], m)
-        k += z * whole
-    c[at] = m
-    p[at] = k
-    nd = 16 + (yi >= _POW10[16]) + (yi >= _POW10[17]) - p
-    nd += c >= _POW10[nd]  # Y below 1e16 rounding up to 10**16
-    return c, nd + p - s, nd, certain
+    inside = np.flatnonzero(near < 0.0)
+    at = at[inside]
+    m = q[at] + above[inside]
+    c[at] = 100 * m
+    p[at] = 2
+    while at.size:
+        r = m % 10000
+        p[at] += _TRAILING[r]
+        at, m = at[r == 0], m[r == 0] // 10000
+    # c, the multiple of 10**p, has 17 digits but where Y < 1e16 or c = 1e17
+    short, long = np.flatnonzero(c < _POW10[16]), np.flatnonzero(c >= _POW10[17])
+    c[short] *= 10
+    c[long] //= 10
+    digits = np.full(c.size, 17)
+    digits[short], digits[long] = 16, 18
+    return c, digits - s, digits - p, certain
 
 
 class _CsvCells:
@@ -496,7 +523,7 @@ class _CsvCells:
     def __init__(self, cells):
         # word-major: row k holds word k of every cell, so that each
         # word-wide step runs along the cells
-        self.source = np.full((5, cells), int.from_bytes(b"0" * 8, "little"), dtype=np.uint64)
+        self.source = np.full((4, cells), int.from_bytes(b"0" * 8, "little"), dtype=np.uint64)
         self.words = np.empty((3, _WIDTH // 8, cells), dtype=np.uint64)
 
     def format(self, block, row_ends):
@@ -505,8 +532,11 @@ class _CsvCells:
         n, shape = block.size, block.shape
         source = self.source[:, :n]
         text, shifted, spill = self.words[:, :, :n]
-        neg = np.signbit(block, out=np.empty(shape, dtype=bool)).ravel()
-        ax = np.abs(block, out=np.empty(shape)).ravel()
+        ax = np.empty(shape)
+        ax[...] = block
+        ax = ax.ravel()
+        neg = ax.view(np.int64) < 0
+        np.abs(ax, out=ax)
         # classified by their bits: a float comparison with a signaling NaN
         # would raise the invalid-operation flag
         zero = ax.view(np.uint64) == 0
@@ -516,60 +546,57 @@ class _CsvCells:
         c[~certain] = 0  # zero, and a placeholder for the cells repr writes
         nd[~certain] = 1
         decpt[~certain] = 1
-        c *= _POW10[17 - nd]  # left-aligned in 17 digits
         top = c // _POW10[8]
         low = (c - top * _POW10[8]).astype(np.uint32)
         top = top.astype(np.uint32)
         halves = source.view(np.uint32)  # bytes 4k..4k+3 of a cell: halves[k // 2, k % 2::2]
-        np.take(_DIGITS, top // 100000000, out=halves[0, 1::2], mode="clip")
+        np.left_shift(top // 100000000, 24, out=halves[0, 1::2])  # "000" and the first digit
+        halves[0, 1::2] += np.uint32(int.from_bytes(b"0000", "little"))
         top %= 100000000
         np.take(_DIGITS, top // 10000, out=halves[1, 0::2], mode="clip")
         np.take(_DIGITS, top % 10000, out=halves[1, 1::2], mode="clip")
         np.take(_DIGITS, low // 10000, out=halves[2, 0::2], mode="clip")
         np.take(_DIGITS, low % 10000, out=halves[2, 1::2], mode="clip")
-        key = (decpt - _DEC_LO) * 18 + nd
-        lead = neg.view(np.uint8)
-        point = _POINT[key] + lead
-        end = _SEP_AT[key] + lead
-        bits = (8 * (7 - lead - _OFFSET[key])).astype(np.uint64)
-        np.right_shift(source[:4], bits, out=shifted)
-        shifted |= np.left_shift(source[1:], 64 - bits, out=spill)
+        key = (decpt - _DEC_LO) * 36 + 2 * nd + neg
+        point = _POINT[key]
+        end = _SEP_AT[key]
+        w = (int(point.max()) + 7) // 8  # the words that hold bytes before a point
+        bits = _SHIFT[key]
+        np.right_shift(source[:w], bits, out=shifted[:w])
+        shifted[:w] |= np.left_shift(source[1 : w + 1], 64 - bits, out=spill[:w])
         bits -= 8
-        np.right_shift(source[:4], bits, out=text)
-        text |= np.left_shift(source[1:], 64 - bits, out=spill)
-        shifted ^= text
-        shifted &= np.take(_BEFORE, point, axis=1, out=spill, mode="clip")
-        text ^= shifted
-        chars = self.words[1].reshape(-1)[: 4 * n].reshape(n, 4).view(np.uint8)  # shifted's memory
-        chars.view(np.uint64)[...] = text.T
-        chars[:, 0] -= lead * np.uint8(ord("0") - ord("-"))
-        flat = chars.ravel()
-        base = np.arange(0, n * _WIDTH, _WIDTH)
-        flat[base + point] = ord(".")
+        np.right_shift(source[:3], bits, out=text[:3])
+        text[:3] |= np.left_shift(source[1:], 64 - bits, out=spill[:3])
+        shifted[:w] ^= text[:w]
+        shifted[:w] &= np.take(_BEFORE[:w], point, axis=1, out=spill[:w], mode="clip")
+        text[:w] ^= shifted[:w]
+        chars = self.words[1].reshape(-1)[: 4 * n].reshape(n, 4)  # shifted's memory
+        chars[:, :3] = text[:3].T
+        # repr's text in place of the digits; its '.' goes where its ',' does
+        done = certain | zero
+        todo = np.flatnonzero(~done)
+        texts = list(map(repr, block[np.unravel_index(todo, shape)].tolist()))
+        chars.view("S32")[todo, 0] = texts
+        end[todo] = point[todo] = np.fromiter(map(len, texts), dtype=np.intp, count=todo.size)
+        # each cell's 32 bytes go to its place in the output in index order:
+        # the bytes past a cell's text are overwritten by the cells after it
+        start = np.cumsum(end + 1)
+        size = int(start[-1])
+        start -= end + 1
+        out = self.words[2].reshape(-1).view(np.uint8)  # spill's memory
+        window = np.ndarray((out.size - 31,), dtype="V32", buffer=out, strides=(1,))
+        window[start] = chars.view("V32").ravel()
+        out[start[neg & done]] = ord("-")
+        out[start + point] = ord(".")
         sci = np.flatnonzero((decpt <= -4) | (decpt > 16))
-        if sci.size:
-            e = decpt[sci] - 1
-            at = base[sci] + lead[sci] + _EXPONENT_AT[key[sci]]
-            flat[at] = ord("e")
-            flat[at + 1] = np.where(e < 0, ord("-"), ord("+"))
-            e = np.abs(e)
-            flat[at + 2] = ord("0") + e // 10
-            flat[at + 3] = ord("0") + e % 10
-        todo = np.flatnonzero(~(certain | zero))
-        if todo.size:
-            texts = list(map(repr, block[np.unravel_index(todo, shape)].tolist()))
-            lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-            starts = np.repeat(base[todo] - (np.cumsum(lens) - lens), lens)
-            blob = "".join(texts).encode("ascii")
-            flat[starts + np.arange(starts.size)] = np.frombuffer(blob, dtype=np.uint8)
-            end[todo] = lens
-        end += base
-        flat[end] = ord(",")
+        at = start[sci] + _EXPONENT_AT[key[sci]]
+        window = np.ndarray((out.size - 3,), dtype=np.uint32, buffer=out, strides=(1,))
+        window[at] = _EXPONENT[decpt[sci] - _DEC_LO]
+        end += start
+        out[end] = ord(",")
         if row_ends:
-            flat[end.reshape(shape)[:, -1]] = ord("\n")
-        end -= base
-        keep = self.words[2].reshape(-1).view(bool)[: n * _WIDTH].reshape(n, _WIDTH)  # spill's memory
-        return chars[np.take(_UPTO, end, axis=0, out=keep, mode="clip")]
+            out[end.reshape(shape)[:, -1]] = ord("\n")
+        return out[:size]
 
 
 def _write_table(fh, matrix):

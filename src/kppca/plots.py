@@ -31,11 +31,6 @@ def scatter_svg(path, layers):
     hi = hi + 0.05 * span
     span = hi - lo
 
-    def to_px(p):
-        x = _PAD + (p[0] - lo[0]) / span[0] * (_SVG_W - 2 * _PAD)
-        y = _SVG_H - _PAD - (p[1] - lo[1]) / span[1] * (_SVG_H - 2 * _PAD)
-        return x, y
-
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -43,12 +38,11 @@ def scatter_svg(path, layers):
         f'<rect x="{_PAD:.1f}" y="{_PAD:.1f}" width="{_SVG_W - 2 * _PAD:.1f}" '
         f'height="{_SVG_H - 2 * _PAD:.1f}" fill="none" stroke="#cccccc"/>',
     ]
-    for label, color, p in layers:
-        p = np.asarray(p, dtype=float)
+    for (_, color, _), p in zip(layers, pts):
         out.append(f'<g fill="{color}" fill-opacity="0.75">')
-        for i in range(p.shape[1]):
-            x, y = to_px(p[:, i])
-            out.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3"/>')
+        x = _PAD + (p[0] - lo[0]) / span[0] * (_SVG_W - 2 * _PAD)
+        y = _SVG_H - _PAD - (p[1] - lo[1]) / span[1] * (_SVG_H - 2 * _PAD)
+        out += [f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="3"/>' for cx, cy in zip(x.tolist(), y.tolist())]
         out.append("</g>")
     for i, (label, color, _) in enumerate(layers):
         y = _PAD + 16.0 * (i + 1)

@@ -24,7 +24,7 @@ from kppca import (
     save_model,
     two_arcs,
 )
-from kppca import dual, kernels
+from kppca import dual, kernels, plots
 from kppca.cli import main
 from kppca.plots import scatter_svg
 
@@ -207,6 +207,29 @@ def test_scatter_svg_with_every_layer_empty(tmp_path):
     # no points, one legend entry per layer, on the unit square's frame
     assert svg.startswith("<svg") and 'r="3"' not in svg and svg.count('r="4"') == 2
     assert ">original</text>" in svg and ">generated</text>" in svg
+
+
+def test_scatter_svg_places_each_point_by_the_per_point_map(tmp_path):
+    # every circle of every layer, an empty layer among them, sits where
+    # the map of one point at a time puts it, to the byte
+    rng = np.random.default_rng(11)
+    layers = [("a", "black", rng.normal(size=(2, 40))), ("b", "blue", np.zeros((2, 0))),
+              ("c", "grey", rng.normal(3.0, 0.5, size=(2, 25)))]
+    scatter_svg(tmp_path / "s.svg", layers)
+    pts = np.concatenate([p for _, _, p in layers], axis=1)
+    span = np.maximum(pts.max(axis=1) - pts.min(axis=1), 1e-9)
+    lo, hi = pts.min(axis=1) - 0.05 * span, pts.max(axis=1) + 0.05 * span
+    span = hi - lo
+    expected = []
+    for _, color, p in layers:
+        expected.append(f'<g fill="{color}" fill-opacity="0.75">')
+        for i in range(p.shape[1]):
+            x = plots._PAD + (p[0, i] - lo[0]) / span[0] * (plots._SVG_W - 2 * plots._PAD)
+            y = plots._SVG_H - plots._PAD - (p[1, i] - lo[1]) / span[1] * (plots._SVG_H - 2 * plots._PAD)
+            expected.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3"/>')
+        expected.append("</g>")
+    lines = (tmp_path / "s.svg").read_text().splitlines()
+    assert lines[3 : 3 + len(expected)] == expected and lines[3 + len(expected)].startswith('<circle cx="55.0"')
 
 
 def test_generate_count_zero(tmp_path, toy_csv):
