@@ -31,8 +31,8 @@ from kppca import (
     kernel_smoother,
     kpca_limit,
     samples_from_noise,
-    sym_eig,
     tail_factor,
+    top_eig,
     two_arcs,
 )
 from kppca.plots import scatter_svg
@@ -61,7 +61,8 @@ print("noiseless sampler rank:", np.linalg.matrix_rank(noise_map(kpca_limit(mode
 
 # The covariance of the map is the marginal of the full spectrum, which the
 # model never computed: check it against a full eigendecomposition.
-eig = sym_eig(center_gram(gram(spec, ts)))
+k = gram(spec, ts)
+eig = top_eig(center_gram(k), model.n, k.diagonal().max())  # fit_dual's rank floor
 lam, e = eig.eigenvalues, eig.eigenvectors
 c2 = np.concatenate([lam[:3] ** 2 / model.n, model.sigma2 * lam[3:]])
 target = (e * c2) @ e.T

@@ -57,7 +57,7 @@ class DualModel:
     The leading q eigenpairs (eigenvalues[p], e[:, p]) of the centered Gram
     matrix carry the latent space; the loadings a and their scales s follow
     from them and sigma2. tail is the sum of the discarded eigenvalues
-    lambda_{q+1..N} (0 when lambda_{q+1} is at the clamp floor), and means
+    lambda_{q+1..N} (0 when lambda_{q+1} is at the rank floor), and means
     the training Gram matrix's gram_means.
     """
 
@@ -99,13 +99,15 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     mean discarded eigenvalue (tr K_c - sum lambda_q) / (N (N - q)). The
     latent dimension may not exceed the numerical rank of the centered Gram
     matrix, which is at most N - 1: the constant direction is always in its
-    null space.
+    null space. The rank counts the eigenvalues above
+    spectral.rank_floor(N, max diag K), K the Gram matrix before centering.
     """
     _check_choice(q, sigma2)
     n = ts.n
     if q is not None and q > n:
         raise LatentExceedsRank(f"q={q} outside 1..N={n}")
     kc = gram(spec, ts)
+    scale = kc.diagonal().max()  # before centering, where the rounding comes from
     means = gram_means(kc)
     center_in_place(kc, means)
     # rounding can leave the trace below 0 when every eigenvalue is 0
@@ -119,7 +121,7 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
         # so the (trace / (N sigma2) + 1)-th already falls below; one more
         # keeps a tie at the threshold on the computed side
         count = int(trace / (n * sigma2)) + 2
-    eig = top_eig(kc, count)
+    eig = top_eig(kc, count, scale)
     q, s2, tail = _resolve(eig.eigenvalues, trace, n, q, sigma2)
     return DualModel(sigma2=s2, eigenvalues=eig.eigenvalues[:q].copy(),
                      e=eig.eigenvectors[:, :q].copy(), tail=tail, means=means, spec=spec, ts=ts)
@@ -292,7 +294,8 @@ def dual_marginal_loglik(m: DualModel, k) -> np.ndarray:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
     k = _as_columns(k, m.n, "kernel columns")
     kc = gram(m.spec, m.ts)
-    eig = top_eig(center_in_place(kc, gram_means(kc)), m.n)
+    scale = kc.diagonal().max()
+    eig = top_eig(center_in_place(kc, gram_means(kc)), m.n, scale)
     lam, e = eig.eigenvalues, eig.eigenvectors
     rank = eig.rank()
     if rank < m.n - 1:

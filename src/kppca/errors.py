@@ -51,7 +51,7 @@ class NotCentered(NumericError):
 
 
 class RankDeficient(NumericError):
-    """The retained spectrum contains eigenvalues at or below the clamp floor."""
+    """The retained spectrum has eigenvalues at the clamp floor, spectral.rank_floor."""
 
 
 class ZeroSpectrum(NumericError):

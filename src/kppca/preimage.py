@@ -10,8 +10,7 @@ import numpy as np
 from .errors import DegenerateNormalizer
 from .kernels import TrainingSet, column_blocks
 from .primal import _as_columns
-
-_NORMALIZER_FLOOR = 1e-12
+from .spectral import rank_floor
 
 
 def _resolve_epsilon(epsilon, n) -> float:
@@ -29,7 +28,8 @@ def kernel_smoother(ts: TrainingSet, k, epsilon: float | None = None) -> np.ndar
     Runs one column block at a time (kernels.column_blocks), so its working
     memory is O(N B) besides k and the result, whatever M is; k is left as
     it is. Raises DegenerateNormalizer, naming the column, when a column's
-    stabilized weight sum is below 1e-12, which needs epsilon (near) 0.
+    stabilized weight sum is at most rank_floor(N, max_i |k_ij|), which
+    needs epsilon (near) 0.
     """
     epsilon = _resolve_epsilon(epsilon, ts.n)
     k = _as_columns(k, ts.n, "weights")
@@ -45,9 +45,10 @@ def kernel_smoother_block(ts: TrainingSet, w, epsilon: float, out, first: int) -
     resolved epsilon, for the columns first, ..., first + B - 1 of a larger
     batch: w is clipped in place, and an error names the column's index in
     the batch."""
+    floor = rank_floor(ts.n, np.maximum(w.max(axis=0), -w.min(axis=0)))
     np.maximum(w, 0.0, out=w)
     denom = w.sum(axis=0) + epsilon
-    degenerate = np.flatnonzero(denom < _NORMALIZER_FLOOR)
+    degenerate = np.flatnonzero(denom <= floor)
     if degenerate.size:
         j = degenerate[0]
         raise DegenerateNormalizer(

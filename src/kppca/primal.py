@@ -113,7 +113,7 @@ def _resolve(lam, trace, n, q, sigma2):
     eigenvalues lam: one beyond q, or with sigma2 all N or until one has
     lambda / N < sigma2. q is at most the rank, the count of positive lam;
     sigma2 implies the count with lambda / N >= sigma2. The tail,
-    trace - sum lambda_q, is 0 when lambda_{q+1} is at the clamp floor."""
+    trace - sum lambda_q, is 0 when lambda_{q+1} is at the rank floor."""
     rank = int(np.count_nonzero(lam > 0.0))
     if rank == 0:
         raise ZeroSpectrum("every eigenvalue of the centered data is 0")

@@ -4,7 +4,7 @@ Cholesky factors.
 Everything downstream (primal and dual training, the sampling operator,
 conditional covariances) is built on the decompositions produced here, so
 this module pins down the conventions once: eigenvalues are sorted in
-descending order, tiny negative eigenvalues of nominally PSD matrices are
+descending order, those at or below the one rank floor (rank_floor) are
 clamped to zero, and eigenvector signs are made deterministic.
 """
 
@@ -24,16 +24,15 @@ def _require_finite(a, what):
 class EigenDecomposition:
     """Descending eigenpairs of a symmetric PSD matrix.
 
-    eigenvalues[p] pairs with eigenvectors[:, p]. Values below clamp_floor
-    are stored as exactly 0.
+    eigenvalues[p] pairs with eigenvectors[:, p]. Values at or below the
+    rank floor are stored as exactly 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clamp_floor: float
 
     def rank(self):
-        """Number of eigenvalues strictly above the clamp floor."""
+        """Number of eigenvalues above the rank floor."""
         return int(np.count_nonzero(self.eigenvalues > 0.0))
 
 
@@ -47,15 +46,18 @@ def _fix_signs(vectors):
     return out
 
 
-def _descending(values, vectors):
+def rank_floor(n: int, scale):
+    """What counts as zero among the eigenvalues, pivots and weight sums of
+    an n x n matrix whose largest diagonal entry as formed (before centering)
+    is scale: numpy.linalg.matrix_rank's n eps scale, times 8 for margin."""
+    return 8.0 * n * np.finfo(float).eps * np.maximum(scale, 0.0)
+
+
+def _descending(values, vectors, floor):
     # ascending eigh output in the conventions of EigenDecomposition
     values = values[::-1].copy()
-    floor = 1e-12 * max(1.0, float(values[0]))
-    return EigenDecomposition(
-        eigenvalues=np.where(values < floor, 0.0, values),
-        eigenvectors=_fix_signs(vectors[:, ::-1]),
-        clamp_floor=floor,
-    )
+    return EigenDecomposition(eigenvalues=np.where(values <= floor, 0.0, values),
+                              eigenvectors=_fix_signs(vectors[:, ::-1]))
 
 
 def sym_eig(a) -> EigenDecomposition:
@@ -71,7 +73,7 @@ def sym_eig(a) -> EigenDecomposition:
 _RESIDUAL_TOL = 1e-12
 
 
-def _subspace_iteration(a, count, width):
+def _subspace_iteration(a, count, width, floor):
     # the leading pairs, or None once the full solve is the cheaper way on
     n = a.shape[0]
     image = a @ np.random.default_rng(0).standard_normal((n, width))
@@ -87,7 +89,7 @@ def _subspace_iteration(a, count, width):
         worst = float(np.linalg.norm(image[:, lead] - ritz[:, lead] * theta[lead], axis=0).max())
         target = _RESIDUAL_TOL * theta[-1]
         if worst <= target:
-            return _descending(theta[lead], ritz[:, lead])
+            return _descending(theta[lead], ritz[:, lead], floor)
         spent += width
         if spent > width:
             # sweeps still needed at the last sweep's rate; a sweep that
@@ -99,10 +101,11 @@ def _subspace_iteration(a, count, width):
         last = worst
 
 
-def top_eig(a, count: int) -> EigenDecomposition:
+def top_eig(a, count: int, scale=None) -> EigenDecomposition:
     """The leading `count` eigenpairs of a symmetric PSD N x N array:
-    eigenvalues descending and clamped at 1e-12 * max(1, lambda_1), each
-    eigenvector's largest-magnitude entry positive.
+    eigenvalues descending, those at or below rank_floor(N, scale) set to 0,
+    each eigenvector's largest-magnitude entry positive. scale is the matrix's
+    largest diagonal entry before centering, a's own unless given.
 
     Subspace iteration with Rayleigh-Ritz, started from the randomized
     range finder (Halko, Martinsson and Tropp, SIAM Review 2011): a block of
@@ -121,12 +124,13 @@ def top_eig(a, count: int) -> EigenDecomposition:
     n = a.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"count={count} outside 1..{n}")
+    floor = rank_floor(n, a.diagonal().max() if scale is None else scale)
     width = 2 * count + 10
     try:
-        found = _subspace_iteration(a, count, width) if width <= n // 8 else None
+        found = _subspace_iteration(a, count, width, floor) if width <= n // 8 else None
         if found is None:
             theta, vectors = np.linalg.eigh(a)
-            found = _descending(theta[n - count :], vectors[:, n - count :])
+            found = _descending(theta[n - count :], vectors[:, n - count :], floor)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     return found
@@ -162,13 +166,14 @@ def center_columns(x):
     """Subtract the column mean from a d x N matrix.
 
     Returns (centered, mean) where mean is the d-vector average over the N
-    columns.
+    columns, measured from the first column so that identical columns
+    center to exact zeros.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {x.shape}")
     _require_finite(x, "matrix")
-    mean = x.mean(axis=1)
+    mean = x[:, 0] + (x - x[:, :1]).mean(axis=1)
     return x - mean[:, None], mean
 
 
@@ -177,7 +182,7 @@ def _pivoted_cholesky(a):
     # that entry is at rounding level: one column per rank direction
     n = a.shape[0]
     d = np.diag(a).copy()
-    stop = n * np.finfo(float).eps * max(float(d.max()), 0.0)
+    stop = rank_floor(n, d.max())
     f = np.zeros((n, n))
     for j in range(n):
         i = int(np.argmax(d))
@@ -195,7 +200,7 @@ def cholesky_factor(a) -> np.ndarray:
     LAPACK's Cholesky factor (r = N) when a is numerically positive
     definite; otherwise a pivoted Cholesky factor with one column per
     numerical rank direction, whose residual diagonal is at most
-    N eps max(diag a).
+    rank_floor(N, max(diag a)).
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a, "matrix")

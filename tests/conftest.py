@@ -11,8 +11,8 @@ from kppca import (
     fit_dual,
     gram,
     samples_from_noise,
-    sym_eig,
     tail_factor,
+    top_eig,
     two_arcs,
 )
 
@@ -63,8 +63,10 @@ def centered_gram(m):
 
 
 def full_spectrum(m):
-    """Oracle: the full eigendecomposition of the model's centered Gram matrix."""
-    return sym_eig(center_gram(gram(m.spec, m.ts)))
+    """Oracle: the full eigendecomposition of the model's centered Gram matrix,
+    clamped at the rank floor of the Gram matrix's scale, as fit_dual does."""
+    k = gram(m.spec, m.ts)
+    return top_eig(center_gram(k), m.n, k.diagonal().max())
 
 
 def marginal_covariance(m):

@@ -35,6 +35,7 @@ from kppca import (
     samples_from_noise,
     sigma2_ml,
     tail_factor,
+    two_arcs,
 )
 from kppca import dual, kernels
 from kppca.dual import preimage_codes, project_inputs
@@ -49,6 +50,7 @@ from kppca.errors import (
     SigmaZero,
     ZeroSpectrum,
 )
+from kppca.spectral import rank_floor
 
 from conftest import (
     align_columns,
@@ -149,6 +151,44 @@ def test_fit_identical_points_has_zero_spectrum():
             fit_primal(x, **choice)
 
 
+def test_fits_do_not_depend_on_the_data_units():
+    # the rank floor is relative to the Gram matrix's (or the covariance's)
+    # own scale: two-arcs scaled by 10^k fits q = 2 at every k, with the
+    # linear kernel in both fits. The latent prior is N(0, I), so the codes
+    # do not scale; the primal reconstructions scale by 10^k.
+    base = two_arcs(200, seed=0)
+    fits = {}
+    for k in range(-8, 9):
+        x = base * 10.0**k
+        ts = TrainingSet.from_columns(x)
+        pm, dm = fit_primal(x, q=2), fit_dual(KernelSpec("linear"), ts, q=2)
+        assert fit_primal(x, sigma2=0.0).q == fit_dual(KernelSpec("linear"), ts, sigma2=0.0).q == 2, k
+        h = latent_map(pm, x)
+        fits[k] = (h, dual_training_codes(dm), feature_reconstruct(pm, h) / 10.0**k)
+    for k, got in fits.items():
+        for g, want in zip(got, fits[0]):
+            assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), k
+    # RBF: data times s with the bandwidth times s is the same kernel
+    want = dual_training_codes(fit_dual(KernelSpec("rbf", 0.5), TrainingSet.from_columns(base), q=2))
+    for k in (-8, -4, 4, 8):
+        m = fit_dual(KernelSpec("rbf", 0.5 * 10.0**k), TrainingSet.from_columns(base * 10.0**k), q=2)
+        assert np.abs(dual_training_codes(m) - want).max() <= 1e-10 * np.abs(want).max(), k
+
+
+def test_linear_dual_rank_ignores_the_rounding_of_an_offset_gram():
+    # points far from the origin: the Gram matrix's entries are 5e10 and
+    # their rounding, left after centering, is not rank
+    x = np.random.default_rng(0).standard_normal((200, 5)) * (3, 2, 1, 0.5, 0.2) + 1e5
+    assert fit_dual(KernelSpec("linear"), TrainingSet(x), sigma2=0.0).q == fit_primal(x.T, sigma2=0.0).q == 5
+
+
+def test_model_and_tail_factor_share_one_rank():
+    # the eigenvalue clamp and the tail factor's stop rule are one rank
+    # floor, so the rank of the model and of its sampler's tail agree
+    m = fit_dual(KernelSpec("rbf", 0.5), TrainingSet.from_columns(two_arcs(500, seed=7)), q=5)
+    assert abs(tail_factor(m).shape[1] - fit_dual(m.spec, m.ts, sigma2=0.0).q) <= 3
+
+
 def test_fit_shares_noise_estimator_with_primal(rng):
     # (tr K_c - sum lambda_q) / (N (N - q)) is sigma2_ml of the full spectrum
     m = fitted_rbf_model(rng, n=9, q=3)
@@ -196,10 +236,12 @@ def test_top_q_fit_matches_full_eigh_oracle():
         npt.assert_allclose(m.eigenvalues, lam[:5], rtol=1e-12)
         aligned, _ = align_columns(oracle.eigenvectors[:, :5], m.e)
         assert np.abs(aligned - oracle.eigenvectors[:, :5]).max() <= 1e-9
-        # the oracle drops eigenvalues below its clamp floor from the tail
-        npt.assert_allclose(m.sigma2, sigma2_ml(lam, 5, n), rtol=1e-12, atol=oracle.clamp_floor / (n - 5))
+        # the oracle drops eigenvalues at or below the rank floor (an RBF
+        # Gram matrix's scale is 1) from the tail
+        floor = rank_floor(n, 1.0)
+        npt.assert_allclose(m.sigma2, sigma2_ml(lam, 5, n), rtol=1e-12, atol=floor / (n - 5))
         npt.assert_allclose(explained_variance(m), lam[:5].sum() / lam.sum(), rtol=1e-12,
-                            atol=n * oracle.clamp_floor / lam.sum())
+                            atol=n * floor / lam.sum())
         for k in (1, 4, 9, 17):
             for sigma2 in (lam[k] / n * (1 + 1e-9), lam[k] / n * (1 - 1e-9)):
                 fit = fit_dual(m.spec, m.ts, sigma2=sigma2)

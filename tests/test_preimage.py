@@ -38,6 +38,19 @@ def test_centered_weights_degenerate_without_stabilizer(arcs, rng):
     npt.assert_array_equal(out[:, 2], 0.0)
 
 
+def test_degenerate_normalizer_is_relative_to_the_column(arcs):
+    # at epsilon = 0 the weight sum is compared with the rank floor of the
+    # column's own largest |weight|: tiny uniform weights are still the
+    # mean, while a sum at rounding level of the column's scale is refused
+    for tiny in (1e-14, 1e-300):
+        out = kernel_smoother(arcs, np.full((12, 1), tiny), epsilon=0)
+        npt.assert_allclose(out[:, 0], arcs.points.mean(axis=0), atol=1e-14)
+    col = -np.ones((12, 1))
+    col[4] = 1e-17
+    with pytest.raises(DegenerateNormalizer, match="column 0"):
+        kernel_smoother(arcs, col, epsilon=0)
+
+
 def test_output_in_bounding_box_for_nonnegative_weights(arcs, rng):
     k = rng.uniform(0.0, 1.0, (12, 10))
     out = kernel_smoother(arcs, k, epsilon=0)

@@ -221,14 +221,13 @@ def test_top_eig_tight_gap(rng, monkeypatch):
 
 
 def test_top_eig_conventions_match_sym_eig(rng):
-    # a block wider than N / 8: the full solve, with sym_eig's order, clamp
+    # a block wider than N / 8: the full solve, with sym_eig's order, rank
     # floor and signs
     m = random_psd(rng, 9, rank=4)
     full = sym_eig(m)
     e = top_eig(m, 9)
     npt.assert_allclose(e.eigenvalues, full.eigenvalues, atol=1e-12 * full.eigenvalues[0])
     assert e.rank() == full.rank() == 4
-    assert abs(e.clamp_floor - full.clamp_floor) <= 1e-12 * full.clamp_floor
     npt.assert_allclose(e.eigenvectors[:, :4], full.eigenvectors[:, :4], atol=1e-10)
     again = top_eig(m, 9)
     npt.assert_array_equal(again.eigenvectors, e.eigenvectors)  # same bits
