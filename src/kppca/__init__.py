@@ -48,7 +48,6 @@ from .primal import (
     latent_map,
     latent_posterior,
     marginal_loglik,
-    sigma2_ml,
 )
 from .spectral import (
     EigenDecomposition,
@@ -94,7 +93,6 @@ __all__ = [
     "samples_from_noise",
     "save_csv",
     "save_model",
-    "sigma2_ml",
     "sym_eig",
     "tail_factor",
     "top_eig",

@@ -15,7 +15,7 @@ codes to their q x M or d_in x M results through the column-block driver
 (kernels.column_blocks), as preimage.kernel_smoother does from kernel
 columns: each N x B block is built, mapped and preimaged in one reused
 buffer, so their working memory is O(N B) on top of the inputs and
-outputs, whatever M is.
+outputs, whatever M is; project_inputs maps each block with dual_latent_map.
 Blocked results differ from the reference only by the rounding of BLAS
 products over B instead of M columns.
 
@@ -153,11 +153,7 @@ def dual_latent_map(m: DualModel, k) -> np.ndarray:
     recovering the N Lambda^-1 a^T k_c shortcut.
     """
     k = _as_columns(k, m.n, "kernel columns")
-    return _latent_into(m, k, np.empty((m.q, k.shape[1])))
-
-
-def _latent_into(m, k, out):
-    return np.multiply(_map_scales(m)[:, None], m.e.T @ k, out=out)
+    return _map_scales(m)[:, None] * (m.e.T @ k)
 
 
 def dual_training_codes(m: DualModel) -> np.ndarray:
@@ -187,7 +183,7 @@ def project_inputs(m: DualModel, x) -> np.ndarray:
     h = np.empty((m.q, x.shape[1]))
     for cols, block in column_blocks(m.n, x.shape[1]):
         centered_kernel_block(m.spec, m.ts, m.means, x[:, cols], block)
-        _latent_into(m, block, h[:, cols])
+        h[:, cols] = dual_latent_map(m, block)
     return h
 
 

@@ -47,11 +47,13 @@ class SigmaZero(NumericError):
 
 
 class NotCentered(NumericError):
-    """Gram matrix row sums are too far from zero."""
+    """A kernel column has a component along a null direction of the
+    marginal covariance, such as the constant vector."""
 
 
 class RankDeficient(NumericError):
-    """The retained spectrum has eigenvalues at the clamp floor, spectral.rank_floor."""
+    """lambda_q is at the clamp floor, spectral.rank_floor, or the marginal
+    covariance has more than one null direction."""
 
 
 class ZeroSpectrum(NumericError):
@@ -96,7 +98,3 @@ class VersionMismatch(DataError):
 
 class CorruptFile(DataError):
     """Model file structure is damaged or inconsistent."""
-
-
-class QEqualsNWarning(UserWarning):
-    """q == N leaves no discarded spectrum; the noise variance is 0 by convention."""

@@ -12,7 +12,6 @@ every formula reads them alone, through their thin SVD w = U diag(s) V^T:
 loadings w R give the same density and codes rotated by R^T.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     LatentExceedsRank,
-    QEqualsNWarning,
     SigmaTooLarge,
     SigmaZero,
     ZeroSpectrum,
@@ -70,29 +68,9 @@ class PrimalModel:
         """Sum of the discarded eigenvalues lambda_{q+1..N}."""
         return float(self.eigenvalues[self.q :].sum())
 
-    def singular_values(self):
-        """The singular values of w, descending."""
-        return np.linalg.svd(self.w, compute_uv=False)
-
-
-def sigma2_ml(eigenvalues, q: int, n: int) -> float:
-    """Maximum-likelihood noise variance: the discarded spectrum averaged twice.
-
-    sigma2 = sum_{p=q+1..N} lambda_p / (N (N - q)). For q == n there is no
-    discarded spectrum; 0 is returned by convention and QEqualsNWarning is
-    emitted so callers can tell the degenerate case apart.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    _check_choice(q, None)
-    if q > n:
-        raise LatentExceedsRank(f"q={q} outside 1..{n}")
-    if q == n:
-        warnings.warn("q == N leaves no discarded eigenvalues", QEqualsNWarning, stacklevel=2)
-    return _sigma2_from_tail(float(lam[q:n].sum()), n, q)
-
 
 def _sigma2_from_tail(tail, n, q):
-    # sigma2_ml from the sum of the discarded eigenvalues, without a warning
+    # the maximum-likelihood sigma2, sum_{p>q} lambda_p / (N (N - q)); 0 at q == N
     return tail / (n * (n - q)) if q < n else 0.0
 
 

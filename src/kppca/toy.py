@@ -2,8 +2,10 @@
 
 import numpy as np
 
+_NOISE = 0.05  # standard deviation of the Gaussian jitter on every point
 
-def two_arcs(n: int = 20, seed=0, noise: float = 0.05) -> np.ndarray:
+
+def two_arcs(n: int = 20, seed=0) -> np.ndarray:
     """Two interleaved half-circle arcs with Gaussian jitter, as a 2 x n matrix.
 
     A synthetic stand-in generated locally; it does not reproduce any
@@ -18,4 +20,4 @@ def two_arcs(n: int = 20, seed=0, noise: float = 0.05) -> np.ndarray:
     upper = np.stack([np.cos(t_upper), np.sin(t_upper)])
     lower = np.stack([1.0 - np.cos(t_lower), 0.5 - np.sin(t_lower)])
     pts = np.concatenate([upper, lower[:, : n // 2]], axis=1)
-    return pts + noise * rng.standard_normal(pts.shape)
+    return pts + _NOISE * rng.standard_normal(pts.shape)

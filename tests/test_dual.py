@@ -33,7 +33,6 @@ from kppca import (
     latent_posterior,
     marginal_loglik,
     samples_from_noise,
-    sigma2_ml,
     tail_factor,
     two_arcs,
 )
@@ -190,9 +189,11 @@ def test_model_and_tail_factor_share_one_rank():
 
 
 def test_fit_shares_noise_estimator_with_primal(rng):
-    # (tr K_c - sum lambda_q) / (N (N - q)) is sigma2_ml of the full spectrum
+    # (tr K_c - sum lambda_q) / (N (N - q)) is the primal estimator on the
+    # full spectrum, sum_{p>q} lambda_p / (N (N - q))
     m = fitted_rbf_model(rng, n=9, q=3)
-    assert abs(m.sigma2 - sigma2_ml(full_spectrum(m).eigenvalues, 3, 9)) <= 1e-15
+    lam = full_spectrum(m).eigenvalues
+    assert abs(m.sigma2 - lam[3:].sum() / (9 * (9 - 3))) <= 1e-15
 
 
 def test_fit_centers_its_own_gram(rng):
@@ -227,9 +228,9 @@ def test_fit_rejects_bad_latent(rng):
 
 def test_top_q_fit_matches_full_eigh_oracle():
     # q mode (by subspace iteration at these sizes): lambda_q, E_q up to
-    # sign and sigma2 = sigma2_ml of the full spectrum; sigma2 mode: the
-    # oracle's q, also for a sigma2 a hair above or below lambda_k / N, and
-    # for 0 (q at the rank)
+    # sign and sigma2 = sum_{p>q} lambda_p / (N (N - q)) of the full
+    # spectrum; sigma2 mode: the oracle's q, also for a sigma2 a hair above
+    # or below lambda_k / N, and for 0 (q at the rank)
     for m in (arcs_model(n=400, q=5), bumps_model(n=300, gamma=2.0, q=5)):
         oracle = full_spectrum(m)
         lam, n = oracle.eigenvalues, m.n
@@ -239,7 +240,7 @@ def test_top_q_fit_matches_full_eigh_oracle():
         # the oracle drops eigenvalues at or below the rank floor (an RBF
         # Gram matrix's scale is 1) from the tail
         floor = rank_floor(n, 1.0)
-        npt.assert_allclose(m.sigma2, sigma2_ml(lam, 5, n), rtol=1e-12, atol=floor / (n - 5))
+        npt.assert_allclose(m.sigma2, lam[5:].sum() / (n * (n - 5)), rtol=1e-12, atol=floor / (n - 5))
         npt.assert_allclose(explained_variance(m), lam[:5].sum() / lam.sum(), rtol=1e-12,
                             atol=n * floor / lam.sum())
         for k in (1, 4, 9, 17):

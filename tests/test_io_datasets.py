@@ -656,7 +656,7 @@ def write_primal_file(path, pm, version):
     version 2."""
     sections = [("HYPR", struct.pack("<Id", pm.q, pm.sigma2)), ("MEAN", pack_vector(pm.mu)),
                 ("WMAT", pack_matrix(pm.w)), ("EVAL", pack_vector(pm.eigenvalues)),
-                ("VMAT", pack_matrix(pm.w / pm.singular_values()))]
+                ("VMAT", pack_matrix(pm.w / np.linalg.svd(pm.w, compute_uv=False)))]
     blob = b"KPPCA\x00" + struct.pack("<I", version) + b"P"
     for tag, payload in sections:
         head = tag.encode("ascii") + struct.pack("<Q", len(payload))

@@ -16,16 +16,15 @@ from kppca import (
     latent_map,
     latent_posterior,
     marginal_loglik,
-    sigma2_ml,
 )
 from kppca.errors import (
     DimensionMismatch,
     LatentExceedsRank,
     NonFinite,
-    QEqualsNWarning,
     SigmaTooLarge,
     SigmaZero,
 )
+from kppca.primal import _sigma2_from_tail
 
 from conftest import align_columns
 
@@ -42,15 +41,17 @@ def svd_fit_oracle(x, q):
     return mu, w, s2, lam
 
 
-# --- sigma2_ml ----------------------------------------------------------
+# --- the noise estimator ------------------------------------------------
 
 
 def test_sigma2_ml_known_value():
-    assert sigma2_ml([4.0, 2.0, 1.0, 1.0], q=2, n=4) == 0.25
+    lam = np.array([4.0, 2.0, 1.0, 1.0])
+    assert _sigma2_from_tail(lam[2:].sum(), 4, 2) == 0.25
 
 
 def test_sigma2_ml_zero_tail():
-    assert sigma2_ml([5.0, 3.0, 0.0, 0.0], q=2, n=4) == 0.0
+    lam = np.array([5.0, 3.0, 0.0, 0.0])
+    assert _sigma2_from_tail(lam[2:].sum(), 4, 2) == 0.0
 
 
 def test_sigma2_ml_equals_scaled_mean_of_discarded(rng):
@@ -59,7 +60,7 @@ def test_sigma2_ml_equals_scaled_mean_of_discarded(rng):
         q = int(rng.integers(1, n))
         lam = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
         expected = lam[q:].mean() / n
-        assert abs(sigma2_ml(lam, q, n) - expected) <= 1e-12
+        assert abs(_sigma2_from_tail(lam[q:].sum(), n, q) - expected) <= 1e-12
 
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=12), st.data())
@@ -68,19 +69,7 @@ def test_sigma2_ml_never_exceeds_lambda_q_over_n(lam, data):
     lam = np.sort(np.array(lam))[::-1]
     n = lam.size
     q = data.draw(st.integers(1, n - 1))
-    assert sigma2_ml(lam, q, n) <= lam[q - 1] / n + 1e-12
-
-
-def test_sigma2_ml_q_equals_n_warns():
-    with pytest.warns(QEqualsNWarning):
-        assert sigma2_ml([1.0, 0.5], q=2, n=2) == 0.0
-
-
-def test_sigma2_ml_rejects_bad_q():
-    with pytest.raises(ValueError):
-        sigma2_ml([1.0], q=0, n=1)
-    with pytest.raises(LatentExceedsRank):
-        sigma2_ml([1.0], q=2, n=1)
+    assert _sigma2_from_tail(lam[q:].sum(), n, q) <= lam[q - 1] / n + 1e-12
 
 
 # --- fit ----------------------------------------------------------------
@@ -106,7 +95,7 @@ def test_fit_full_latent_dimension_recovers_whole_spectrum(rng):
     # at full rank the loadings carry the whole sample covariance
     xc, _ = center_columns(x)
     npt.assert_allclose(m.w @ m.w.T, xc @ xc.T / 7.0, atol=1e-12)
-    npt.assert_allclose(m.singular_values(), np.sqrt(m.eigenvalues[:3] / 7.0), atol=1e-12)
+    npt.assert_allclose(np.linalg.svd(m.w, compute_uv=False), np.sqrt(m.eigenvalues[:3] / 7.0), atol=1e-12)
 
 
 def test_fit_matches_svd_oracle(rng):
@@ -138,7 +127,7 @@ def test_fit_loadings_orthogonal(rng):
     m = fit_primal(rng.standard_normal((5, 9)), q=3)
     g = m.w.T @ m.w
     assert np.abs(g - np.diag(np.diag(g))).max() <= 1e-10
-    s = m.singular_values()
+    s = np.linalg.svd(m.w, compute_uv=False)
     assert np.all(np.diff(s) <= 1e-12)  # descending loading scales
 
 
@@ -206,7 +195,7 @@ def test_posterior_one_dimensional_closed_form(rng):
     x = rng.standard_normal((4, 7))
     m = fit_primal(x, q=1)
     phi = rng.standard_normal((4, 1))
-    s1 = m.singular_values()[0]
+    s1 = np.linalg.svd(m.w, compute_uv=False)[0]
     v1 = m.w[:, 0] / s1
     expected = s1 * (v1 @ (phi[:, 0] - m.mu)) / (s1**2 + m.sigma2)
     post = latent_posterior(m, phi)
@@ -328,8 +317,9 @@ _DENSE_ORACLES = {
     "loglik": lambda m, phi, x: (
         marginal_loglik(m, x),
         multivariate_normal(mean=m.mu, cov=m.w @ m.w.T + m.sigma2 * np.eye(m.d)).logpdf(x.T), 1e-10),
-    "singular_values": lambda m, phi, x: (m.singular_values(), np.linalg.svd(m.w, compute_uv=False),
-                                          1e-14),
+    # the scales every formula reads, against the normal matrix w^T w
+    "singular_values": lambda m, phi, x: (np.linalg.svd(m.w, compute_uv=False),
+                                          np.sqrt(np.linalg.eigvalsh(m.w.T @ m.w)[::-1]), 1e-14),
 }
 
 

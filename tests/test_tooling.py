@@ -1,5 +1,5 @@
-"""README's examples, the demos and the benchmark's own smoke test, run as
-subprocesses."""
+"""README's examples, the demos, the package's import surface and the
+benchmark's own smoke test, mostly run as subprocesses."""
 
 import os
 import re
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kppca
 from kppca import save_csv, two_arcs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +99,13 @@ def test_every_module_is_imported():
     assert proc.returncode == 0, proc.stderr
     modules = {f"kppca.{path.stem}" for path in (ROOT / "src" / "kppca").glob("*.py")} - {"kppca.__init__"}
     assert modules - set(proc.stdout.split()) == set()
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its object is deleted breaks star-imports
+    assert all(hasattr(kppca, name) for name in kppca.__all__)
+    assert len(set(kppca.__all__)) == len(kppca.__all__)
+    exec("from kppca import *", {})
 
 
 def test_version_lives_in_one_place():
