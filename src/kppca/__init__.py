@@ -8,93 +8,40 @@ covariance and is the reference that a linear-kernel dual model matches.
 Query functions, the posteriors, conditionals and marginal densities
 included, take one query per column and return one result per column; a
 single query is the batch with one column, and a 1-D argument is refused.
+
+Names resolve on first use: `import kppca` loads no numerical module, and
+`kppca.fit_dual` imports `kppca.dual` when it is first read.
 """
 
-from ._version import __version__
-from .dual import (
-    DualModel,
-    dual_conditional_kernel,
-    dual_latent_map,
-    dual_latent_posterior,
-    dual_marginal_loglik,
-    dual_reconstruct,
-    dual_sample,
-    dual_training_codes,
-    fit_dual,
-    kpca_limit,
-    samples_from_noise,
-    tail_factor,
-)
-from .io_datasets import (
-    load_csv,
-    load_mnist_idx,
-    load_model,
-    save_csv,
-    save_model,
-)
-from .kernels import (
-    KernelSpec,
-    TrainingSet,
-    centered_kernel_vectors,
-    gram,
-)
-from .preimage import kernel_smoother
-from .primal import (
-    GaussianSpec,
-    PrimalModel,
-    explained_variance,
-    feature_reconstruct,
-    fit_primal,
-    latent_map,
-    latent_posterior,
-    marginal_loglik,
-)
-from .spectral import (
-    EigenDecomposition,
-    center_columns,
-    center_gram,
-    gram_means,
-    sym_eig,
-    top_eig,
-)
-from .toy import two_arcs
+import importlib
 
-__all__ = [
-    "DualModel",
-    "EigenDecomposition",
-    "GaussianSpec",
-    "KernelSpec",
-    "PrimalModel",
-    "TrainingSet",
-    "center_columns",
-    "center_gram",
-    "centered_kernel_vectors",
-    "dual_conditional_kernel",
-    "dual_latent_map",
-    "dual_latent_posterior",
-    "dual_marginal_loglik",
-    "dual_reconstruct",
-    "dual_sample",
-    "dual_training_codes",
-    "explained_variance",
-    "feature_reconstruct",
-    "fit_dual",
-    "fit_primal",
-    "gram",
-    "gram_means",
-    "kernel_smoother",
-    "kpca_limit",
-    "latent_map",
-    "latent_posterior",
-    "load_csv",
-    "load_mnist_idx",
-    "load_model",
-    "marginal_loglik",
-    "samples_from_noise",
-    "save_csv",
-    "save_model",
-    "sym_eig",
-    "tail_factor",
-    "top_eig",
-    "two_arcs",
-]
+from ._version import __version__
+
+# each public name, by the module that defines it
+_HOMES = {
+    "dual": ("DualModel", "dual_conditional_kernel", "dual_latent_map", "dual_latent_posterior",
+             "dual_marginal_loglik", "dual_reconstruct", "dual_sample", "dual_training_codes",
+             "fit_dual", "kpca_limit", "samples_from_noise", "tail_factor"),
+    "io_datasets": ("load_csv", "load_mnist_idx", "load_model", "save_csv", "save_model"),
+    "kernels": ("KernelSpec", "TrainingSet", "centered_kernel_vectors", "gram"),
+    "preimage": ("kernel_smoother",),
+    "primal": ("GaussianSpec", "PrimalModel", "explained_variance", "feature_reconstruct",
+               "fit_primal", "latent_map", "latent_posterior", "marginal_loglik"),
+    "spectral": ("EigenDecomposition", "center_columns", "center_gram", "gram_means", "sym_eig",
+                 "top_eig"),
+    "toy": ("two_arcs",),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

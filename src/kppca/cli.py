@@ -9,35 +9,21 @@ agree to rounding level, except the kernel samples and generated points of
 a rank-deficient model, whose pivot order follows the rounding. Run
 metadata (which carries a timestamp) lives in a .meta.json sidecar next to
 each output set.
+
+Arguments are parsed before numpy loads: each command imports the modules
+it uses when it runs, and reads their functions at call time, so
+`--version`, `--help` and an argparse error cost an interpreter and argparse.
 """
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
-
-import numpy as np
 
 from ._version import __version__
-from .dual import (
-    dual_sample,
-    dual_training_codes,
-    fit_dual,
-    kpca_limit,
-    preimage_codes,
-    project_inputs,
-    samples_from_noise,
-)
 from .errors import DataError, NonFinite, NumericError
-from .io_datasets import load_csv, load_model, save_csv, save_model
-from .kernels import KernelSpec, TrainingSet
-from .plots import pgm_grid, scatter_svg
-from .preimage import _resolve_epsilon, kernel_smoother
-from .primal import _check_choice, explained_variance
 
 
 class _UsageError(Exception):
@@ -111,6 +97,11 @@ def _ensure_out(path):
 def _write_sidecar(path, model, extra, seed=None):
     # the run's provenance, next to its outputs: the only file that carries
     # a timestamp
+    import json
+    from datetime import datetime, timezone
+
+    from .primal import explained_variance
+
     payload = {"seed": seed, "kernel": {"family": model.spec.family, "gamma": model.spec.gamma},
                "q": model.q, "sigma2": model.sigma2, "explained_variance": explained_variance(model),
                "timestamp": datetime.now(timezone.utc).isoformat(), "tool_version": __version__,
@@ -134,6 +125,11 @@ def _flag_values():
 
 
 def cmd_fit(args):
+    from .dual import fit_dual
+    from .io_datasets import load_csv, save_model
+    from .kernels import KernelSpec, TrainingSet
+    from .primal import _check_choice, explained_variance
+
     with _flag_values():
         _check_choice(args.q, args.sigma2)
         spec = KernelSpec(args.kernel, args.gamma)
@@ -152,6 +148,9 @@ def cmd_fit(args):
 
 
 def cmd_project(args):
+    from .dual import project_inputs
+    from .io_datasets import load_csv, load_model, save_csv
+
     model = load_model(args.model)
     h = project_inputs(model, load_csv(args.data))
     out = _ensure_out(args.out)
@@ -163,6 +162,10 @@ def cmd_project(args):
 
 
 def cmd_reconstruct(args):
+    from .dual import preimage_codes, project_inputs
+    from .io_datasets import load_csv, load_model, save_csv
+    from .preimage import _resolve_epsilon
+
     with _flag_values():
         _resolve_epsilon(args.epsilon, 0)  # checked before the model file is read
     model = load_model(args.model)
@@ -202,6 +205,8 @@ def _grid_noise(model, a, b, lo, hi):
     # and the tail stay zero. Column r * a + c holds (first[c], second[r]).
     # A q = 1 model has no second direction: every row of the grid repeats
     # the first.
+    import numpy as np
+
     sweep = np.stack([np.tile(np.linspace(lo, hi, a), b), np.repeat(np.linspace(lo, hi, b), a)])
     noise = np.zeros((model.q, a * b))
     lead = min(model.q, 2)
@@ -210,6 +215,13 @@ def _grid_noise(model, a, b, lo, hi):
 
 
 def cmd_generate(args):
+    import numpy as np
+
+    from .dual import dual_sample, dual_training_codes, kpca_limit, preimage_codes, samples_from_noise
+    from .io_datasets import load_model, save_csv
+    from .plots import pgm_grid, scatter_svg
+    from .preimage import _resolve_epsilon, kernel_smoother
+
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
     if args.count < 0:
@@ -280,6 +292,11 @@ def cmd_generate(args):
 
 
 def cmd_report(args):
+    import numpy as np
+
+    from .io_datasets import load_model, save_csv
+    from .primal import explained_variance
+
     model = load_model(args.model)
     lam = model.eigenvalues
     ev = explained_variance(model)

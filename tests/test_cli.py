@@ -24,7 +24,7 @@ from kppca import (
     save_model,
     two_arcs,
 )
-from kppca import dual, kernels, plots
+from kppca import dual, io_datasets, kernels, plots
 from kppca.cli import main
 from kppca.plots import scatter_svg
 
@@ -316,6 +316,24 @@ def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
         npt.assert_array_equal(ks[:, :4], ks[:, 4:8])
 
 
+def test_commands_look_functions_up_when_they_run(tmp_path, toy_csv, monkeypatch):
+    # a command reads each library function from its module at call time,
+    # never from a copy bound on an earlier run, so a patch made between
+    # two runs (the benchmark's layer trace, the tests here) takes effect
+    model = str(run_fit(tmp_path, toy_csv, "--q", "2"))
+    project = ["project", "--model", model, "--data", str(toy_csv), "--out", str(tmp_path / "p")]
+    assert main(project) == 0
+    read = []
+
+    def spy(path, *args, **kwargs):
+        read.append(path)
+        return load_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(io_datasets, "load_csv", spy)
+    assert main(project) == 0
+    assert read == [str(toy_csv)]
+
+
 def test_queries_never_build_the_gram(tmp_path, toy_csv, monkeypatch):
     # project, reconstruct and report read O(N (d_in + q)) numbers; only
     # generate factors the Gram matrix
@@ -540,7 +558,7 @@ def test_report_on_a_directory_is_a_data_error(tmp_path, toy_csv, capsys):
 # /dev or /proc, so that a report run as root cannot create one there
 GUARDED_CLI = """
 import os, sys
-from kppca import cli
+from kppca import cli, io_datasets
 
 def guarded(write):
     def refuse(path, *args, **kwargs):
@@ -549,7 +567,8 @@ def guarded(write):
         return write(path, *args, **kwargs)
     return refuse
 
-cli.save_csv, cli._write_sidecar = guarded(cli.save_csv), guarded(cli._write_sidecar)
+io_datasets.save_csv = guarded(io_datasets.save_csv)
+cli._write_sidecar = guarded(cli._write_sidecar)
 sys.exit(cli.main(sys.argv[1:]))
 """
 

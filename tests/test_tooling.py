@@ -1,6 +1,7 @@
 """README's examples, the demos, the package's import surface and the
 benchmark's own smoke test, mostly run as subprocesses."""
 
+import importlib
 import os
 import re
 import shlex
@@ -75,37 +76,91 @@ def test_mnist_demo_runs_on_synthetic_idx(tmp_path):
         assert (tmp_path / "output" / name).read_bytes().startswith(b"P5")
 
 
-def test_package_imports_numpy_alone():
-    # numpy is the one dependency: importing the package and its CLI in a
-    # fresh interpreter loads no other top-level module outside the
-    # standard library (scipy and hypothesis, which the tests use, are
-    # installed too; site's .pth hooks load theirs before the import)
-    code = ("import sys; before = set(sys.modules); import kppca, kppca.cli; "
-            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+# In a fresh interpreter: import the package and its CLI, resolve every
+# public name, run fit and generate (which reaches plots) on 12 two-arcs
+# points, then print, on the last line, every module loaded since the
+# interpreter started (less site's .pth hooks, which load theirs first).
+EXERCISE_ALL = """
+import sys
+before = set(sys.modules)
+import kppca, kppca.cli
+for name in kppca.__all__:
+    getattr(kppca, name)
+kppca.save_csv("data.csv", kppca.two_arcs(12, seed=1), header=["x1", "x2"])
+fit = ["fit", "--data", "data.csv", "--kernel", "rbf", "--gamma", "2", "--q", "2", "--out", "m"]
+assert kppca.cli.main(fit) == 0
+assert kppca.cli.main(["generate", "--model", "m/model.kppca", "--count", "3", "--out", "g"]) == 0
+print(*(set(sys.modules) - before))
+"""
+
+
+def modules_loaded_by_every_path(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    proc = subprocess.run([sys.executable, "-c", EXERCISE_ALL], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "g" / "scatter.svg").exists()
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_package_imports_numpy_alone(tmp_path):
+    # numpy is the one dependency: the package, its CLI and every path
+    # through them load no other top-level module outside the standard
+    # library (scipy and hypothesis, which the tests use, are installed too).
+    # numpy.random's Cython extensions register two file-less modules,
+    # cython_runtime and _cython_<version>, which are numpy's own.
+    added = {name.partition(".")[0] for name in modules_loaded_by_every_path(tmp_path)}
     assert "numpy" in added and "kppca" in added
-    assert added - set(sys.stdlib_module_names) - {"numpy", "kppca"} == set()
+    cython = {name for name in added if re.fullmatch(r"cython_runtime|_cython_[0-9_]+", name)}
+    assert added - set(sys.stdlib_module_names) - {"numpy", "kppca"} - cython == set()
 
 
-def test_every_module_is_imported():
-    # a module that a fresh import of the package and its CLI does not
-    # load is a stale file, say one left behind by a rename
-    code = "import sys, kppca, kppca.cli; print(*(name for name in sys.modules if name.startswith('kppca.')))"
+def test_every_module_is_imported(tmp_path):
+    # a module that no public name and no command loads is a stale file,
+    # say one left behind by a rename
+    modules = {f"kppca.{path.stem}" for path in (ROOT / "src" / "kppca").glob("*.py")} - {"kppca.__init__"}
+    assert modules - modules_loaded_by_every_path(tmp_path) == set()
+
+
+def test_parsing_the_command_line_loads_no_numpy():
+    # --version, --help, a command's --help and an argparse error answer
+    # before numpy or any numerical kppca module is imported
+    code = """
+import contextlib, io, sys
+from kppca.cli import main
+for argv, code in ((["--version"], 0), (["--help"], 0), (["fit", "--help"], 0), (["fit"], 2)):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == code, (argv, exc.code)
+        else:
+            raise AssertionError(argv)
+print(*(name for name in sys.modules if name == "numpy" or name.startswith(("numpy.", "kppca."))))
+"""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    modules = {f"kppca.{path.stem}" for path in (ROOT / "src" / "kppca").glob("*.py")} - {"kppca.__init__"}
-    assert modules - set(proc.stdout.split()) == set()
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert set(proc.stdout.split()) == {"kppca._version", "kppca.cli", "kppca.errors"}
 
 
 def test_public_names_resolve():
-    # a name left in __all__ after its object is deleted breaks star-imports
+    # a name left in __all__ after its object is deleted breaks star-imports;
+    # each name is its home module's object, and dir() lists them all
     assert all(hasattr(kppca, name) for name in kppca.__all__)
     assert len(set(kppca.__all__)) == len(kppca.__all__)
     exec("from kppca import *", {})
+    # dir() lists every name, in a fresh interpreter before any is resolved
+    code = "import kppca; print(*set(kppca.__all__) - set(dir(kppca)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, ""), proc.stderr[-2000:]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(kppca, "no_such_name")
+    for module, names in kppca._HOMES.items():
+        home = importlib.import_module(f"kppca.{module}")
+        for name in names:
+            assert getattr(kppca, name) is getattr(home, name), name
 
 
 def test_version_lives_in_one_place():
