@@ -27,8 +27,7 @@ _HOMES = {
     "preimage": ("kernel_smoother",),
     "primal": ("GaussianSpec", "PrimalModel", "explained_variance", "feature_reconstruct",
                "fit_primal", "latent_map", "latent_posterior", "marginal_loglik"),
-    "spectral": ("EigenDecomposition", "center_columns", "center_gram", "gram_means", "sym_eig",
-                 "top_eig"),
+    "spectral": ("center_columns", "center_gram", "gram_means", "sym_eig", "top_eig"),
     "toy": ("two_arcs",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -26,11 +26,13 @@ accepts and a TSET that TrainingSet accepts.
 import csv
 import gzip
 import io
+import itertools
 import math
 import os
 import struct
 import sys
 import zlib
+from array import array
 
 import numpy as np
 
@@ -58,12 +60,6 @@ _IDX_CHUNK = 1 << 24
 # --- CSV ----------------------------------------------------------------
 
 
-# loadtxt strips the ASCII information separators U+001C..U+001F around a
-# number as whitespace, float() refuses them; tables holding one take the
-# cell-by-cell path so that both paths accept exactly the same cells
-_LOADTXT_ONLY_WHITESPACE = "\x1c\x1d\x1e\x1f"
-
-
 def _is_number(tok):
     try:
         float(tok)
@@ -73,13 +69,11 @@ def _is_number(tok):
 
 
 def _parse_row(fields, path, rownum):
-    out = []
-    for j, tok in enumerate(fields):
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ParseError(f"{path}: not a number: {tok!r}", row=rownum, col=j + 1) from None
-    return out
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        j = next(j for j, tok in enumerate(fields) if not _is_number(tok))
+        raise ParseError(f"{path}: not a number: {fields[j]!r}", row=rownum, col=j + 1) from None
 
 
 def _csv_rows(reader, path, row):
@@ -92,19 +86,6 @@ def _csv_rows(reader, path, row):
             row += 1
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}", row=row) from None
-
-
-def _parse_cells(lines, path, first_row):
-    # cell-by-cell reference parser; with _csv_rows it locates bad rows and cells
-    rows = list(_csv_rows(csv.reader(lines), path, first_row))
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = [_parse_row(row, path, first_row + i) for i, row in enumerate(rows)]
-    width = len(data[0])
-    for i, row in enumerate(data):
-        if len(row) != width:
-            raise RaggedRows(f"{path}: row {first_row + i} has {len(row)} fields, expected {width}")
-    return np.asarray(data, dtype=float)
 
 
 # load_csv reads a well-formed decimal table (an optional header line, then
@@ -141,7 +122,8 @@ def _body_start(head):
 
 
 def _read_text(path):
-    # the text path: csv syntax, numpy's C tokenizer, the reference parser
+    # the text path, the reference parser: csv syntax, then float() on
+    # every cell; it reads each row once, and locates each bad row and cell
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             lines = fh.readlines()
@@ -150,24 +132,27 @@ def _read_text(path):
             # which ends where the file now stands; a pipe cannot say where
             where = f" (byte {fh.buffer.tell() - len(exc.object) + exc.start})" if fh.seekable() else ""
             raise ParseError(f"{path}: not UTF-8 text{where}") from None
-    reader = csv.reader(lines)
-    rows = _csv_rows(reader, path, 1)
+    rows = _csv_rows(csv.reader(lines), path, 1)
     first = next(rows, None)
     if first is None:
         raise ParseError(f"{path}: empty file")
     header = _is_header(first)
-    body = lines[reader.line_num:] if header else lines
-    has_data = not header or next(rows, None) is not None
-    if (has_data and max(map(len, body)) <= csv.field_size_limit()
-            and not any(c in line for line in body for c in _LOADTXT_ONLY_WHITESPACE)):
-        # a well-formed table parses in numpy's C tokenizer; anything it
-        # refuses, and a line that may hold a cell over csv's field limit,
-        # gets the reference parser, which accepts or locates it
-        try:
-            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
+    first_row = 2 if header else 1
+    data, widths = array("d"), []
+    try:
+        for row, fields in enumerate(rows if header else itertools.chain([first], rows), first_row):
+            data.extend(_parse_row(fields, path, row))
+            widths.append(len(fields))
+    except ParseError:
+        for _ in rows:  # a row csv refuses, later in the file, is reported first
             pass
-    return _parse_cells(body, path, first_row=2 if header else 1)
+        raise
+    if not widths:
+        raise ParseError(f"{path}: no data rows")
+    for i, width in enumerate(widths):
+        if width != widths[0]:
+            raise RaggedRows(f"{path}: row {first_row + i} has {width} fields, expected {widths[0]}")
+    return np.frombuffer(data).reshape(len(widths), widths[0])
 
 
 def load_csv(path) -> np.ndarray:

@@ -139,6 +139,21 @@ def test_load_csv_ragged(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_text_path_locates_errors_after_a_two_line_header(tmp_path):
+    # a quoted newline makes the header one row over two lines: rows count
+    # csv rows, not lines, in the text path's tables (CRLF rows included)
+    p = tmp_path / "t.csv"
+    p.write_bytes(b'"a\nb",c\n1,2\n3,x\n')
+    with pytest.raises(ParseError) as err:
+        load_csv(p)
+    assert (err.value.row, err.value.col) == (3, 2)
+    p.write_bytes(b'"a\nb",c\r\n1,2\r\n3,4e-1\r\n')
+    assert np.array_equal(load_csv(p), [[1.0, 3.0], [2.0, float("4e-1")]])
+    p.write_bytes(b"1,2\r\n3\r\n")
+    with pytest.raises(RaggedRows, match=r"row 2 has 1 fields, expected 2$"):
+        load_csv(p)
+
+
 def test_csv_roundtrip_exact(tmp_path, rng):
     x = rng.standard_normal((3, 5)) * np.array([[1e-7], [1.0], [1e8]])
     p = tmp_path / "t.csv"
@@ -211,7 +226,8 @@ NUMBER_CELLS = st.one_of(
     st.sampled_from(["1.", ".5", "-.5", "+1e+5", "1E-0", "007", "9007199254740993",
                      "1234567890123456789012345", "1e400", "1e-400", "-0"]),
 )
-# cells float() takes and numpy's tokenizer refuses, or the reverse
+# cells outside the decimal reader's grammar: ones float() takes, and ones
+# it refuses although str.isspace() calls their extra character whitespace
 FALLBACK_CELLS = st.sampled_from(['"1.5"', '" 2 "', "1_0", "\uff11\uff12", "\u0663", "1\x1c", "\x1f2"])
 BAD_CELLS = st.one_of(
     st.sampled_from(["", " ", "#", "#1", "x", "--1", "0x10", '"', "1 2", "nan0", "1e"]),
@@ -260,16 +276,10 @@ def test_load_csv_matches_cell_by_cell_parser(tmp_path_factory, text):
     '"a","b"\n1.5,2\n',
     "-1,2,3\n",
 ])
-def test_load_csv_well_formed_table_skips_cell_parser(tmp_path, monkeypatch, text):
+def test_load_csv_well_formed_table_skips_cell_parser(tmp_path, text):
     p = tmp_path / "t.csv"
     p.write_bytes(text.encode("utf-8"))
-    expected = reference_load_csv(p)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a well-formed table reached the cell-by-cell parser")
-
-    monkeypatch.setattr(io_datasets, "_parse_cells", refuse)
-    npt.assert_array_equal(load_csv(p), expected)
+    npt.assert_array_equal(load_csv(p), reference_load_csv(p))
 
 
 @given(csv_texts())
@@ -317,8 +327,7 @@ def test_load_csv_reads_a_million_values_as_float(tmp_path, monkeypatch):
 
 def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch):
     # the way perfbench writes its inputs: a header, then %.17g cells; fewer
-    # than 1% of them reach float(), and neither np.loadtxt nor the cell
-    # parser runs
+    # than 1% of them reach float(), and the text path does not run
     images = bump_images(100, side=28, seed=4)
     p = tmp_path / "t.csv"
     header = ",".join(f"x{j + 1}" for j in range(images.shape[1]))
@@ -330,11 +339,7 @@ def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch)
         calls.append(value)
         return float(value)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a well-formed numeric table reached the text path")
-
-    monkeypatch.setattr(io_datasets.np, "loadtxt", refuse)
-    monkeypatch.setattr(io_datasets, "_parse_cells", refuse)
+    refuse_text_path(monkeypatch)
     monkeypatch.setattr(_decimal, "float", counting_float, raising=False)
     got = load_csv(p)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
