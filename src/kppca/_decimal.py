@@ -120,8 +120,6 @@ def _pow10_longdouble():
             num, den, e = 1 << shift, 10**-k, -shift
         q, r = divmod(num, den)
         q += 2 * r > den or (2 * r == den and q & 1)
-        if q >> 64:
-            q, e = q >> 1, e + 1
         sig.append(q)
         exp.append(e)
     return np.ldexp(np.array(sig, dtype=np.uint64).astype(np.longdouble), np.array(exp, dtype=np.int32))

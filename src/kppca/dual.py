@@ -24,7 +24,8 @@ A fitted DualModel is the dual solution itself: the leading q eigenpairs
 discarded eigenvalues, the training Gram matrix's column means and grand
 mean (which center new kernel columns), and the training inputs. It holds
 O(N (d_in + q)) numbers and nothing N x N; sampling, dual_conditional_kernel
-and dual_marginal_loglik rebuild the Gram matrix, once per call.
+and dual_marginal_loglik rebuild the Gram matrix, once per call. Only
+_centered_gram (K_c) and _centered_gram_factor (J L, K = L L^T) build it.
 """
 
 from dataclasses import dataclass, replace
@@ -48,7 +49,7 @@ from .primal import (
     _posterior_factor,
     _resolve,
 )
-from .spectral import center_in_place, cholesky_factor, gram_means, top_eig
+from .spectral import center_in_place, gram_means, rank_floor, top_eig
 
 @dataclass(frozen=True)
 class DualModel:
@@ -88,6 +89,15 @@ class DualModel:
         return self.e * self.s
 
 
+def _centered_gram(spec, ts):
+    # K_c = J K J, K's gram_means and the rank floor's scale max diag K,
+    # taken before centering, where the rounding comes from
+    kc = gram(spec, ts)
+    scale = kc.diagonal().max()
+    means = gram_means(kc)
+    return center_in_place(kc, means), means, scale
+
+
 def fit_dual(spec: KernelSpec, ts: TrainingSet,
              q: int | None = None, sigma2: float | None = None) -> DualModel:
     """Closed-form fit on a training set.
@@ -106,10 +116,7 @@ def fit_dual(spec: KernelSpec, ts: TrainingSet,
     n = ts.n
     if q is not None and q > n:
         raise LatentExceedsRank(f"q={q} outside 1..N={n}")
-    kc = gram(spec, ts)
-    scale = kc.diagonal().max()  # before centering, where the rounding comes from
-    means = gram_means(kc)
-    center_in_place(kc, means)
+    kc, means, scale = _centered_gram(spec, ts)
     # rounding can leave the trace below 0 when every eigenvalue is 0
     trace = max(float(np.trace(kc)), 0.0)
     if q is not None:
@@ -201,9 +208,26 @@ def preimage_codes(m: DualModel, h, epsilon: float | None = None) -> np.ndarray:
 
 
 def _centered_gram_factor(m):
-    # J L with K = L L^T from the training set, so (J L)(J L)^T = J K J = K_c
-    f = cholesky_factor(gram(m.spec, m.ts))
-    return f - f.mean(axis=0)
+    # J L with K = L L^T, so (J L)(J L)^T = J K J = K_c: LAPACK's L (r = N)
+    # when K is numerically positive definite, else a greedy pivoted one on
+    # the largest remaining diagonal entry, stopped at the rank floor
+    k = gram(m.spec, m.ts)
+    try:
+        f = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        d = k.diagonal().copy()
+        stop = rank_floor(m.n, d.max())
+        f = np.zeros((m.n, m.n))
+        for j in range(m.n):
+            i = int(np.argmax(d))
+            if d[i] <= stop:
+                f = f[:, :j]
+                break
+            col = (k[:, i] - f[:, :j] @ f[i, :j]) / np.sqrt(d[i])
+            f[:, j] = col
+            d -= col * col
+    f -= f.mean(axis=0)
+    return f
 
 
 def tail_factor(m: DualModel) -> np.ndarray:
@@ -267,8 +291,9 @@ def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
     """Distribution of kernel representations given latent codes h (q x M):
     means K_c a h (N x M) and, shared by every column, covariance
     sigma2 K_c, factored as sigma J L."""
-    return GaussianSpec(mean=dual_reconstruct(m, h),
-                        cov_factor=np.sqrt(m.sigma2) * _centered_gram_factor(m))
+    jl = _centered_gram_factor(m)
+    jl *= np.sqrt(m.sigma2)
+    return GaussianSpec(mean=dual_reconstruct(m, h), cov_factor=jl)
 
 
 def dual_marginal_loglik(m: DualModel, k) -> np.ndarray:
@@ -289,17 +314,16 @@ def dual_marginal_loglik(m: DualModel, k) -> np.ndarray:
     if m.sigma2 <= 0.0:
         raise SigmaZero("marginal density is degenerate at sigma2 == 0")
     k = _as_columns(k, m.n, "kernel columns")
-    kc = gram(m.spec, m.ts)
-    scale = kc.diagonal().max()
-    eig = top_eig(center_in_place(kc, gram_means(kc)), m.n, scale)
+    kc, _, scale = _centered_gram(m.spec, m.ts)
+    eig = top_eig(kc, m.n, scale)
     lam, e = eig.eigenvalues, eig.eigenvectors
     rank = eig.rank()
     if rank < m.n - 1:
         raise RankDeficient(f"marginal covariance has {m.n - rank} null directions; "
                             "at most one (the centering direction) is allowed")
     coords = e.T @ k
-    scale = np.maximum(np.linalg.norm(k, axis=0), np.sqrt(lam[0]))
-    off = np.flatnonzero((np.abs(coords[rank:]) > 1e-8 * scale).any(axis=0))
+    size = np.maximum(np.linalg.norm(k, axis=0), np.sqrt(lam[0]))
+    off = np.flatnonzero((np.abs(coords[rank:]) > 1e-8 * size).any(axis=0))
     if off.size:
         raise NotCentered(f"kernel column {off[0]} has a component along the null direction of the "
                           "marginal covariance (the constant vector for a centered Gram matrix)")

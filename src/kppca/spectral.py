@@ -1,5 +1,4 @@
-"""Dense and leading-q symmetric eigendecompositions, centering, and PSD
-Cholesky factors.
+"""Dense and leading-q symmetric eigendecompositions, and centering.
 
 Everything downstream (primal and dual training, the sampling operator,
 conditional covariances) is built on the decompositions produced here, so
@@ -175,36 +174,3 @@ def center_columns(x):
     _require_finite(x, "matrix")
     mean = x[:, 0] + (x - x[:, :1]).mean(axis=1)
     return x - mean[:, None], mean
-
-
-def _pivoted_cholesky(a):
-    # Greedy pivoting on the largest remaining diagonal entry, stopped once
-    # that entry is at rounding level: one column per rank direction
-    n = a.shape[0]
-    d = np.diag(a).copy()
-    stop = rank_floor(n, d.max())
-    f = np.zeros((n, n))
-    for j in range(n):
-        i = int(np.argmax(d))
-        if d[i] <= stop:
-            return f[:, :j]
-        col = (a[:, i] - f[:, :j] @ f[i, :j]) / np.sqrt(d[i])
-        f[:, j] = col
-        d -= col * col
-    return f
-
-
-def cholesky_factor(a) -> np.ndarray:
-    """A factor f (N x r) of a symmetric PSD N x N array, a = f f^T.
-
-    LAPACK's Cholesky factor (r = N) when a is numerically positive
-    definite; otherwise a pivoted Cholesky factor with one column per
-    numerical rank direction, whose residual diagonal is at most
-    rank_floor(N, max(diag a)).
-    """
-    a = np.asarray(a, dtype=float)
-    _require_finite(a, "matrix")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return _pivoted_cholesky(a)

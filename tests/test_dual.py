@@ -348,6 +348,28 @@ def test_noiseless_full_rank_roundtrip_identity(rng):
 # covariance must be the marginal E diag(c^2) E^T of the full spectrum.
 
 
+def test_centered_gram_factor_both_branches(monkeypatch):
+    # J L with K = L L^T: LAPACK's L on bump images (positive definite),
+    # the pivoted loop when LAPACK fails, and on two arcs (rank deficient)
+    m = bumps_model(n=8)
+    kc = centered_gram(m)
+    l = np.linalg.cholesky(gram(m.spec, m.ts))
+    npt.assert_array_equal(dual._centered_gram_factor(m), l - l.mean(axis=0))  # J L
+    def fail(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", fail)
+        f = dual._centered_gram_factor(m)  # the pivoted loop runs to all N columns
+    assert f.shape == (8, 8)
+    assert np.abs(f @ f.T - kc).max() <= 1e-12 * np.abs(kc).max()
+    m = arcs_model()
+    kc = centered_gram(m)
+    f = dual._centered_gram_factor(m)  # singular: one column per rank direction
+    assert f.shape[1] < m.n
+    assert np.abs(f @ f.T - kc).max() <= 1e-12 * np.abs(kc).max()
+
+
 def test_sampler_noiseless_full_latent_form():
     # at sigma2 = 0 the tail vanishes and the map is E_q diag(lambda_q / sqrt(N))
     m = kpca_limit(bumps_model(n=6, q=2))

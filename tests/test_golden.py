@@ -1,4 +1,4 @@
-"""Golden outputs: three fixed, seeded runs through the CLI (fit, project,
+"""Golden outputs: four fixed, seeded runs through the CLI (fit, project,
 reconstruct, generate --count 9, report --out) against the files stored
 under tests/golden/<run>/, so that a change to any number shows up here.
 
@@ -42,11 +42,15 @@ def _linear_5d(n, seed):
 
 # each run: its training points and queries (one per row), its fit flags,
 # and the tolerance of its kernel samples and generated points relative to
-# their largest entry; the arcs Gram matrix is rank deficient, so its
-# sampler takes the pivoted tail, whose pivot order follows the rounding
+# their largest entry; the arcs Gram matrices are rank deficient, so their
+# sampler takes the pivoted tail, whose pivot order follows the rounding.
+# arcs240-rbf is the one RBF fit narrow enough (2 (q + 1) + 10 <= N / 8)
+# for top_eig's subspace iteration, the path both benchmark workloads take
 RUNS = {
     "arcs-rbf": (lambda: two_arcs(50, seed=0).T, lambda: two_arcs(20, seed=2).T,
                  ["--kernel", "rbf", "--gamma", "2", "--q", "3"], 1e-6),
+    "arcs240-rbf": (lambda: two_arcs(240, seed=0).T, lambda: two_arcs(20, seed=2).T,
+                    ["--kernel", "rbf", "--gamma", "0.5", "--q", "3"], 1e-6),
     "bumps-rbf": (lambda: bump_images(60, seed=0), lambda: bump_images(10, seed=1),
                   ["--kernel", "rbf", "--gamma", "1.5", "--q", "3"], 1e-10),
     "linear-5d": (lambda: _linear_5d(200, 0), lambda: _linear_5d(20, 1),

@@ -325,6 +325,27 @@ def test_load_csv_reads_a_million_values_as_float(tmp_path, monkeypatch):
             assert np.array_equal(got.T.ravel().view(np.uint64), expected[:count].view(np.uint64))
 
 
+@pytest.mark.skipif(not _decimal._DIGIT_PATH, reason="np.longdouble has no 64-bit significand")
+def test_pow10_table_is_ten_to_the_k_rounded_to_nearest_even():
+    # every entry against 10**k rounded exactly to a 64-bit significand,
+    # ties to even; no k in range carries into a 65th bit, so the table
+    # needs no carry step
+    ks = range(_decimal._K_LO, _decimal._K_HI + 1)
+    table = _decimal._pow10_longdouble()
+    assert table.size == len(ks) == 636
+    mismatches = carries = 0
+    for k, got in zip(ks, table):
+        x = Fraction(10) ** k
+        e = x.numerator.bit_length() - x.denominator.bit_length() - 63
+        if x < Fraction(2) ** (e + 63):
+            e -= 1  # now 2**63 <= x / 2**e < 2**64
+        sig = round(x / Fraction(2) ** e)  # Fraction rounds half to even
+        if sig == 1 << 64:
+            sig, e, carries = sig >> 1, e + 1, carries + 1
+        mismatches += Fraction(*got.as_integer_ratio()) != sig * Fraction(2) ** e
+    assert (mismatches, carries) == (0, 0)
+
+
 def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch):
     # the way perfbench writes its inputs: a header, then %.17g cells; fewer
     # than 1% of them reach float(), and the text path does not run

@@ -4,7 +4,6 @@ import pytest
 
 from kppca import center_columns, center_gram, sym_eig, top_eig
 from kppca.errors import NoConvergence, NonFinite
-from kppca.spectral import _pivoted_cholesky, cholesky_factor
 
 from conftest import arcs_model, bumps_model, centered_gram, random_psd
 
@@ -253,16 +252,3 @@ def test_top_eig_rejects_bad_input():
     for count in (0, 3):
         with pytest.raises(ValueError):
             top_eig(np.eye(2), count)
-
-
-def test_cholesky_factor_both_branches(rng):
-    full = random_psd(rng, 8)
-    f = cholesky_factor(full)
-    npt.assert_array_equal(f, np.linalg.cholesky(full))  # positive definite: LAPACK
-    f = _pivoted_cholesky(full)  # the pivoted factor runs to all N columns
-    assert f.shape == (8, 8)
-    assert np.abs(f @ f.T - full).max() <= 1e-12 * np.abs(full).max()
-    low = random_psd(rng, 8, rank=3)
-    f = cholesky_factor(low)  # singular: pivoted, one column per rank direction
-    assert f.shape == (8, 3)
-    assert np.abs(f @ f.T - low).max() <= 1e-12 * np.abs(low).max()
