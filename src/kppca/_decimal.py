@@ -3,8 +3,9 @@ the body of a well-formed decimal table for io_datasets.load_csv, and
 _write_table writes a table's cells as repr writes them for
 io_datasets.save_csv.
 
-Both need words that are little-endian and an np.longdouble with a 64-bit
-significand, which _DIGIT_PATH tells. Where it is false, _read_table
+Both need words that are little-endian and an np.longdouble of 16 bytes
+whose 64-bit significand fills the low 8, which _DIGIT_PATH tells (x87
+extended precision). Where it is false, _read_table
 returns None, so that load_csv reads the file on its text path, and
 _write_table hands every cell to repr.
 
@@ -12,7 +13,8 @@ The reader takes rows of ASCII cells
 
     [+-] digits [. digits] [(e|E) [+-] digits]   (at least one mantissa digit)
 
-joined by ',' and ended by '\n', every row as wide as the first, and reads
+joined by ',' and ended by '\n' (or '\r\n' throughout, in a file whose
+first line ends so), every row as wide as the first, and reads
 each as float() does. A first pass over the file counts its rows, so that
 the result is allocated once. The second reads the text into one buffer a
 piece at a time: at most 128 KiB (_PIECE_BYTES) and 8,192 cells
@@ -35,16 +37,21 @@ integers eight digits at a time in 64-bit words (Lemire, "Number parsing
 at a gigabyte per second", 2021).
 
 Scaling. With the digits m < 10**19 and the decimal exponent k, the cell is
-r = m * 10**k in np.longdouble: m is exact, 10**k is the nearest longdouble,
-and the product rounds once, so r is within just over 2u|r| of the exact
-value, u the longdouble unit roundoff. The cell is the float64 nearest to r when
-r - 4u|r| and r + 4u|r| round to that float64 too (a widened Clinger fast
-path). float() reads each cell this does not certify: results near a
-rounding tie (no 17-digit cell, about 1 in 1,300 cells written by repr and
-1 in 370 written with 7 digits), more than 23 mantissa or 8 exponent
-digits, m >= 10**19, subnormal results and exponents outside [_K_LO, _K_HI].
+r = m * 10**k in np.longdouble: m is exact, 10**k is the nearest longdouble
+(off by at most u 10**k, u = 2**-64, which m scales to at most one unit of
+the last bit of r), and the product rounds once (half a unit), so r is
+within 2 units of its last bit of the exact value v. Rounding to float64
+drops the low 11 bits of r's significand, read through a uint64 view, and
+rounds up past their halfway point 0x400. So v rounds to the same float64
+as r unless those bits lie within 3 units of 0x400, one unit of margin
+over the bound. float() reads each cell this does not certify: results near a
+rounding tie (no float64 written with 17 digits or more, about 1 in 540
+cells written by repr and 1 in 180 written with 7 digits, on normal and
+uniform draws), more than 23 mantissa or 8 exponent digits, m >= 10**19,
+results at or below the smallest normal float64 (whose r may lie in a
+binade that drops more bits) and exponents outside [_K_LO, _K_HI].
 
-A piece outside the grammar (a blank line, CR line ends, quotes, spaces,
+A piece outside the grammar (a blank line, any other CR, quotes, spaces,
 inf or nan, a non-ASCII byte, a ragged row) stops the reader, and load_csv
 reads the file on its text path.
 """
@@ -54,7 +61,9 @@ import sys
 
 import numpy as np
 
-_DIGIT_PATH = np.finfo(np.longdouble).nmant >= 63 and sys.byteorder == "little"
+_DIGIT_PATH = (sys.byteorder == "little" and np.dtype(np.longdouble).itemsize == 16
+               and np.finfo(np.longdouble).nmant == 63
+               and np.array([1 + np.longdouble(2.0) ** -63]).view(np.uint64)[0] == 2**63 + 1)
 
 _PIECE_BYTES = 1 << 17
 _PIECE_CELLS = 1 << 13
@@ -132,7 +141,6 @@ class _ReaderTables:
             self.classes[list(chars)] = cls
         self.valid, self.off_e, self.off_p, self.flags = _cell_shapes()
         self.pow10 = _pow10_longdouble()
-        self.slack = np.longdouble(2.0) ** (1 - np.finfo(np.longdouble).nmant)  # 4u
         # keep[b]: the three words of a 24-byte window with bytes b..23 set;
         # shifted/unshifted[(24 - digits) * 25 + 24 - fraction digits]: the
         # digit bytes of the window shifted by one (the point's slot) and not
@@ -169,8 +177,8 @@ class _DecimalReader:
     """Reads a file's cells one piece of text at a time, in buffers that
     every piece reuses."""
 
-    def __init__(self, fh, head, out, width):
-        self.fh, self.out, self.width = fh, out, width
+    def __init__(self, fh, head, out, width, crlf):
+        self.fh, self.out, self.width, self.crlf = fh, out, width, crlf
         self.tables = _reader_tables()
         self.buf = np.zeros(_PAD + _PIECE_BYTES + _PAD, dtype=np.uint8)
         self.buf[_PAD - 1] = ord(",")  # ends the cell before the piece's first
@@ -198,10 +206,18 @@ class _DecimalReader:
         piece; at the end of the file a missing last newline is added.
         Returns False when the text is outside the grammar."""
         t, buf, n = self.tables, self.buf, self.size
+        if self.crlf:  # drop each CR directly before an LF
+            text = buf[_PAD : _PAD + n]
+            cr = np.flatnonzero(text[:-1] == ord("\r"))
+            cr = cr[text[cr + 1] == ord("\n")]
+            n -= cr.size
+            text[:n] = np.delete(text, cr)
         if ended and buf[_PAD + n - 1] not in b",\n":
             buf[_PAD + n] = ord("\n")
             n += 1
-        text = buf[_PAD - 1 : _PAD + n]
+        # a CR that ends the piece waits for its LF, which the next one brings
+        waiting = self.crlf and not ended and buf[_PAD + n - 1] == ord("\r")
+        text = buf[_PAD - 1 : _PAD + n - waiting]
         pos = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
         pos += _PAD - 1
         byte = buf[pos]
@@ -282,11 +298,10 @@ class _DecimalReader:
         r *= np.take(t.pow10, k, mode="clip")
         with np.errstate(all="ignore"):
             x = r.astype(np.float64)
-            slack = r * t.slack
-            sure &= (r + slack).astype(np.float64) == x
-            r -= slack
-            sure &= r.astype(np.float64) == x
-            sure &= (x >= np.finfo(np.float64).smallest_normal) | (m == 0)
+        dropped = r.view(np.uint64)[::2] - np.uint64(0x400 - 2)  # r's significands, less
+        dropped &= np.uint64(0x7FF)
+        sure &= dropped >= 5  # the low 11 bits outside 0x400 - 2 .. 0x400 + 2
+        sure &= (x > np.finfo(np.float64).smallest_normal) | (m == 0)
         np.negative(x, out=x, where=(flags & _NEGATIVE) > 0)
         out = self.out[self.cells : self.cells + cells]
         out[...] = x
@@ -323,16 +338,17 @@ def _table_shape(fh, head):
     return None if 2 * rows * (commas + 1) > size + 1 else (rows, commas + 1)  # 2 bytes a cell at least
 
 
-def _read_table(fh, head):
+def _read_table(fh, head, crlf):
     """The N x d table in the binary file fh, whose text from the first
     data row on starts with head (at most _PIECE_BYTES) and goes on at fh's
-    position; None without the digit path, when a piece is outside the
-    grammar, or when there is no cell."""
+    position, its rows ended by CRLF when crlf is true; None without the
+    digit path, when a piece is outside the grammar, or when there is no
+    cell."""
     shape = _table_shape(fh, head) if _DIGIT_PATH else None
     if shape is None:
         return None
     table = np.empty(shape)
-    reader = _DecimalReader(fh, head, table.reshape(-1), shape[1])
+    reader = _DecimalReader(fh, head, table.reshape(-1), shape[1], crlf)
     while True:
         ended = reader.fill()
         if ended and not reader.size:

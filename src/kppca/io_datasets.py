@@ -101,14 +101,17 @@ def _is_header(cells):
     return not any(map(_is_number, cells))
 
 
-def _body_start(head):
-    # where the rows start in the file's first bytes, which may open with
-    # one UTF-8 byte-order mark: at the first line (as far as head holds it)
-    # when it has a number, after it when it is a header (in csv syntax);
-    # None when it holds a CR, is blank, or is neither
+def _body(head):
+    # the rows in the file's first bytes, which may open with one UTF-8
+    # byte-order mark, and whether the first line ends in CRLF: from the
+    # first line (as far as head holds it) when it has a number, after it
+    # when it is a header (in csv syntax); None when it holds a CR other
+    # than its end's, is blank, or is neither
     bom = 3 if head.startswith(b"\xef\xbb\xbf") else 0
     eol = head.find(b"\n", bom)
     line = head[bom:] if eol < 0 else head[bom:eol]
+    crlf = eol >= 0 and line.endswith(b"\r")
+    line = line[:-1] if crlf else line
     if not line or b"\r" in line:
         return None
     try:
@@ -118,7 +121,7 @@ def _body_start(head):
         return None
     if reader.line_num != 1 or (header and eol < 0):
         return None
-    return eol + 1 if header else bom
+    return head[eol + 1 if header else bom :], crlf
 
 
 def _read_text(path):
@@ -173,8 +176,8 @@ def load_csv(path) -> np.ndarray:
     with open(path, "rb") as fh:
         # the reader reads a file twice, which a pipe does not allow
         head = fh.read(_PIECE_BYTES) if fh.seekable() else b""
-        start = _body_start(head)
-        table = None if start is None else _read_table(fh, head[start:])
+        body = _body(head)
+        table = None if body is None else _read_table(fh, *body)
     return _read_text(path).T if table is None else table.T
 
 

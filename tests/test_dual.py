@@ -227,7 +227,7 @@ def test_fit_rejects_bad_latent(rng):
 
 
 def test_top_q_fit_matches_full_eigh_oracle():
-    # q mode (by subspace iteration at these sizes): lambda_q, E_q up to
+    # q mode (by block Lanczos at these sizes): lambda_q, E_q up to
     # sign and sigma2 = sum_{p>q} lambda_p / (N (N - q)) of the full
     # spectrum; sigma2 mode: the oracle's q, also for a sigma2 a hair above
     # or below lambda_k / N, and for 0 (q at the rank)

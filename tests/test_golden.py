@@ -44,8 +44,9 @@ def _linear_5d(n, seed):
 # and the tolerance of its kernel samples and generated points relative to
 # their largest entry; the arcs Gram matrices are rank deficient, so their
 # sampler takes the pivoted tail, whose pivot order follows the rounding.
-# arcs240-rbf is the one RBF fit narrow enough (2 (q + 1) + 10 <= N / 8)
-# for top_eig's subspace iteration, the path both benchmark workloads take
+# arcs240-rbf is the one RBF fit narrow enough ((q + 1) + 5 <= N / 8) for
+# top_eig's block Lanczos iteration, the path both benchmark workloads
+# take; linear-5d's fit takes it too
 RUNS = {
     "arcs-rbf": (lambda: two_arcs(50, seed=0).T, lambda: two_arcs(20, seed=2).T,
                  ["--kernel", "rbf", "--gamma", "2", "--q", "3"], 1e-6),

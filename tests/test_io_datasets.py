@@ -1,6 +1,8 @@
 import csv
+import decimal
 import gzip
 import json
+import math
 import os
 import re
 import struct
@@ -105,7 +107,7 @@ def test_load_csv_first_row_with_a_number_is_data(tmp_path, text, col):
     ("1.5\n3.0\n4.0\n", [[1.5, 3.0, 4.0]]),
     ("x,y\n1.5,2\n", [[1.5], [2.0]]),
 ], ids=["two_columns", "one_column", "header"])
-@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["decimal_reader", "text_path"])
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["decimal_reader", "text_path"])
 def test_load_csv_ignores_a_byte_order_mark(tmp_path, text, expected, end):
     # spreadsheet "CSV UTF-8" exports start with one
     p = tmp_path / "t.csv"
@@ -346,6 +348,40 @@ def test_pow10_table_is_ten_to_the_k_rounded_to_nearest_even():
     assert (mismatches, carries) == (0, 0)
 
 
+@pytest.mark.skipif(not _decimal._DIGIT_PATH, reason="np.longdouble has no 64-bit significand")
+def test_load_csv_near_float64_halfway_points(tmp_path, monkeypatch):
+    # cells at a float64 rounding tie and 1..4 longdouble units (2**-11 of
+    # a float64 unit) either side of one, written with 17, 18 and 19
+    # digits: each reads as float() reads it, whether the reader certifies
+    # its rounding or hands it to float(), which every cell within a unit
+    # of the tie must reach
+    values = np.random.default_rng(11).standard_normal(200) * 10.0 ** np.linspace(-300, 300, 200)
+    cells, near = [], set()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # every float64 and its midpoints exactly
+        for v in values.tolist():
+            unit = decimal.Decimal(math.ulp(v)) / 2048
+            tie = decimal.Decimal(v) + 1024 * unit
+            for j in range(-4, 5):
+                for digits in (17, 18, 19):
+                    cells.append(f"{tie + j * unit:.{digits - 1}e}")
+                    if abs(decimal.Decimal(cells[-1]) - tie) < unit:
+                        near.add(cells[-1].encode())
+    (tmp_path / "t.csv").write_text("".join(",".join(cells[i : i + 3]) + "\n" for i in range(0, len(cells), 3)))
+    calls = []
+
+    def counting_float(value):
+        calls.append(value)
+        return float(value)
+
+    refuse_text_path(monkeypatch)
+    monkeypatch.setattr(_decimal, "float", counting_float, raising=False)
+    got = load_csv(tmp_path / "t.csv")
+    expected = np.array([float(c) for c in cells])
+    assert np.array_equal(got.T.ravel().view(np.uint64), expected.view(np.uint64))
+    assert len(near) > 100 and near <= set(calls) and len(calls) < 0.75 * len(cells)
+
+
 def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch):
     # the way perfbench writes its inputs: a header, then %.17g cells; fewer
     # than 1% of them reach float(), and the text path does not run
@@ -365,6 +401,41 @@ def test_load_csv_reads_a_17g_table_without_the_text_path(tmp_path, monkeypatch)
     got = load_csv(p)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     assert len(calls) < 0.01 * images.size
+
+
+def write(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def test_load_csv_reads_crlf_rows_without_the_text_path(tmp_path, monkeypatch):
+    # rows ended by CRLF, as spreadsheets on Windows export them, read bit
+    # for bit as their LF copy does, on the decimal reader: repr cells in
+    # rows of 7 under a byte-order mark and a header; and 1-digit rows,
+    # whose first piece ends between a CR and its LF (3 bytes a row)
+    x = repr_corpus()[::10]
+    x = x[np.isfinite(x)]
+    x = x[: x.size // 7 * 7].reshape(-1, 7)
+    lf = b"\xef\xbb\xbfa,b,c,d,e,f,g\n" + repr_lines(x)
+    digits = "".join(str(d % 10) + "\n" for d in range(60_000)).encode("ascii")
+    assert _decimal._PIECE_BYTES % 3 == 2 and x.size > 50_000
+    expected = [io_datasets._read_text(p) for p in (write(tmp_path / "a.csv", lf), write(tmp_path / "b.csv", digits))]
+    refuse_text_path(monkeypatch)
+    for text, table in zip((lf, digits), expected):
+        for end in (b"\n", b"\r\n"):
+            got = load_csv(write(tmp_path / "t.csv", text.replace(b"\n", end)))
+            assert np.array_equal(got.T.view(np.uint64), table.view(np.uint64))
+
+
+@pytest.mark.parametrize("text", [b"1,2\r\n3,4\r5,6\r\n", b"1,2\n3,4\r\n5,6\n", b"1,2\r3,4\r5,6\r"],
+                         ids=["lone_cr", "crlf_after_lf", "cr_ends"])
+def test_load_csv_sends_other_crs_to_the_text_path(tmp_path, monkeypatch, text):
+    # a CR anywhere but right before an LF in a file whose first line ends
+    # in CRLF: the text path reads the file, as csv splits its rows
+    calls, read_text = [], io_datasets._read_text
+    monkeypatch.setattr(io_datasets, "_read_text", lambda path: calls.append(path) or read_text(path))
+    assert np.array_equal(load_csv(write(tmp_path / "t.csv", text)), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    assert len(calls) == 1
 
 
 def test_load_csv_working_set_is_one_piece(tmp_path):

@@ -189,8 +189,8 @@ def full_solves(monkeypatch):
 
 def test_top_eig_matches_eigh_on_fitted_grams(monkeypatch):
     # centered Gram matrices of two-arcs points (spectrum falling to the
-    # rounding level) and of bump images (slowly decaying), by subspace
-    # iteration: no full solve
+    # rounding level) and of bump images (slowly decaying), by block
+    # Lanczos: no full solve
     for m in (arcs_model(n=300), bumps_model(n=300, gamma=2.0)):
         kc = centered_gram(m)
         values, vectors = np.linalg.eigh(kc)
@@ -234,16 +234,94 @@ def test_top_eig_conventions_match_sym_eig(rng):
 
 def test_top_eig_gives_way_to_full_solve_on_slow_decay(rng, monkeypatch):
     # a spectrum that decays slowly past the wanted pairs: the rate of the
-    # first sweeps predicts more work than the full solve, which takes over
+    # first checks predicts more Krylov work than the full solve, which
+    # takes over while the basis holds at most N/8 columns (each check is
+    # one projected eigh as wide as the basis; the cap is N/2)
     n = 200
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = 1.0 / (1.0 + 0.01 * np.arange(n))
     a = (basis * lam) @ basis.T
     sizes = full_solves(monkeypatch)
     e = top_eig(a, 3)
-    assert sizes.count(n) == 1 and len(sizes) <= 4
+    assert sizes[-1] == n and sizes.count(n) == 1 and max(sizes[:-1]) <= n // 8
     assert np.abs(e.eigenvalues - lam[:3]).max() <= 1e-12
     assert aligned_error(e.eigenvectors, basis[:, :3]) <= 1e-8
+
+
+def projector(vectors):
+    return vectors @ vectors.T
+
+
+def assert_like_eigh(a, count, monkeypatch, groups):
+    """top_eig(a, count) by the iteration against the full eigh: values to
+    1e-12 of the largest, orthonormal vectors, and for each group of
+    columns (a whole eigenspace) the same projector to 1e-9."""
+    values, vectors = np.linalg.eigh(a)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    sizes = full_solves(monkeypatch)
+    e = top_eig(a, count)
+    monkeypatch.undo()
+    assert a.shape[0] not in sizes
+    scale = max(values[0], 1.0)
+    expected = np.where(values[:count] <= 1e-12 * scale, 0.0, values[:count])
+    assert np.abs(e.eigenvalues - expected).max() <= 1e-12 * scale
+    npt.assert_allclose(e.eigenvectors.T @ e.eigenvectors, np.eye(count), atol=1e-12)
+    for group in groups:
+        assert np.abs(projector(e.eigenvectors[:, group]) - projector(vectors[:, group])).max() <= 1e-9
+    return e
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 4, 6])
+def test_top_eig_repeated_top_eigenvalue(rng, monkeypatch, multiplicity):
+    # the top eigenvalue repeated up to `count` times above a decaying tail
+    n, count = 200, 6
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([np.full(multiplicity, 5.0), 2.0 * 0.7 ** np.arange(n - multiplicity)])
+    e = assert_like_eigh((basis * lam) @ basis.T, count, monkeypatch,
+                         [slice(0, multiplicity)] + [slice(p, p + 1) for p in range(multiplicity, count)])
+    npt.assert_allclose(e.eigenvalues[:multiplicity], 5.0, rtol=1e-12)
+
+
+def test_top_eig_every_eigenvalue_twice(rng, monkeypatch):
+    # two identical diagonal blocks: each eigenvector of one block, put in
+    # either half, so every eigenvalue is double; whole pairs are compared
+    half = 100
+    basis, _ = np.linalg.qr(rng.standard_normal((half, half)))
+    b = (basis * 3.0 * 0.6 ** np.arange(half)) @ basis.T
+    a = np.zeros((2 * half, 2 * half))
+    a[:half, :half] = a[half:, half:] = b
+    for count in (4, 6):
+        assert_like_eigh(a, count, monkeypatch, [slice(p, p + 2) for p in range(0, count, 2)])
+
+
+def test_top_eig_rank_below_count(rng, monkeypatch):
+    # the linear kernel on 2-D points: rank 2, so all but two of the pairs
+    # are at the rank floor, set to 0, with orthonormal vectors in the null
+    # space; and the zero matrix, all of whose pairs are
+    from kppca import KernelSpec, TrainingSet, gram
+
+    x, _ = center_columns(rng.standard_normal((2, 200)) * [[3.0], [1.0]])
+    kc = center_gram(gram(KernelSpec("linear"), TrainingSet.from_columns(x)))
+    e = assert_like_eigh(kc, 5, monkeypatch, [slice(0, 1), slice(1, 2)])
+    assert e.rank() == 2 and np.all(e.eigenvalues[2:] == 0.0)
+    assert np.abs(kc @ e.eigenvectors[:, 2:]).max() <= 1e-12 * e.eigenvalues[0]
+    zero = top_eig(np.zeros((100, 100)), 3)
+    assert np.all(zero.eigenvalues == 0.0)
+    npt.assert_allclose(zero.eigenvectors.T @ zero.eigenvectors, np.eye(3), atol=1e-15)
+
+
+def test_top_eig_identity(monkeypatch):
+    # one eigenspace, the whole space: any orthonormal vectors will do
+    assert_like_eigh(np.eye(120), 4, monkeypatch, [])
+
+
+def test_top_eig_repeats_its_bits(rng):
+    # the iteration starts from a fixed block and draws nothing: the same
+    # matrix gives the same bits, on a fitted Gram matrix and on a random one
+    for a in (centered_gram(bumps_model(n=300, gamma=2.0)), random_psd(rng, 200, rank=40)):
+        first, again = top_eig(a, 6), top_eig(a.copy(), 6)
+        assert first.eigenvalues.tobytes() == again.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == again.eigenvectors.tobytes()
 
 
 def test_top_eig_rejects_bad_input():

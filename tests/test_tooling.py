@@ -107,8 +107,9 @@ def test_package_imports_numpy_alone(tmp_path):
     # numpy is the one dependency: the package, its CLI and every path
     # through them load no other top-level module outside the standard
     # library (scipy and hypothesis, which the tests use, are installed too).
-    # numpy.random's Cython extensions register two file-less modules,
-    # cython_runtime and _cython_<version>, which are numpy's own.
+    # numpy.random's Cython extensions, which generate's seeded noise loads,
+    # register two file-less modules, cython_runtime and _cython_<version>,
+    # which are numpy's own.
     added = {name.partition(".")[0] for name in modules_loaded_by_every_path(tmp_path)}
     assert "numpy" in added and "kppca" in added
     cython = {name for name in added if re.fullmatch(r"cython_runtime|_cython_[0-9_]+", name)}
@@ -142,6 +143,24 @@ print(*(name for name in sys.modules if name == "numpy" or name.startswith(("num
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert set(proc.stdout.split()) == {"kppca._version", "kppca.cli", "kppca.errors"}
+
+
+def test_fit_loads_no_numpy_random(tmp_path):
+    # fit's eigensolve, here the iteration (N = 200), starts from a fixed
+    # block and draws nothing; only generate's seeded noise needs numpy.random
+    save_csv(tmp_path / "data.csv", two_arcs(200, seed=1), header=["x1", "x2"])
+    code = """
+import sys
+from kppca.cli import main
+assert main(["fit", "--data", "data.csv", "--kernel", "rbf", "--gamma", "0.5", "--q", "2", "--out", "m"]) == 0
+print("numpy.random:", *(name for name in sys.modules if name == "numpy.random" or name.startswith("numpy.random.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "m" / "model.kppca").exists()
+    assert proc.stdout.splitlines()[-1].split() == ["numpy.random:"]
 
 
 def test_public_names_resolve():
