@@ -3,15 +3,15 @@
 The marginal distribution of centered kernel representations has covariance
 E diag(c^2) E^T over the whole spectrum: c_p = lambda_p / sqrt(N) on the q
 retained components and sigma sqrt(lambda_p) on the discarded ones. The
-model keeps only the q leading eigenpairs, so a sample is drawn as
+model keeps only the q leading eigenpairs, and draws a sample as the model
+itself says, latent codes first and then a kernel column given them:
 
-    k = E_q diag(lambda_q / sqrt(N)) z + sigma P J L v
+    k = K_c a h + sigma J L v
 
-with z and v standard normal, P = I - E_q E_q^T, J the centering matrix and
-K = L L^T a Cholesky factor of the Gram matrix. The second term (scaled by
-sigma) is what covers the discarded directions: even with few latent
-components, samples fill the whole kernel space instead of a q-dimensional
-slice.
+with h and v standard normal, J the centering matrix and K = L L^T a
+Cholesky factor of the Gram matrix. The second term (scaled by sigma) is
+what covers the discarded directions: even with few latent components,
+samples fill the whole kernel space instead of a q-dimensional slice.
 
 Run:  python3 demos/03_generation.py
 Artifacts land in demos/output/.
@@ -25,13 +25,13 @@ from kppca import (
     KernelSpec,
     TrainingSet,
     center_gram,
+    dual_conditional_kernel,
     dual_sample,
     fit_dual,
     gram,
     kernel_smoother,
     kpca_limit,
     samples_from_noise,
-    tail_factor,
     top_eig,
     two_arcs,
 )
@@ -47,9 +47,10 @@ model = fit_dual(spec, ts, q=3)
 
 
 def noise_map(m):
-    # the sampler's noise-to-sample matrix [E_q diag(lambda_q / sqrt(N)), tail]
-    tail = tail_factor(m)
-    return samples_from_noise(m, np.eye(m.q + tail.shape[1]), tail)
+    # the sampler's noise-to-sample matrix [K_c a, sigma J L]: the
+    # conditional's mean map and its covariance factor
+    factor = dual_conditional_kernel(m, np.zeros((m.q, 1))).cov_factor
+    return samples_from_noise(m, np.eye(m.q + factor.shape[1]), factor)
 
 
 b = noise_map(model)

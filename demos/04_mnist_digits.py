@@ -23,7 +23,6 @@ from kppca import (
     fit_dual,
     kernel_smoother,
     load_mnist_idx,
-    samples_from_noise,
 )
 from kppca.plots import pgm_grid
 
@@ -64,13 +63,13 @@ recon = kernel_smoother(ts, dual_reconstruct(model, h))
 pgm_grid(os.path.join(OUT, "mnist_original.pgm"), x[:, :show].T.reshape(-1, 28, 28), 8)
 pgm_grid(os.path.join(OUT, "mnist_reconstructed.pgm"), recon.T.reshape(-1, 28, 28), 8)
 
-# Sweep the latent noise of the two retained components on a grid and
-# preimage each sample. Column r * side + c of the noise holds
+# Sweep the latent codes of the two retained components on a grid and
+# preimage each reconstruction. Column r * side + c of the codes holds
 # (lin[c], lin[r]).
 side = 8
 lin = np.linspace(-1.0, 1.0, side)
-u = np.stack([np.tile(lin, side), np.repeat(lin, side)])
-gen = kernel_smoother(ts, samples_from_noise(model, u))
+h = np.stack([np.tile(lin, side), np.repeat(lin, side)])
+gen = kernel_smoother(ts, dual_reconstruct(model, h))
 pgm_grid(os.path.join(OUT, "mnist_generated.pgm"), gen.T.reshape(-1, 28, 28), side)
 
 print("wrote mnist_original.pgm, mnist_reconstructed.pgm, mnist_generated.pgm in demos/output/")

@@ -21,7 +21,7 @@ from ._version import __version__
 _HOMES = {
     "dual": ("DualModel", "dual_conditional_kernel", "dual_latent_map", "dual_latent_posterior",
              "dual_marginal_loglik", "dual_reconstruct", "dual_sample", "dual_training_codes",
-             "fit_dual", "kpca_limit", "samples_from_noise", "tail_factor"),
+             "fit_dual", "kpca_limit", "samples_from_noise"),
     "io_datasets": ("load_csv", "load_mnist_idx", "load_model", "save_csv", "save_model"),
     "kernels": ("KernelSpec", "TrainingSet", "centered_kernel_vectors", "gram"),
     "preimage": ("kernel_smoother",),

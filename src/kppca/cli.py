@@ -65,7 +65,7 @@ def build_parser():
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--seed", type=int, default=0)
     _add_preimage_flags(p_gen)
-    p_gen.add_argument("--grid", help="AxB sweep of the two leading noise components instead of random draws")
+    p_gen.add_argument("--grid", help="AxB sweep of the two leading latent codes instead of random draws")
     p_gen.add_argument("--latent-range", default="-1:1", help="LO:HI range for --grid (default -1:1)")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -199,25 +199,25 @@ def _parse_grid(args):
     return a, b, lo, hi
 
 
-def _grid_noise(model, a, b, lo, hi):
-    # Sweep the latent noise of the two leading retained components, so the
-    # grid walks the dominant latent directions; the remaining components
-    # and the tail stay zero. Column r * a + c holds (first[c], second[r]).
-    # A q = 1 model has no second direction: every row of the grid repeats
-    # the first.
+def _grid_codes(model, a, b, lo, hi):
+    # Sweep the two leading latent codes, so the grid walks the dominant
+    # latent directions over the coordinates that project writes; the
+    # remaining codes stay zero. Column r * a + c holds (first[c],
+    # second[r]). A q = 1 model has no second direction: every row of the
+    # grid repeats the first.
     import numpy as np
 
     sweep = np.stack([np.tile(np.linspace(lo, hi, a), b), np.repeat(np.linspace(lo, hi, b), a)])
-    noise = np.zeros((model.q, a * b))
+    codes = np.zeros((model.q, a * b))
     lead = min(model.q, 2)
-    noise[:lead] = sweep[:lead]
-    return noise
+    codes[:lead] = sweep[:lead]
+    return codes
 
 
 def cmd_generate(args):
     import numpy as np
 
-    from .dual import dual_sample, dual_training_codes, kpca_limit, preimage_codes, samples_from_noise
+    from .dual import dual_reconstruct, dual_sample, dual_training_codes, kpca_limit, preimage_codes
     from .io_datasets import load_model, save_csv
     from .plots import pgm_grid, scatter_svg
     from .preimage import _resolve_epsilon, kernel_smoother
@@ -240,11 +240,11 @@ def cmd_generate(args):
     # before any file is written
     with np.errstate(over="ignore", invalid="ignore"):
         if grid is not None:
-            kc_cols = samples_from_noise(model, _grid_noise(model, *grid))
+            kc_cols = dual_reconstruct(model, _grid_codes(model, *grid))
         else:
             kc_cols = dual_sample(model, args.seed, args.count)
         if not np.isfinite(kc_cols).all():
-            raise NonFinite("kernel samples are not finite: the latent noise overflows float64")
+            raise NonFinite("kernel samples are not finite: the latent codes overflow float64")
         points = kernel_smoother(model.ts, kc_cols, epsilon)
         if not np.isfinite(points).all():
             raise NonFinite("generated points are not finite: their preimage overflows float64")

@@ -230,51 +230,46 @@ def _centered_gram_factor(m):
     return f
 
 
-def tail_factor(m: DualModel) -> np.ndarray:
-    """The N x r factor sigma P J L of the discarded part of the marginal.
-
-    P = I - E_q E_q^T projects off the retained directions, J = I - 11^T/N
-    centers, and K = L L^T factors the training Gram matrix (rebuilt here,
-    r is its numerical rank), so that the factor's outer product is
-    sigma2 P K_c P = sigma2 sum_{p>q} lambda_p e_p e_p^T.
-    """
-    # in place: the N x r temporaries are the factor and one product
+def _noise_factor(m):
+    # sigma J L: the factor of the conditional covariance sigma2 K_c, shared
+    # by dual_sample and dual_conditional_kernel
     jl = _centered_gram_factor(m)
-    jl -= m.e @ (m.e.T @ jl)
     jl *= np.sqrt(m.sigma2)
     return jl
 
 
-def samples_from_noise(m: DualModel, u, tail=None) -> np.ndarray:
+def samples_from_noise(m: DualModel, u, factor) -> np.ndarray:
     """Deterministic sampling map from noise columns to kernel
-    representations (N x M):
+    representations (N x M), the model's ancestral draw:
 
-        k = E_q diag(lambda_q / sqrt(N)) u[:q] + tail u[q:],
+        k = K_c a u[:q] + factor u[q:],
 
-    where tail is tail_factor(m), with r columns, and u is (q + r) x M.
-    Without a tail u has q rows and drives the retained directions alone.
-    With standard-normal u the covariance of k is the trained marginal
-    E diag(c^2) E^T, c_p = lambda_p / sqrt(N) over the retained components
-    and sigma sqrt(lambda_p) over the discarded ones. Exposed so callers can
-    pin the noise, e.g. for grid sweeps or tests.
+    the dual_reconstruct of the prior codes h = u[:q] plus the conditional
+    noise, where factor is dual_conditional_kernel's N x r cov_factor
+    sigma J L and u is (q + r) x M. With standard-normal u the covariance
+    of k is K_c a a^T K_c + sigma2 K_c = E diag(c^2) E^T, the trained
+    marginal over the whole spectrum: c_p = lambda_p / sqrt(N) on the
+    retained components and sigma sqrt(lambda_p) on the discarded ones,
+    whenever sigma2 <= lambda_q / N, as for every model that fit_dual or
+    kpca_limit returns. Exposed so callers can pin the noise, e.g. in tests.
     """
-    u = _as_columns(u, m.q + (0 if tail is None else tail.shape[1]), "noise")
-    k = m.e @ ((m.eigenvalues / np.sqrt(m.n))[:, None] * u[: m.q])
-    if tail is not None:
-        k += tail @ u[m.q :]
+    u = _as_columns(u, m.q + factor.shape[1], "noise")
+    k = _reconstruct_into(m, u[: m.q], np.empty((m.n, u.shape[1])))
+    k += factor @ u[m.q :]
     return k
 
 
 def dual_sample(m: DualModel, rng, count: int) -> np.ndarray:
     """Draw `count` kernel representations from the trained marginal, as
-    the columns of an N x count matrix.
+    the columns of an N x count matrix: latent codes from the prior, then
+    kernel columns from dual_conditional_kernel at those codes.
 
     rng may be a seed or a numpy Generator; a fixed seed gives bit-identical
     output.
     """
-    tail = tail_factor(m)
-    u = np.random.default_rng(rng).standard_normal((m.q + tail.shape[1], count))
-    return samples_from_noise(m, u, tail)
+    factor = _noise_factor(m)
+    u = np.random.default_rng(rng).standard_normal((m.q + factor.shape[1], count))
+    return samples_from_noise(m, u, factor)
 
 
 def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
@@ -290,10 +285,9 @@ def dual_latent_posterior(m: DualModel, k) -> GaussianSpec:
 def dual_conditional_kernel(m: DualModel, h) -> GaussianSpec:
     """Distribution of kernel representations given latent codes h (q x M):
     means K_c a h (N x M) and, shared by every column, covariance
-    sigma2 K_c, factored as sigma J L."""
-    jl = _centered_gram_factor(m)
-    jl *= np.sqrt(m.sigma2)
-    return GaussianSpec(mean=dual_reconstruct(m, h), cov_factor=jl)
+    sigma2 K_c, factored as sigma J L (N x r, r the numerical rank of the
+    Gram matrix)."""
+    return GaussianSpec(mean=dual_reconstruct(m, h), cov_factor=_noise_factor(m))
 
 
 def dual_marginal_loglik(m: DualModel, k) -> np.ndarray:

@@ -11,10 +11,10 @@ from kppca import (
     fit_dual,
     gram,
     samples_from_noise,
-    tail_factor,
     top_eig,
     two_arcs,
 )
+from kppca import dual
 
 
 def random_psd(rng, n, rank=None):
@@ -79,10 +79,10 @@ def marginal_covariance(m):
 
 
 def sampler_map(m):
-    """The sampler's noise-to-sample matrix [E_q diag(lambda_q / sqrt(N)), tail]
-    and the tail's width r."""
-    tail = tail_factor(m)
-    return samples_from_noise(m, np.eye(m.q + tail.shape[1]), tail), tail.shape[1]
+    """The sampler's noise-to-sample matrix [K_c a, sigma J L] and the noise
+    factor's width r."""
+    factor = dual._noise_factor(m)
+    return samples_from_noise(m, np.eye(m.q + factor.shape[1]), factor), factor.shape[1]
 
 
 def align_columns(reference, candidate):

@@ -299,9 +299,11 @@ def test_generate_oversized_request_is_a_data_error(tmp_path, toy_csv, capsys, f
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
-    # column r * a + c is E[:, :2] diag(c_1, c_2) (first[c], second[r]) with
-    # c_p = lambda_p / sqrt(N); a q = 1 model has no second direction, so
-    # every row of the grid repeats the first
+    # column r * a + c holds the latent codes (first[c], second[r]) of the
+    # two leading components, the coordinates that project writes, and 0
+    # beyond: its kernel samples are their dual_reconstruct and its points
+    # their preimage_codes. A q = 1 model has no second direction, so every
+    # row of the grid repeats the first
     model_path = run_fit(tmp_path, toy_csv, "--q", str(q))
     out = tmp_path / "grid"
     assert main(["generate", "--model", str(model_path), "--grid", "4x3",
@@ -309,10 +311,13 @@ def test_generate_grid_sweeps_leading_directions(tmp_path, toy_csv, q):
     m = load_model(model_path)
     sweep = np.stack([np.tile(np.linspace(-2, 2, 4), 3), np.repeat(np.linspace(-2, 2, 3), 4)])
     lead = min(q, 2)
-    expected = (m.e[:, :lead] * m.eigenvalues[:lead] / np.sqrt(m.n)) @ sweep[:lead]
-    npt.assert_allclose(load_csv(out / "kernel_samples.csv"), expected, atol=1e-15)
+    codes = np.zeros((q, 12))
+    codes[:lead] = sweep[:lead]
+    ks = load_csv(out / "kernel_samples.csv")
+    npt.assert_allclose(ks, dual_reconstruct(m, codes), atol=1e-15)
+    want = dual.preimage_codes(m, codes)
+    assert np.abs(load_csv(out / "generated.csv") - want).max() <= 1e-12 * np.abs(want).max()
     if q == 1:
-        ks = load_csv(out / "kernel_samples.csv")
         npt.assert_array_equal(ks[:, :4], ks[:, 4:8])
 
 

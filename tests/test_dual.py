@@ -33,7 +33,6 @@ from kppca import (
     latent_posterior,
     marginal_loglik,
     samples_from_noise,
-    tail_factor,
     two_arcs,
 )
 from kppca import dual, kernels
@@ -60,6 +59,22 @@ from conftest import (
     marginal_covariance,
     sampler_map,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def fits_meet_the_sampler_premise():
+    # every fit_dual model in this file has sigma2 <= lambda_q / N, the
+    # premise under which the sampler's covariance is the trained marginal
+    real = dual._resolve
+
+    def checked(lam, trace, n, q, sigma2):
+        q, s2, tail = real(lam, trace, n, q, sigma2)
+        assert s2 <= lam[q - 1] / n, f"sigma2={s2} exceeds lambda_q / N={lam[q - 1] / n}"
+        return q, s2, tail
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dual, "_resolve", checked)
+        yield
 
 
 def fitted_rbf_model(rng, n=9, q=3, gamma=1.5):
@@ -181,11 +196,11 @@ def test_linear_dual_rank_ignores_the_rounding_of_an_offset_gram():
     assert fit_dual(KernelSpec("linear"), TrainingSet(x), sigma2=0.0).q == fit_primal(x.T, sigma2=0.0).q == 5
 
 
-def test_model_and_tail_factor_share_one_rank():
-    # the eigenvalue clamp and the tail factor's stop rule are one rank
-    # floor, so the rank of the model and of its sampler's tail agree
+def test_model_and_noise_factor_share_one_rank():
+    # the eigenvalue clamp and the pivoted factor's stop rule are one rank
+    # floor, so the rank of the model and of its sampler's noise factor agree
     m = fit_dual(KernelSpec("rbf", 0.5), TrainingSet.from_columns(two_arcs(500, seed=7)), q=5)
-    assert abs(tail_factor(m).shape[1] - fit_dual(m.spec, m.ts, sigma2=0.0).q) <= 3
+    assert abs(dual._noise_factor(m).shape[1] - fit_dual(m.spec, m.ts, sigma2=0.0).q) <= 3
 
 
 def test_fit_shares_noise_estimator_with_primal(rng):
@@ -344,7 +359,7 @@ def test_noiseless_full_rank_roundtrip_identity(rng):
 
 # --- sampler -------------------------------------------------------------
 #
-# k = E_q diag(lambda_q / sqrt(N)) z + sigma P J L v with K = L L^T; the
+# k = K_c a h + sigma J L v with K = L L^T and h, v standard normal; the
 # covariance must be the marginal E diag(c^2) E^T of the full spectrum.
 
 
@@ -371,7 +386,8 @@ def test_centered_gram_factor_both_branches(monkeypatch):
 
 
 def test_sampler_noiseless_full_latent_form():
-    # at sigma2 = 0 the tail vanishes and the map is E_q diag(lambda_q / sqrt(N))
+    # at sigma2 = 0 the noise factor vanishes and the map is
+    # K_c a = E_q diag(lambda_q / sqrt(N))
     m = kpca_limit(bumps_model(n=6, q=2))
     b, r = sampler_map(m)
     npt.assert_allclose(b[:, :2], m.e * m.eigenvalues / np.sqrt(6.0), atol=1e-15)
@@ -379,12 +395,26 @@ def test_sampler_noiseless_full_latent_form():
 
 
 def test_sampler_full_latent_ignores_sigma():
-    # with q at the full rank nothing is discarded, whatever sigma2 says
-    m = replace(bumps_model(n=6, sigma2=0.0), sigma2=0.3)
-    assert m.q == 5
-    b, _ = sampler_map(m)
-    expected = (m.e * m.eigenvalues**2) @ m.e.T / 6.0
-    npt.assert_allclose(b @ b.T, expected, atol=1e-12)
+    # with q at the full rank nothing is discarded, whatever sigma2 up to
+    # lambda_q / N says: the noise gives back what the loadings lose
+    m0 = bumps_model(n=6, sigma2=0.0)
+    assert m0.q == 5
+    expected = (m0.e * m0.eigenvalues**2) @ m0.e.T / 6.0
+    for share in (0.5, 1.0):
+        m = replace(m0, sigma2=share * m0.eigenvalues[-1] / 6.0)
+        b, _ = sampler_map(m)
+        npt.assert_allclose(b @ b.T, expected, atol=1e-12)
+
+
+def test_sampler_is_the_conditional_at_prior_codes():
+    # the sampler is the model's ancestral draw: prior codes u[:q] through
+    # the conditional mean K_c a h, plus the conditional's noise sigma J L
+    for m in (arcs_model(), bumps_model()):
+        factor = dual._noise_factor(m)
+        u = np.random.default_rng(3).standard_normal((m.q + factor.shape[1], 4))
+        cond = dual_conditional_kernel(m, u[: m.q])
+        want = cond.mean + cond.cov_factor @ u[m.q :]
+        assert np.abs(samples_from_noise(m, u, factor) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sampler_covariance_identity_oracle():
@@ -419,10 +449,14 @@ def test_sampler_map_spans_marginal_range():
 
 def test_sampler_zero_noise_hook():
     m = bumps_model(n=6, q=2)
-    tail = tail_factor(m)
-    out = samples_from_noise(m, np.zeros((2 + tail.shape[1], 3)), tail)
+    factor = dual._noise_factor(m)
+    out = samples_from_noise(m, np.zeros((2 + factor.shape[1], 3)), factor)
     npt.assert_array_equal(out, np.zeros((6, 3)))
-    npt.assert_array_equal(samples_from_noise(m, np.zeros((2, 3))), np.zeros((6, 3)))
+    # at sigma2 = 0 the noise factor is 0: noise beyond the codes moves nothing
+    limit = kpca_limit(m)
+    factor = dual._noise_factor(limit)
+    u = np.vstack([np.zeros((2, 3)), np.ones((factor.shape[1], 3))])
+    npt.assert_array_equal(samples_from_noise(limit, u, factor), np.zeros((6, 3)))
 
 
 def test_sample_deterministic_columns():
@@ -586,10 +620,11 @@ def test_dimension_checks(rng):
         dual_latent_map(m, np.zeros((m.n + 1, 1)))
     with pytest.raises(DimensionMismatch):
         dual_reconstruct(m, np.zeros((m.q + 1, 1)))
+    factor = dual._noise_factor(m)
     with pytest.raises(DimensionMismatch):
-        samples_from_noise(m, np.zeros((m.n + 2, 1)))  # q rows without a tail
+        samples_from_noise(m, np.zeros((m.q + factor.shape[1] + 1, 1)), factor)  # q + r rows
     with pytest.raises(DimensionMismatch):
-        samples_from_noise(m, np.zeros((m.q, 1)), tail_factor(m))  # q + r rows with one
+        samples_from_noise(m, np.zeros((m.q, 1)), factor)  # the codes alone
 
 
 def test_blocked_preimage_names_the_batch_column():
@@ -623,6 +658,7 @@ def _query_batches():
     kc = centered_kernel_vectors(dm.spec, dm.ts, dm.means, inputs)
     codes = rng.standard_normal((dm.q, 5))
     feats = rng.standard_normal((pm.d, 5))
+    factor = dual._noise_factor(dm)
     return {
         "project_inputs": (lambda b: project_inputs(dm, b), inputs),
         "centered_kernel_vectors": (lambda b: centered_kernel_vectors(dm.spec, dm.ts, dm.means, b), inputs),
@@ -632,7 +668,8 @@ def _query_batches():
         "latent_map": (lambda b: latent_map(pm, b), feats),
         "feature_reconstruct": (lambda b: feature_reconstruct(pm, b), rng.standard_normal((pm.q, 5))),
         "kernel_smoother": (lambda b: kernel_smoother(dm.ts, b), rng.uniform(0.1, 1.0, (dm.n, 5))),
-        "samples_from_noise": (lambda b: samples_from_noise(dm, b), codes),
+        "samples_from_noise": (lambda b: samples_from_noise(dm, b, factor),
+                               rng.standard_normal((dm.q + factor.shape[1], 5))),
         "dual_latent_posterior": (lambda b: dual_latent_posterior(dm, b), kc),
         "latent_posterior": (lambda b: latent_posterior(pm, b), feats),
         "dual_conditional_kernel": (lambda b: dual_conditional_kernel(dm, b), codes),

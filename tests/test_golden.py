@@ -43,7 +43,7 @@ def _linear_5d(n, seed):
 # each run: its training points and queries (one per row), its fit flags,
 # and the tolerance of its kernel samples and generated points relative to
 # their largest entry; the arcs Gram matrices are rank deficient, so their
-# sampler takes the pivoted tail, whose pivot order follows the rounding.
+# sampler takes the pivoted factor, whose pivot order follows the rounding.
 # arcs240-rbf is the one RBF fit narrow enough ((q + 1) + 5 <= N / 8) for
 # top_eig's block Lanczos iteration, the path both benchmark workloads
 # take; linear-5d's fit takes it too
